@@ -162,7 +162,7 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
     // closure stays a sound upper bound.
     const index_t k =
         opt.preconditioner == PrecondKind::kIlu0 ? 0 : opt.fill_level;
-    const IlukSymbolic closure = iluk_symbolic_t(*precond_input, k);
+    const IlukSymbolic closure = iluk_symbolic(*precond_input, k);
     detail::check_pattern_subset(s.factorization.lu, closure.pattern, rep);
   }
 

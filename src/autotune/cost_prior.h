@@ -146,7 +146,7 @@ std::vector<CandidatePrior> rank_candidates(
       st.pattern_nnz = input.nnz();
       st.shape = pcg_iteration_shape(a, input);
     } else {
-      const IlukSymbolic sym = iluk_symbolic_t(input, fill, opt.max_row_fill);
+      const IlukSymbolic sym = iluk_symbolic(input, fill, opt.max_row_fill);
       st.pattern_nnz = sym.pattern.nnz();
       st.shape.n = a.rows;
       st.shape.a_nnz = a.nnz();

@@ -1,7 +1,8 @@
 // TCP socket Transport backing: true cross-process ranks over a star
 // topology through the rank-0 hub.
 //
-// Wire format: length-prefixed frames, one 20-byte header then the payload —
+// Wire format: length-prefixed frames, one 24-byte header (FrameHeader,
+// padding included) then the payload —
 //   { u32 type; u32 rank; u64 seq; u32 len; }  (host byte order: the
 // transport targets same-architecture hosts; doubles cross the wire as raw
 // IEEE-754 bits, which is what keeps the reduction bitwise deterministic).
@@ -16,7 +17,9 @@
 // and broadcasting the result preserves the determinism contract verbatim.
 //
 // Failure containment: every recv polls with the collective timeout; a
-// timeout, EOF (peer process died) or an Abort frame surfaces CommAborted.
+// timeout, EOF (peer process died), an Abort frame or a length beyond the
+// frame type's bound (a reduce width, a declared window, 0 for barriers)
+// surfaces CommAborted before any payload is read.
 // The hub additionally relays Abort to every other worker, so one dead rank
 // converges the whole group within one timeout.
 #include "dist/transport.h"
@@ -28,6 +31,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "support/timer.h"
@@ -164,29 +169,13 @@ class SocketTransportBase : public Transport {
     (void)::send(fd, &h, sizeof(h), MSG_NOSIGNAL | MSG_DONTWAIT);
   }
 
-  /// Receive one frame, enforcing the expected type and sequence. An Abort
-  /// frame, EOF, socket error or deadline overrun becomes CommAborted.
+  /// Receive one frame, enforcing the expected type and sequence, into a
+  /// caller-provided region. The peer-supplied length is checked against
+  /// the frame type's bound `max_len` before any payload byte is read: an
+  /// Abort frame, EOF, socket error, deadline overrun or oversized frame
+  /// becomes CommAborted.
   FrameHeader recv_frame(int fd, FrameType expected, std::uint64_t seq,
-                         std::vector<std::uint8_t>* payload) {
-    WallTimer timer;
-    FrameHeader h;
-    recv_all(fd, &h, sizeof(h), timer);
-    if (h.type == static_cast<std::uint32_t>(FrameType::kAbort))
-      fail("communicator aborted by another rank");
-    if (h.type != static_cast<std::uint32_t>(expected) || h.seq != seq)
-      fail("socket transport protocol error (unexpected frame)");
-    if (payload != nullptr) payload->resize(h.len);
-    if (h.len > 0) {
-      SPCG_CHECK(payload != nullptr);
-      recv_all(fd, payload->data(), h.len, timer);
-    }
-    return h;
-  }
-
-  /// Like recv_frame but into a caller-provided region of exactly the
-  /// advertised length (window payloads).
-  FrameHeader recv_frame_into(int fd, FrameType expected, std::uint64_t seq,
-                              void* dst, std::size_t max_len) {
+                         void* dst, std::size_t max_len) {
     WallTimer timer;
     FrameHeader h;
     recv_all(fd, &h, sizeof(h), timer);
@@ -274,7 +263,7 @@ class SocketHubTransport final : public SocketTransportBase {
     ensure_connected();
     ++seq_;
     for (index_t r = 1; r < parts_; ++r)
-      recv_frame(worker_fd(r), FrameType::kBarrierArrive, seq_, nullptr);
+      recv_frame(worker_fd(r), FrameType::kBarrierArrive, seq_, nullptr, 0);
     for (index_t r = 1; r < parts_; ++r)
       send_frame(worker_fd(r), FrameType::kBarrierRelease, seq_, nullptr, 0);
   }
@@ -289,27 +278,17 @@ class SocketHubTransport final : public SocketTransportBase {
 
   void reduce_end(std::span<double> out) override {
     SPCG_CHECK(out.size() == width_);
-    std::vector<std::vector<std::uint8_t>> parts_payload(
-        static_cast<std::size_t>(parts_));
-    for (index_t r = 1; r < parts_; ++r) {
-      auto& pl = parts_payload[static_cast<std::size_t>(r)];
-      recv_frame(worker_fd(r), FrameType::kReducePart, seq_, &pl);
-      if (pl.size() != width_ * sizeof(double))
-        fail("socket transport reduce width mismatch");
-    }
     // The deterministic fold: ascending rank order, accumulated in double.
-    for (std::size_t j = 0; j < width_; ++j) {
-      double acc = own_[j];
-      for (index_t r = 1; r < parts_; ++r) {
-        double v;
-        std::memcpy(&v,
-                    parts_payload[static_cast<std::size_t>(r)].data() +
-                        j * sizeof(double),
-                    sizeof(double));
-        acc += v;
-      }
-      out[j] = acc;
+    std::array<double, kReduceWidth> acc = own_;
+    std::array<double, kReduceWidth> part{};
+    for (index_t r = 1; r < parts_; ++r) {
+      const FrameHeader h = recv_frame(worker_fd(r), FrameType::kReducePart,
+                                       seq_, part.data(), sizeof(part));
+      if (h.len != width_ * sizeof(double))
+        fail("socket transport reduce width mismatch");
+      for (std::size_t j = 0; j < width_; ++j) acc[j] += part[j];
     }
+    std::copy_n(acc.begin(), width_, out.begin());
     for (index_t r = 1; r < parts_; ++r)
       send_frame(worker_fd(r), FrameType::kReduceResult, seq_, out.data(),
                  width_ * sizeof(double));
@@ -325,10 +304,9 @@ class SocketHubTransport final : public SocketTransportBase {
 
   void window_end() override {
     for (index_t r = 1; r < parts_; ++r) {
-      recv_frame_into(worker_fd(r), FrameType::kWindowPart, seq_,
-                      assembly_.data() +
-                          layout_.offset[static_cast<std::size_t>(r)],
-                      layout_.bytes[static_cast<std::size_t>(r)]);
+      recv_frame(worker_fd(r), FrameType::kWindowPart, seq_,
+                 assembly_.data() + layout_.offset[static_cast<std::size_t>(r)],
+                 layout_.bytes[static_cast<std::size_t>(r)]);
     }
     for (index_t r = 1; r < parts_; ++r)
       send_frame(worker_fd(r), FrameType::kWindowAll, seq_, assembly_.data(),
@@ -373,7 +351,8 @@ class SocketHubTransport final : public SocketTransportBase {
       FrameHeader h;
       recv_all(conn.fd(), &h, sizeof(h), hello_timer);
       if (h.type != static_cast<std::uint32_t>(FrameType::kHello) ||
-          h.rank == 0 || h.rank >= static_cast<std::uint32_t>(parts_))
+          h.len != 0 || h.rank == 0 ||
+          h.rank >= static_cast<std::uint32_t>(parts_))
         fail("socket transport bad hello");
       auto& slot = fds_[static_cast<std::size_t>(h.rank)];
       if (slot.valid()) fail("socket transport duplicate rank hello");
@@ -421,7 +400,7 @@ class SocketWorkerTransport final : public SocketTransportBase {
   void barrier() override {
     ++seq_;
     send_frame(fd_.fd(), FrameType::kBarrierArrive, seq_, nullptr, 0);
-    recv_frame(fd_.fd(), FrameType::kBarrierRelease, seq_, nullptr);
+    recv_frame(fd_.fd(), FrameType::kBarrierRelease, seq_, nullptr, 0);
   }
 
   void reduce_begin(std::span<const double> vals) override {
@@ -434,11 +413,10 @@ class SocketWorkerTransport final : public SocketTransportBase {
 
   void reduce_end(std::span<double> out) override {
     SPCG_CHECK(out.size() == width_);
-    std::vector<std::uint8_t> payload;
-    recv_frame(fd_.fd(), FrameType::kReduceResult, seq_, &payload);
-    if (payload.size() != width_ * sizeof(double))
+    const FrameHeader h = recv_frame(fd_.fd(), FrameType::kReduceResult,
+                                     seq_, out.data(), out.size_bytes());
+    if (h.len != out.size_bytes())
       fail("socket transport reduce width mismatch");
-    std::memcpy(out.data(), payload.data(), payload.size());
   }
 
   void window_begin(const void* data, std::size_t bytes) override {
@@ -450,8 +428,8 @@ class SocketWorkerTransport final : public SocketTransportBase {
   }
 
   void window_end() override {
-    recv_frame_into(fd_.fd(), FrameType::kWindowAll, seq_, rx_.data(),
-                    rx_.size());
+    recv_frame(fd_.fd(), FrameType::kWindowAll, seq_, rx_.data(),
+               rx_.size());
   }
 
   [[nodiscard]] const void* window(index_t r) const override {

@@ -161,20 +161,19 @@ struct IlukSymbolic {
   index_t truncated_rows = 0;
 };
 
-IlukSymbolic iluk_symbolic(const Csr<double>& a, index_t k,
-                           index_t max_row_fill = 0);
+namespace detail {
+IlukSymbolic iluk_symbolic_pattern(index_t n, std::span<const index_t> rowptr,
+                                   std::span<const index_t> colind, index_t k,
+                                   index_t max_row_fill);
+}  // namespace detail
 
+/// Level-of-fill is purely structural: only A's pattern is read.
 template <class T>
-IlukSymbolic iluk_symbolic_t(const Csr<T>& a, index_t k,
-                             index_t max_row_fill = 0) {
-  // Level-of-fill is purely structural; reuse the double-based entry point.
-  Csr<double> shadow;
-  shadow.rows = a.rows;
-  shadow.cols = a.cols;
-  shadow.rowptr = a.rowptr;
-  shadow.colind = a.colind;
-  shadow.values.assign(a.values.size(), 1.0);
-  return iluk_symbolic(shadow, k, max_row_fill);
+IlukSymbolic iluk_symbolic(const Csr<T>& a, index_t k,
+                           index_t max_row_fill = 0) {
+  SPCG_CHECK(a.rows == a.cols);
+  return detail::iluk_symbolic_pattern(a.rows, a.rowptr, a.colind, k,
+                                       max_row_fill);
 }
 
 /// ILU(K): symbolic fill to level `k`, then numeric factorization on the
@@ -183,7 +182,7 @@ template <class T>
 IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
                   index_t max_row_fill = 0) {
   SPCG_CHECK(a.rows == a.cols);
-  const IlukSymbolic sym = iluk_symbolic_t(a, k, max_row_fill);
+  const IlukSymbolic sym = iluk_symbolic(a, k, max_row_fill);
   IluResult<T> r;
   r.lu.rows = a.rows;
   r.lu.cols = a.cols;
@@ -268,7 +267,8 @@ void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
 
 /// Split a combined LU factor into explicit triangular factors:
 /// L gets the strict lower part plus a stored unit diagonal; U gets the
-/// diagonal and strict upper part.
+/// diagonal and strict upper part. One counting pass sizes both exactly,
+/// one pass fills them.
 template <class T>
 struct TriangularFactors {
   Csr<T> l;  // unit lower triangular (diagonal stored as 1)
@@ -277,23 +277,40 @@ struct TriangularFactors {
 
 template <class T>
 TriangularFactors<T> split_lu(const IluResult<T>& r) {
-  TriangularFactors<T> f;
-  f.l = extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
-  // Insert the unit diagonal into L.
-  Csr<T> l_with_diag(r.lu.rows, r.lu.cols);
-  for (index_t i = 0; i < r.lu.rows; ++i) {
-    for (index_t p = f.l.rowptr[static_cast<std::size_t>(i)];
-         p < f.l.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      l_with_diag.colind.push_back(f.l.colind[static_cast<std::size_t>(p)]);
-      l_with_diag.values.push_back(f.l.values[static_cast<std::size_t>(p)]);
-    }
-    l_with_diag.colind.push_back(i);
-    l_with_diag.values.push_back(T{1});
-    l_with_diag.rowptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(l_with_diag.colind.size());
+  const Csr<T>& lu = r.lu;
+  TriangularFactors<T> f{Csr<T>(lu.rows, lu.cols), Csr<T>(lu.rows, lu.cols)};
+  // Counting pass: row i's strict lower part is the prefix of its sorted
+  // columns below i; L also stores the unit diagonal.
+  for (index_t i = 0; i < lu.rows; ++i) {
+    const auto cols_i = lu.row_cols(i);
+    const auto lower = static_cast<index_t>(
+        std::lower_bound(cols_i.begin(), cols_i.end(), i) - cols_i.begin());
+    f.l.rowptr[static_cast<std::size_t>(i) + 1] =
+        f.l.rowptr[static_cast<std::size_t>(i)] + lower + 1;
+    f.u.rowptr[static_cast<std::size_t>(i) + 1] =
+        f.u.rowptr[static_cast<std::size_t>(i)] +
+        static_cast<index_t>(cols_i.size()) - lower;
   }
-  f.l = std::move(l_with_diag);
-  f.u = extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
+  f.l.colind.resize(static_cast<std::size_t>(f.l.nnz()));
+  f.l.values.resize(static_cast<std::size_t>(f.l.nnz()));
+  f.u.colind.resize(static_cast<std::size_t>(f.u.nnz()));
+  f.u.values.resize(static_cast<std::size_t>(f.u.nnz()));
+  const auto at = [](const std::vector<index_t>& rowptr, index_t i) {
+    return static_cast<std::size_t>(rowptr[static_cast<std::size_t>(i)]);
+  };
+  for (index_t i = 0; i < lu.rows; ++i) {
+    const std::size_t src = at(lu.rowptr, i);
+    const std::size_t dl = at(f.l.rowptr, i);
+    const std::size_t du = at(f.u.rowptr, i);
+    const std::size_t lower = at(f.l.rowptr, i + 1) - dl - 1;
+    const std::size_t upper = at(f.u.rowptr, i + 1) - du;
+    std::copy_n(lu.colind.data() + src, lower, f.l.colind.data() + dl);
+    std::copy_n(lu.values.data() + src, lower, f.l.values.data() + dl);
+    f.l.colind[dl + lower] = i;
+    f.l.values[dl + lower] = T{1};
+    std::copy_n(lu.colind.data() + src + lower, upper, f.u.colind.data() + du);
+    std::copy_n(lu.values.data() + src + lower, upper, f.u.values.data() + du);
+  }
   return f;
 }
 

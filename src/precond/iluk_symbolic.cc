@@ -3,50 +3,52 @@
 // Row-by-row linked-list merge in the style of SPARSKIT's iluk / Saad
 // Alg. 10.6. For row i the workspace holds the current fill pattern as a
 // sorted singly linked list; eliminating against each k < i fans out the
-// stored U-part of row k, inserting fill entries whose level
+// U-part of row k, read back from the output pattern, inserting fill
+// entries whose level
 //   lev(i,j) = lev(i,k) + lev(k,j) + 1
 // does not exceed K. Only entries with level <= K are ever inserted, so the
 // list never carries dropped entries.
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "precond/ilu.h"
 
 namespace spcg {
 
-IlukSymbolic iluk_symbolic(const Csr<double>& a, index_t k,
-                           index_t max_row_fill) {
-  SPCG_CHECK(a.rows == a.cols);
+namespace detail {
+
+IlukSymbolic iluk_symbolic_pattern(index_t n,
+                                   std::span<const index_t> rowptr,
+                                   std::span<const index_t> colind, index_t k,
+                                   index_t max_row_fill) {
   SPCG_CHECK(k >= 0);
-  const index_t n = a.rows;
   constexpr index_t kNone = -1;
+  constexpr index_t kUnset = std::numeric_limits<index_t>::max();
 
   IlukSymbolic out;
-  out.pattern.rows = n;
-  out.pattern.cols = n;
-  out.pattern.rowptr.assign(static_cast<std::size_t>(n) + 1, 0);
-
-  // Stored U-parts (strictly j > i) of already-processed rows: columns and
-  // levels, used to fan out during later rows' elimination.
-  std::vector<std::vector<index_t>> u_cols(static_cast<std::size_t>(n));
-  std::vector<std::vector<index_t>> u_levs(static_cast<std::size_t>(n));
+  Csr<char>& pat = out.pattern;
+  pat.rows = n;
+  pat.cols = n;
+  pat.rowptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  // Row k's U-part (strictly j > k) is pattern row k from u_begin[k] on; the
+  // elimination of later rows reads it back from the pattern being written.
+  std::vector<index_t> u_begin(static_cast<std::size_t>(n));
 
   const index_t head = n;  // sentinel node of the linked list
   std::vector<index_t> next(static_cast<std::size_t>(n) + 1, kNone);
-  std::vector<index_t> lev(static_cast<std::size_t>(n),
-                           std::numeric_limits<index_t>::max());
-
-  std::vector<index_t> row_cols;
-  std::vector<index_t> row_levs;
+  std::vector<index_t> lev(static_cast<std::size_t>(n), kUnset);
   std::vector<std::pair<index_t, index_t>> keep;  // (level, col) for capping
 
   for (index_t i = 0; i < n; ++i) {
     // Seed the list with A's row i (columns already sorted).
     index_t prev = head;
     bool has_diag = false;
-    for (const index_t j : a.row_cols(i)) {
+    for (index_t p = rowptr[static_cast<std::size_t>(i)];
+         p < rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = colind[static_cast<std::size_t>(p)];
       next[static_cast<std::size_t>(prev)] = j;
       lev[static_cast<std::size_t>(j)] = 0;
       prev = j;
@@ -60,14 +62,13 @@ IlukSymbolic iluk_symbolic(const Csr<double>& a, index_t k,
          kk != kNone && kk < i; kk = next[static_cast<std::size_t>(kk)]) {
       const index_t lev_ik = lev[static_cast<std::size_t>(kk)];
       index_t ins = kk;  // insertion scan pointer (row k's U-part is sorted)
-      const auto& cols_k = u_cols[static_cast<std::size_t>(kk)];
-      const auto& levs_k = u_levs[static_cast<std::size_t>(kk)];
-      for (std::size_t t = 0; t < cols_k.size(); ++t) {
-        const index_t j = cols_k[t];
-        const index_t new_lev = lev_ik + levs_k[t] + 1;
+      for (index_t q = u_begin[static_cast<std::size_t>(kk)];
+           q < pat.rowptr[static_cast<std::size_t>(kk) + 1]; ++q) {
+        const index_t j = pat.colind[static_cast<std::size_t>(q)];
+        const index_t new_lev =
+            lev_ik + out.levels[static_cast<std::size_t>(q)] + 1;
         if (new_lev > k) continue;
-        if (lev[static_cast<std::size_t>(j)] !=
-            std::numeric_limits<index_t>::max()) {
+        if (lev[static_cast<std::size_t>(j)] != kUnset) {
           lev[static_cast<std::size_t>(j)] =
               std::min(lev[static_cast<std::size_t>(j)], new_lev);
         } else {
@@ -81,66 +82,51 @@ IlukSymbolic iluk_symbolic(const Csr<double>& a, index_t k,
       }
     }
 
-    // Gather the row (already sorted by construction).
-    row_cols.clear();
-    row_levs.clear();
-    for (index_t j = next[static_cast<std::size_t>(head)]; j != kNone;
-         j = next[static_cast<std::size_t>(j)]) {
-      row_cols.push_back(j);
-      row_levs.push_back(lev[static_cast<std::size_t>(j)]);
-    }
-
-    // Optional per-row cap: keep original (level-0) entries plus the
-    // lowest-level fills, then restore column order.
-    if (max_row_fill > 0 &&
-        static_cast<index_t>(row_cols.size()) > max_row_fill) {
-      keep.clear();
-      keep.reserve(row_cols.size());
-      for (std::size_t t = 0; t < row_cols.size(); ++t)
-        keep.emplace_back(row_levs[t], row_cols[t]);
-      std::stable_sort(keep.begin(), keep.end());
-      keep.resize(static_cast<std::size_t>(max_row_fill));
-      std::sort(keep.begin(), keep.end(),
-                [](const auto& x, const auto& y) { return x.second < y.second; });
-      row_cols.clear();
-      row_levs.clear();
-      for (const auto& [l, j] : keep) {
-        row_cols.push_back(j);
-        row_levs.push_back(l);
-      }
-      ++out.truncated_rows;
-    }
-
-    // Persist the row into the output pattern.
-    for (std::size_t t = 0; t < row_cols.size(); ++t) {
-      out.pattern.colind.push_back(row_cols[t]);
-      out.levels.push_back(row_levs[t]);
-    }
-    out.pattern.rowptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(out.pattern.colind.size());
-
-    // Persist this row's U-part (strictly above the diagonal) for later rows.
-    auto& uc = u_cols[static_cast<std::size_t>(i)];
-    auto& ul = u_levs[static_cast<std::size_t>(i)];
-    for (std::size_t t = 0; t < row_cols.size(); ++t) {
-      if (row_cols[t] > i) {
-        uc.push_back(row_cols[t]);
-        ul.push_back(row_levs[t]);
-      }
-    }
-
-    // Reset the workspace.
+    // Persist the row (already sorted by construction) and reset the
+    // workspace.
+    const std::size_t row_begin = pat.colind.size();
     for (index_t j = next[static_cast<std::size_t>(head)]; j != kNone;) {
+      pat.colind.push_back(j);
+      out.levels.push_back(lev[static_cast<std::size_t>(j)]);
       const index_t nj = next[static_cast<std::size_t>(j)];
-      lev[static_cast<std::size_t>(j)] = std::numeric_limits<index_t>::max();
+      lev[static_cast<std::size_t>(j)] = kUnset;
       next[static_cast<std::size_t>(j)] = kNone;
       j = nj;
     }
     next[static_cast<std::size_t>(head)] = kNone;
+
+    // Optional per-row cap: keep original (level-0) entries plus the
+    // lowest-level fills, then restore column order.
+    if (max_row_fill > 0 && pat.colind.size() - row_begin >
+                                static_cast<std::size_t>(max_row_fill)) {
+      keep.clear();
+      for (std::size_t t = row_begin; t < pat.colind.size(); ++t)
+        keep.emplace_back(out.levels[t], pat.colind[t]);
+      std::stable_sort(keep.begin(), keep.end());
+      keep.resize(static_cast<std::size_t>(max_row_fill));
+      std::sort(keep.begin(), keep.end(),
+                [](const auto& x, const auto& y) { return x.second < y.second; });
+      pat.colind.resize(row_begin);
+      out.levels.resize(row_begin);
+      for (const auto& [l, j] : keep) {
+        pat.colind.push_back(j);
+        out.levels.push_back(l);
+      }
+      ++out.truncated_rows;
+    }
+    pat.rowptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<index_t>(pat.colind.size());
+    u_begin[static_cast<std::size_t>(i)] = static_cast<index_t>(
+        std::upper_bound(pat.colind.begin() +
+                             static_cast<std::ptrdiff_t>(row_begin),
+                         pat.colind.end(), i) -
+        pat.colind.begin());
   }
 
-  out.pattern.values.assign(out.pattern.colind.size(), char{1});
+  pat.values.assign(pat.colind.size(), char{1});
   return out;
 }
+
+}  // namespace detail
 
 }  // namespace spcg

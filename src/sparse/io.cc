@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.h"
@@ -44,9 +45,14 @@ Csr<double> read_matrix_market(std::istream& in) {
   header >> rows >> cols >> entries;
   SPCG_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0,
                  "bad size line: " << line);
+  // Every entry stores at least one triplet, so a count past index_t can
+  // never fit. The count is untrusted: storage grows with the entries the
+  // file actually carries, never from the header.
+  constexpr long kMax = std::numeric_limits<index_t>::max();
+  SPCG_CHECK_MSG(rows <= kMax && cols <= kMax && entries <= kMax,
+                 "size line overflows index_t: " << line);
 
   std::vector<Triplet<double>> triplets;
-  triplets.reserve(static_cast<std::size_t>(entries) * (sym == "symmetric" ? 2 : 1));
   for (long k = 0; k < entries; ++k) {
     SPCG_CHECK_MSG(std::getline(in, line), "truncated file at entry " << k);
     std::istringstream es(line);

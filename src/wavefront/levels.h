@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "sparse/csr.h"
@@ -53,9 +54,12 @@ struct LevelSchedule {
 /// `a`. `tri` selects which triangle drives the dependences: kLower scans
 /// rows in increasing order (forward substitution), kUpper in decreasing
 /// order (backward substitution). Entries on the other side of the diagonal
-/// are ignored, so `a` may be a full symmetric matrix.
+/// are ignored, so `a` may be a full symmetric matrix. A non-empty `dropped`
+/// flags, per stored entry of `a`, entries to leave out: the schedule of `a`
+/// with those entries removed, without building that matrix.
 template <class T>
-LevelSchedule level_schedule(const Csr<T>& a, Triangle tri) {
+LevelSchedule level_schedule(const Csr<T>& a, Triangle tri,
+                             std::span<const char> dropped = {}) {
   SPCG_CHECK(a.rows == a.cols);
   const index_t n = a.rows;
   LevelSchedule s;
@@ -68,7 +72,8 @@ LevelSchedule level_schedule(const Csr<T>& a, Triangle tri) {
          p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
       const index_t j = a.colind[static_cast<std::size_t>(p)];
       const bool dep = (tri == Triangle::kLower) ? (j < i) : (j > i);
-      if (dep) lvl = std::max(lvl, s.level_of_row[static_cast<std::size_t>(j)] + 1);
+      if (dep && (dropped.empty() || !dropped[static_cast<std::size_t>(p)]))
+        lvl = std::max(lvl, s.level_of_row[static_cast<std::size_t>(j)] + 1);
     }
     s.level_of_row[static_cast<std::size_t>(i)] = lvl;
     num_levels = std::max(num_levels, lvl + 1);
@@ -100,10 +105,11 @@ LevelSchedule level_schedule(const Csr<T>& a, Triangle tri) {
 
 /// Number of wavefronts of the lower-triangular pattern of `a` — the metric
 /// w_A used by the paper (Eq. 7). For a structurally symmetric matrix the
-/// upper-triangle count is identical by symmetry.
+/// upper-triangle count is identical by symmetry. `dropped` as for
+/// level_schedule().
 template <class T>
-index_t count_wavefronts(const Csr<T>& a) {
-  return level_schedule(a, Triangle::kLower).num_levels();
+index_t count_wavefronts(const Csr<T>& a, std::span<const char> dropped = {}) {
+  return level_schedule(a, Triangle::kLower, dropped).num_levels();
 }
 
 /// Wavefront reduction percentage as defined by Eq. 7 of the paper:

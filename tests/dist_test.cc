@@ -8,6 +8,9 @@
 // two-process socket smoke test.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -593,6 +596,47 @@ TEST(SocketMultiProcess, AllreduceAndWindowAcrossForkedProcesses) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+// A forged frame length must fail the collective before the hub allocates
+// or reads a payload: a raw TCP peer introduces itself as rank 1, then
+// claims a 4 GiB ReducePart.
+TEST(SocketMultiProcess, OversizedReduceFrameAbortsWithinTimeout) {
+  TransportOptions opt;
+  opt.kind = TransportKind::kSocket;
+  opt.collective_timeout_seconds = 5.0;
+  int port = 0;
+  auto hub = make_process_transport(0, 2, {}, opt, &port);
+  ASSERT_GT(port, 0);
+
+  struct Header {  // the transport's wire header, padding included
+    std::uint32_t type, rank;
+    std::uint64_t seq;
+    std::uint32_t len;
+  };
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::array<Header, 2> frames{Header{1 /*Hello*/, 1, 0, 0},
+                                     Header{2 /*ReducePart*/, 1, 1,
+                                            0xFFFFFFFFu}};
+  ASSERT_EQ(::send(fd, frames.data(), sizeof(frames), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(frames)));
+
+  const std::array<double, 1> v{1.0};
+  hub->reduce_begin(std::span<const double>(v));
+  std::array<double, 1> out{};
+  WallTimer timer;
+  EXPECT_THROW(hub->reduce_end(std::span<double>(out)), CommAborted);
+  EXPECT_LT(timer.seconds(), opt.collective_timeout_seconds);
+  EXPECT_TRUE(hub->aborted());
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,14 @@
 // preconditioner wrappers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/generators.h"
 #include "precond/ilu.h"
@@ -294,6 +301,143 @@ TEST(SplitLu, ShapesAndUnitDiagonal) {
       EXPECT_LE(f.l.colind[static_cast<std::size_t>(p)], i);
     for (index_t p = f.u.rowptr[i]; p < f.u.rowptr[i + 1]; ++p)
       EXPECT_GE(f.u.colind[static_cast<std::size_t>(p)], i);
+  }
+}
+
+// --- references for the setup path ------------------------------------------
+
+/// Dense level-of-fill reference (Saad Alg. 10.5): A's entries have level 0;
+/// row i is eliminated against each k < i with lev(i,k) <= K in ascending k,
+/// relaxing lev(i,j) = min(lev(i,j), lev(i,k) + lev(k,j) + 1) over row k's
+/// stored entries j > k. Levels above K are never stored, and a row over
+/// `cap` entries keeps its lowest (level, column) ones.
+IlukSymbolic dense_level_of_fill(const Csr<double>& a, index_t k,
+                                 index_t cap) {
+  const auto n = static_cast<std::size_t>(a.rows);
+  constexpr index_t kAbsent = std::numeric_limits<index_t>::max();
+  std::vector<index_t> lev(n * n, kAbsent);
+  IlukSymbolic out;
+  out.pattern = Csr<char>(a.rows, a.cols);
+  for (std::size_t i = 0; i < n; ++i) {
+    index_t* row = &lev[i * n];
+    for (const index_t j : a.row_cols(static_cast<index_t>(i)))
+      row[static_cast<std::size_t>(j)] = 0;
+    for (std::size_t kk = 0; kk < i; ++kk) {
+      if (row[kk] > k) continue;
+      for (std::size_t j = kk + 1; j < n; ++j) {
+        const index_t lkj = lev[kk * n + j];
+        if (lkj == kAbsent) continue;
+        const index_t cand = row[kk] + lkj + 1;
+        if (cand <= k) row[j] = std::min(row[j], cand);
+      }
+    }
+    std::vector<std::pair<index_t, index_t>> stored;  // (level, col)
+    for (std::size_t j = 0; j < n; ++j)
+      if (row[j] != kAbsent)
+        stored.emplace_back(row[j], static_cast<index_t>(j));
+    if (cap > 0 && static_cast<index_t>(stored.size()) > cap) {
+      std::sort(stored.begin(), stored.end());
+      for (auto t = static_cast<std::size_t>(cap); t < stored.size(); ++t)
+        row[static_cast<std::size_t>(stored[t].second)] = kAbsent;
+      ++out.truncated_rows;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (row[j] == kAbsent) continue;
+      out.pattern.colind.push_back(static_cast<index_t>(j));
+      out.levels.push_back(row[j]);
+    }
+    out.pattern.rowptr[i + 1] =
+        static_cast<index_t>(out.pattern.colind.size());
+  }
+  out.pattern.values.assign(out.pattern.colind.size(), char{1});
+  return out;
+}
+
+/// Small matrices with distinct fill structure, including an unsymmetric
+/// pattern.
+std::vector<Csr<double>> small_symbolic_inputs() {
+  std::vector<Triplet<double>> ts;
+  const index_t n = 30;
+  for (index_t i = 0; i < n; ++i) {
+    ts.push_back({i, i, 4.0});
+    if (i + 4 < n) ts.push_back({i, i + 4, -1.0});
+    if (i >= 1) ts.push_back({i, i - 1, -1.0});
+    if (i % 5 == 0 && i + 11 < n) ts.push_back({i + 11, i, -0.5});
+  }
+  return {gen_poisson2d(6, 6), gen_grid_laplacian(7, 6, 2.0, 0.3, 4),
+          gen_mesh_laplacian(6, 6, 0.4, 0.05, 2),
+          gen_banded(50, 4, 0.3, true, 3), gen_economic(60, 5, 0.9, 4),
+          csr_from_triplets<double>(n, n, std::move(ts))};
+}
+
+TEST(IlukSymbolic, MatchesDenseLevelOfFillReference) {
+  for (const Csr<double>& a : small_symbolic_inputs()) {
+    for (const index_t k : {0, 1, 2, 3}) {
+      for (const index_t cap : {0, 4, 7}) {
+        const IlukSymbolic ref = dense_level_of_fill(a, k, cap);
+        const IlukSymbolic got = iluk_symbolic(a, k, cap);
+        const std::string at = "n=" + std::to_string(a.rows) +
+                               " K=" + std::to_string(k) +
+                               " cap=" + std::to_string(cap);
+        EXPECT_EQ(got.pattern.rows, ref.pattern.rows) << at;
+        EXPECT_EQ(got.pattern.rowptr, ref.pattern.rowptr) << at;
+        EXPECT_EQ(got.pattern.colind, ref.pattern.colind) << at;
+        EXPECT_EQ(got.pattern.values, ref.pattern.values) << at;
+        EXPECT_EQ(got.levels, ref.levels) << at;
+        EXPECT_EQ(got.truncated_rows, ref.truncated_rows) << at;
+      }
+    }
+  }
+}
+
+/// split_lu as the composition of extract_triangle calls it replaces.
+TriangularFactors<double> reference_split_lu(const IluResult<double>& r) {
+  const Csr<double> strict =
+      extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
+  TriangularFactors<double> f;
+  f.l = Csr<double>(r.lu.rows, r.lu.cols);
+  for (index_t i = 0; i < r.lu.rows; ++i) {
+    for (index_t p = strict.rowptr[i]; p < strict.rowptr[i + 1]; ++p) {
+      f.l.colind.push_back(strict.colind[static_cast<std::size_t>(p)]);
+      f.l.values.push_back(strict.values[static_cast<std::size_t>(p)]);
+    }
+    f.l.colind.push_back(i);
+    f.l.values.push_back(1.0);
+    f.l.rowptr[i + 1] = static_cast<index_t>(f.l.colind.size());
+  }
+  f.u = extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
+  return f;
+}
+
+void expect_same_bytes(const Csr<double>& ref, const Csr<double>& got,
+                       const std::string& what) {
+  EXPECT_EQ(ref.rows, got.rows) << what;
+  EXPECT_EQ(ref.rowptr, got.rowptr) << what;
+  EXPECT_EQ(ref.colind, got.colind) << what;
+  ASSERT_EQ(ref.values.size(), got.values.size()) << what;
+  EXPECT_TRUE(std::equal(ref.values.begin(), ref.values.end(),
+                         got.values.begin(), [](double x, double y) {
+                           return std::bit_cast<std::uint64_t>(x) ==
+                                  std::bit_cast<std::uint64_t>(y);
+                         }))
+      << what;
+}
+
+TEST(SplitLu, MatchesExtractTriangleComposition) {
+  std::vector<IluResult<double>> factors{
+      ilu0(gen_poisson2d(8, 8)),
+      iluk(gen_grid_laplacian(9, 9, 2.0, 0.3, 5), 2),
+      iluk(gen_economic(80, 6, 0.9, 7), 1)};
+  // Rows without a diagonal, without a lower part and empty.
+  IluResult<double> odd;
+  odd.lu = csr_from_triplets<double>(
+      4, 4, {{0, 2, 1.5}, {1, 0, -2.0}, {2, 0, 0.5}, {2, 2, 3.0}, {2, 3, 1.0}});
+  factors.push_back(std::move(odd));
+  for (std::size_t c = 0; c < factors.size(); ++c) {
+    const TriangularFactors<double> ref = reference_split_lu(factors[c]);
+    const TriangularFactors<double> got = split_lu(factors[c]);
+    expect_same_bytes(ref.l, got.l, "case " + std::to_string(c) + " L");
+    expect_same_bytes(ref.u, got.u, "case " + std::to_string(c) + " U");
   }
 }
 

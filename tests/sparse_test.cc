@@ -260,5 +260,21 @@ TEST(Io, RejectsOutOfRangeEntries) {
   EXPECT_THROW(read_matrix_market(ss), Error);
 }
 
+// The size line is untrusted: a huge entry count must end in spcg::Error
+// (truncation or overflow), never in an allocation sized from the header.
+TEST(Io, HugeEntryCountIsTruncatedNotReserved) {
+  std::stringstream ss(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "2 2 2000000000\n1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(ss), Error);
+}
+
+TEST(Io, EntryCountBeyondIndexTypeIsRejected) {
+  std::stringstream ss(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 900000000000000000\n1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(ss), Error);
+}
+
 }  // namespace
 }  // namespace spcg
