@@ -19,7 +19,9 @@
 //     overlap or stale read becomes a RaceConflict. It models the concurrent
 //     semantics exactly (all rows of a level are IN FLIGHT at once, so a
 //     same-level read races regardless of intra-level order) while running
-//     deterministically on one thread.
+//     deterministically on one thread. It runs the executors' own row kernel
+//     (sptrsv.h) with an instrumenting read hook, so its solution is bitwise
+//     that of the other executors, and it rejects the same malformed rows.
 //
 // The instrumented executor is wired into the executor abstraction as
 // TrsvExec::kLevelScheduledChecked (precond/preconditioner.h), so any test
@@ -35,6 +37,7 @@
 #include "analysis/lint.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
+#include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
 
 namespace spcg::analysis {
@@ -184,9 +187,7 @@ template <class T, bool kLowerTri>
 RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
                                      const LevelSchedule& sched,
                                      std::span<const T> b, std::span<T> x) {
-  SPCG_CHECK(m.rows == m.cols);
-  SPCG_CHECK(static_cast<index_t>(b.size()) == m.rows);
-  SPCG_CHECK(static_cast<index_t>(x.size()) == m.rows);
+  spcg::detail::check_trsv_shape(m, b.size(), x.size());
   const index_t n = m.rows;
   RaceReport report;
   report.levels = sched.num_levels();
@@ -207,30 +208,21 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
     }
     for (index_t s = begin; s < end; ++s) {
       const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
-      T acc = b[static_cast<std::size_t>(i)];
-      T diag{0};
-      for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
-           p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-        const index_t j = m.colind[static_cast<std::size_t>(p)];
-        const bool dep = kLowerTri ? (j < i) : (j > i);
-        if (dep) {
-          ++report.reads;
-          const index_t wl = written_at[static_cast<std::size_t>(j)];
-          if (wl == l)
-            report.conflicts.push_back({l, i, j, /*same_level=*/true});
-          else if (wl < 0)
-            report.conflicts.push_back({l, i, j, /*same_level=*/false});
-          acc -= m.values[static_cast<std::size_t>(p)] *
-                 x[static_cast<std::size_t>(j)];
-        } else if (j == i) {
-          diag = m.values[static_cast<std::size_t>(p)];
-        }
-      }
-      SPCG_CHECK_MSG(diag != T{0},
-                     "zero or missing diagonal at row " << i
-                                                        << " (level " << l
-                                                        << ")");
-      x[static_cast<std::size_t>(i)] = acc / diag;
+      const index_t d = spcg::detail::trsv_diag<kLowerTri>(m, i);
+      if (d < 0) spcg::detail::throw_bad_trsv_row<kLowerTri>(m, i);
+      // The executors' row kernel, with every dependence read checked
+      // against the write sets.
+      const auto x_at = [&](index_t j) {
+        ++report.reads;
+        const index_t wl = written_at[static_cast<std::size_t>(j)];
+        if (wl == l)
+          report.conflicts.push_back({l, i, j, /*same_level=*/true});
+        else if (wl < 0)
+          report.conflicts.push_back({l, i, j, /*same_level=*/false});
+        return x[static_cast<std::size_t>(j)];
+      };
+      x[static_cast<std::size_t>(i)] = spcg::detail::trsv_row<kLowerTri>(
+          m, i, d, b[static_cast<std::size_t>(i)], x_at, x_at);
       ++report.writes;
     }
   }

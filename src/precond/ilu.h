@@ -52,61 +52,59 @@ namespace detail {
 
 /// Numeric ILU on the (already sorted, diagonal-present) pattern in `lu`.
 /// `lu.values` must hold A's values at A's positions and 0 at fill positions.
-/// `pos` is caller-owned scatter scratch of size n whose entries are all -1
-/// on entry; it is restored to all -1 on return. The refactorize path passes
-/// a preallocated buffer here so a numeric-only refresh never allocates.
+///
+/// Each row is eliminated in the dense work row `work` (size n, indexed by
+/// column; its contents on entry do not matter): the row's values are
+/// scattered in, every update of each pivot row's U-part is applied
+/// unconditionally, and the pattern positions are gathered back. An update
+/// to a column outside the pattern lands in a slot that nothing reads, so
+/// every stored value goes through exactly the operations, in the same
+/// order, of an elimination restricted to the pattern. The refactorize path
+/// passes a preallocated row so a numeric-only refresh never allocates.
 template <class T>
 void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
                           const IluOptions& opt, bool& breakdown,
-                          std::uint64_t& elimination_ops,
-                          std::span<index_t> pos) {
+                          std::uint64_t& elimination_ops, std::span<T> work) {
   const index_t n = lu.rows;
-  SPCG_CHECK(static_cast<index_t>(pos.size()) == n);
+  SPCG_CHECK(static_cast<index_t>(work.size()) == n);
   diag_pos.assign(static_cast<std::size_t>(n), -1);
+  const index_t* rowptr = lu.rowptr.data();
+  const index_t* col = lu.colind.data();
+  T* val = lu.values.data();
+  T* row = work.data();
 
   for (index_t i = 0; i < n; ++i) {
-    const index_t row_begin = lu.rowptr[static_cast<std::size_t>(i)];
-    const index_t row_end = lu.rowptr[static_cast<std::size_t>(i) + 1];
-    // Scatter column -> position for row i.
-    for (index_t p = row_begin; p < row_end; ++p)
-      pos[static_cast<std::size_t>(lu.colind[static_cast<std::size_t>(p)])] = p;
-
+    const index_t row_begin = rowptr[i];
+    const index_t row_end = rowptr[i + 1];
     T row_norm{0};
-    for (index_t p = row_begin; p < row_end; ++p)
-      row_norm = std::max(row_norm,
-                          std::abs(lu.values[static_cast<std::size_t>(p)]));
-
-    // Eliminate using previous rows k < i present in this row's pattern.
     for (index_t p = row_begin; p < row_end; ++p) {
-      const index_t k = lu.colind[static_cast<std::size_t>(p)];
-      if (k >= i) break;  // columns are sorted; remaining are U-part
+      row[col[p]] = val[p];
+      row_norm = std::max(row_norm, std::abs(val[p]));
+    }
+
+    // Eliminate using previous rows k < i present in this row's pattern
+    // (columns are sorted, so the L-part is a prefix).
+    index_t p = row_begin;
+    for (; p < row_end && col[p] < i; ++p) {
+      const index_t k = col[p];
       const index_t dk = diag_pos[static_cast<std::size_t>(k)];
-      SPCG_CHECK_MSG(dk >= 0, "missing diagonal in pivot row " << k);
-      const T pivot = lu.values[static_cast<std::size_t>(dk)];
+      const T pivot = val[dk];
       SPCG_CHECK_MSG(pivot != T{0},
                      "zero pivot in row " << k << " while eliminating row "
                                           << i);
-      const T lik = lu.values[static_cast<std::size_t>(p)] / pivot;
-      lu.values[static_cast<std::size_t>(p)] = lik;
-      // Subtract lik * (U-part of row k) from row i, restricted to pattern.
-      elimination_ops +=
-          static_cast<std::uint64_t>(lu.rowptr[static_cast<std::size_t>(k) + 1] -
-                                     (dk + 1)) +
-          1;
-      for (index_t q = dk + 1; q < lu.rowptr[static_cast<std::size_t>(k) + 1];
-           ++q) {
-        const index_t j = lu.colind[static_cast<std::size_t>(q)];
-        const index_t pj = pos[static_cast<std::size_t>(j)];
-        if (pj >= 0)
-          lu.values[static_cast<std::size_t>(pj)] -=
-              lik * lu.values[static_cast<std::size_t>(q)];
-      }
+      const T lik = row[k] / pivot;
+      row[k] = lik;
+      // Subtract lik * (U-part of row k) from row i.
+      const index_t k_end = rowptr[k + 1];
+      elimination_ops += static_cast<std::uint64_t>(k_end - (dk + 1)) + 1;
+      for (index_t q = dk + 1; q < k_end; ++q) row[col[q]] -= lik * val[q];
     }
+    SPCG_CHECK_MSG(p < row_end && col[p] == i,
+                   "pattern row " << i << " has no diagonal entry");
+    diag_pos[static_cast<std::size_t>(i)] = p;
+    for (index_t q = row_begin; q < row_end; ++q) val[q] = row[col[q]];
 
-    const index_t di = pos[static_cast<std::size_t>(i)];
-    SPCG_CHECK_MSG(di >= 0, "pattern row " << i << " has no diagonal entry");
-    diag_pos[static_cast<std::size_t>(i)] = di;
-    T& pivot = lu.values[static_cast<std::size_t>(di)];
+    T& pivot = val[p];
     const T floor = static_cast<T>(opt.pivot_floor) *
                     std::max(row_norm, T{1});
     if (std::abs(pivot) < floor) {
@@ -116,21 +114,44 @@ void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
       pivot = (pivot < T{0} ? -floor : floor);
       breakdown = true;
     }
-
-    // Clear scatter array.
-    for (index_t p = row_begin; p < row_end; ++p)
-      pos[static_cast<std::size_t>(lu.colind[static_cast<std::size_t>(p)])] = -1;
   }
 }
 
-/// Allocating convenience overload: owns the scatter scratch itself.
+/// Allocating convenience overload: owns the work row itself.
 template <class T>
 void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
                           const IluOptions& opt, bool& breakdown,
                           std::uint64_t& elimination_ops) {
-  std::vector<index_t> pos(static_cast<std::size_t>(lu.rows), -1);
+  std::vector<T> work(static_cast<std::size_t>(lu.rows));
   ilu_numeric_in_place(lu, diag_pos, opt, breakdown, elimination_ops,
-                       std::span<index_t>(pos));
+                       std::span<T>(work));
+}
+
+/// Set `lu.values` to A's values at A's positions and 0 elsewhere, with one
+/// merge walk of each row of A against the same (sorted) row of the factor
+/// pattern. Entries of A absent from the pattern are skipped; returns the
+/// first row that had one, or -1.
+template <class T>
+index_t scatter_into_pattern(const Csr<T>& a, Csr<T>& lu) {
+  index_t lost_row = -1;
+  for (index_t i = 0; i < a.rows; ++i) {
+    index_t q = lu.rowptr[static_cast<std::size_t>(i)];
+    const index_t q_end = lu.rowptr[static_cast<std::size_t>(i) + 1];
+    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
+         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = a.colind[static_cast<std::size_t>(p)];
+      for (; q < q_end && lu.colind[static_cast<std::size_t>(q)] < j; ++q)
+        lu.values[static_cast<std::size_t>(q)] = T{0};
+      if (q < q_end && lu.colind[static_cast<std::size_t>(q)] == j) {
+        lu.values[static_cast<std::size_t>(q++)] =
+            a.values[static_cast<std::size_t>(p)];
+      } else if (lost_row < 0) {
+        lost_row = i;
+      }
+    }
+    for (; q < q_end; ++q) lu.values[static_cast<std::size_t>(q)] = T{0};
+  }
+  return lost_row;
 }
 
 }  // namespace detail
@@ -188,24 +209,14 @@ IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
   r.lu.cols = a.cols;
   r.lu.rowptr = sym.pattern.rowptr;
   r.lu.colind = sym.pattern.colind;
-  r.lu.values.assign(r.lu.colind.size(), T{0});
+  r.lu.values.resize(r.lu.colind.size());
   // Scatter A's values into the extended pattern. When the per-row fill cap
   // tripped, an original entry may have been truncated out of the pattern —
   // it is then simply absent from the preconditioner (ILUT-style drop).
   // Without truncation a missing entry would be a symbolic-phase bug.
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = r.lu.find(i, a.colind[static_cast<std::size_t>(p)]);
-      if (q < 0) {
-        SPCG_CHECK_MSG(sym.truncated_rows > 0,
-                       "ILU(K) pattern lost original entry at row " << i);
-        continue;
-      }
-      r.lu.values[static_cast<std::size_t>(q)] =
-          a.values[static_cast<std::size_t>(p)];
-    }
-  }
+  const index_t lost_row = detail::scatter_into_pattern(a, r.lu);
+  SPCG_CHECK_MSG(lost_row < 0 || sym.truncated_rows > 0,
+                 "ILU(K) pattern lost original entry at row " << lost_row);
   detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
                                r.elimination_ops);
   r.fill_nnz = r.lu.nnz() - a.nnz();
@@ -222,14 +233,13 @@ IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
 /// only legal when the ILU(K) per-row fill cap truncated them out of the
 /// original setup, mirroring iluk()'s scatter.
 ///
-/// `pos_scratch`, when non-empty, must be a caller-owned buffer of size
-/// a.rows with every entry -1 (restored on return) — passing it makes the
-/// refresh allocation-free apart from diag_pos.assign, which reuses its
-/// existing capacity. Empty = allocate internally.
+/// `work`, when non-empty, must be a caller-owned buffer of a.rows values
+/// (the elimination's dense work row; its contents do not matter) —
+/// passing it makes the refresh allocation-free apart from diag_pos.assign,
+/// which reuses its existing capacity. Empty = allocate internally.
 template <class T>
 void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
-                     const IluOptions& opt = {},
-                     std::span<index_t> pos_scratch = {}) {
+                     const IluOptions& opt = {}, std::span<T> work = {}) {
   SPCG_CHECK(a.rows == a.cols);
   SPCG_CHECK(r.lu.rows == a.rows && r.lu.cols == a.cols);
   // ILU(0) setups (no fill, pattern == A's) must find every entry; ILU(K)
@@ -237,31 +247,20 @@ void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
   // original entries out of the pattern (IluResult does not retain the
   // symbolic truncated_rows count, so the K > 0 case cannot be stricter).
   const bool pattern_is_a = r.fill_nnz == 0 && r.lu.nnz() == a.nnz();
-  // Reset values to 0, then scatter A's values at A's positions — exactly
-  // the initial state iluk() hands to the numeric phase (for ILU(0) the
-  // pattern equals A's, so every find hits).
-  std::fill(r.lu.values.begin(), r.lu.values.end(), T{0});
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = r.lu.find(i, a.colind[static_cast<std::size_t>(p)]);
-      if (q < 0) {
-        SPCG_CHECK_MSG(!pattern_is_a,
-                       "refactorize: pattern lost original entry at row " << i);
-        continue;
-      }
-      r.lu.values[static_cast<std::size_t>(q)] =
-          a.values[static_cast<std::size_t>(p)];
-    }
-  }
+  // A's values at A's positions, 0 at fill — exactly the initial state
+  // iluk() hands to the numeric phase.
+  const index_t lost_row = detail::scatter_into_pattern(a, r.lu);
+  SPCG_CHECK_MSG(lost_row < 0 || !pattern_is_a,
+                 "refactorize: pattern lost original entry at row "
+                     << lost_row);
   r.breakdown = false;
   r.elimination_ops = 0;
-  if (pos_scratch.empty()) {
+  if (work.empty()) {
     detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
                                  r.elimination_ops);
   } else {
     detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                                 r.elimination_ops, pos_scratch);
+                                 r.elimination_ops, work);
   }
 }
 

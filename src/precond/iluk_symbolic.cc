@@ -3,11 +3,19 @@
 // Row-by-row linked-list merge in the style of SPARSKIT's iluk / Saad
 // Alg. 10.6. For row i the workspace holds the current fill pattern as a
 // sorted singly linked list; eliminating against each k < i fans out the
-// U-part of row k, read back from the output pattern, inserting fill
-// entries whose level
+// U-part of row k, inserting fill entries whose level
 //   lev(i,j) = lev(i,k) + lev(k,j) + 1
 // does not exceed K. Only entries with level <= K are ever inserted, so the
 // list never carries dropped entries.
+//
+// Levels are >= 0, so a candidate built from a level-K pivot (lev(i,k) = K)
+// or from a level-K U entry (lev(k,j) = K) exceeds K. Both are pruned
+// exactly: level-K pivots are skipped, and each pivot row fans out only its
+// U entries of level <= K-1, recorded (column, level) in column order as the
+// row is written, after any max_row_fill truncation. A pruned candidate
+// would have been discarded by the level test without touching the list, so
+// the output — pattern, levels, truncated_rows — is that of the unpruned
+// merge.
 
 #include <algorithm>
 #include <limits>
@@ -33,9 +41,14 @@ IlukSymbolic iluk_symbolic_pattern(index_t n,
   pat.rows = n;
   pat.cols = n;
   pat.rowptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  // Row k's U-part (strictly j > k) is pattern row k from u_begin[k] on; the
-  // elimination of later rows reads it back from the pattern being written.
-  std::vector<index_t> u_begin(static_cast<std::size_t>(n));
+  // Row k's U entries of level <= K-1 (the only ones that can create fill of
+  // level <= K) are fan[fan_ptr[k], fan_ptr[k+1]), in column order.
+  struct FanEntry {
+    index_t col;
+    index_t level;
+  };
+  std::vector<FanEntry> fan;
+  std::vector<index_t> fan_ptr(static_cast<std::size_t>(n) + 1, 0);
 
   const index_t head = n;  // sentinel node of the linked list
   std::vector<index_t> next(static_cast<std::size_t>(n) + 1, kNone);
@@ -61,12 +74,13 @@ IlukSymbolic iluk_symbolic_pattern(index_t n,
     for (index_t kk = next[static_cast<std::size_t>(head)];
          kk != kNone && kk < i; kk = next[static_cast<std::size_t>(kk)]) {
       const index_t lev_ik = lev[static_cast<std::size_t>(kk)];
+      if (lev_ik >= k) continue;  // a level-K pivot creates no fill <= K
       index_t ins = kk;  // insertion scan pointer (row k's U-part is sorted)
-      for (index_t q = u_begin[static_cast<std::size_t>(kk)];
-           q < pat.rowptr[static_cast<std::size_t>(kk) + 1]; ++q) {
-        const index_t j = pat.colind[static_cast<std::size_t>(q)];
+      for (index_t q = fan_ptr[static_cast<std::size_t>(kk)];
+           q < fan_ptr[static_cast<std::size_t>(kk) + 1]; ++q) {
+        const index_t j = fan[static_cast<std::size_t>(q)].col;
         const index_t new_lev =
-            lev_ik + out.levels[static_cast<std::size_t>(q)] + 1;
+            lev_ik + fan[static_cast<std::size_t>(q)].level + 1;
         if (new_lev > k) continue;
         if (lev[static_cast<std::size_t>(j)] != kUnset) {
           lev[static_cast<std::size_t>(j)] =
@@ -116,11 +130,11 @@ IlukSymbolic iluk_symbolic_pattern(index_t n,
     }
     pat.rowptr[static_cast<std::size_t>(i) + 1] =
         static_cast<index_t>(pat.colind.size());
-    u_begin[static_cast<std::size_t>(i)] = static_cast<index_t>(
-        std::upper_bound(pat.colind.begin() +
-                             static_cast<std::ptrdiff_t>(row_begin),
-                         pat.colind.end(), i) -
-        pat.colind.begin());
+    for (std::size_t t = row_begin; t < pat.colind.size(); ++t)
+      if (pat.colind[t] > i && out.levels[t] < k)
+        fan.push_back({pat.colind[t], out.levels[t]});
+    fan_ptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<index_t>(fan.size());
   }
 
   pat.values.assign(pat.colind.size(), char{1});

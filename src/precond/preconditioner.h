@@ -76,33 +76,34 @@ enum class TrsvExec {
 
 namespace detail {
 
-/// The two triangular solves of one ILU apply (L y = r, U z = y) under the
-/// chosen executor. `tmp` holds the intermediate y and must not alias r or z.
-/// Shared by IluPreconditioner (owning) and IluApplier (non-owning view).
+/// The two triangular solves of one ILU apply under the chosen executor:
+/// L solves r into z, then U solves z in place (every executor allows x to
+/// alias b). Shared by IluPreconditioner (owning) and IluApplier
+/// (non-owning view); no scratch, so both are stateless.
 template <class T>
 void ilu_apply(const TriangularFactors<T>& f, const LevelSchedule& l_sched,
                const LevelSchedule& u_sched, TrsvExec exec,
-               std::span<const T> r, std::span<T> tmp, std::span<T> z) {
+               std::span<const T> r, std::span<T> z) {
+  const std::span<const T> y(z.data(), z.size());
   if (exec == TrsvExec::kSerial) {
     {
       Span span("sptrsv_lower", "solve");
-      sptrsv_lower_serial(f.l, r, tmp);
+      sptrsv_lower_serial(f.l, r, z);
     }
     Span span("sptrsv_upper", "solve");
-    sptrsv_upper_serial(f.u, std::span<const T>(tmp.data(), tmp.size()), z);
+    sptrsv_upper_serial(f.u, y, z);
   } else if (exec == TrsvExec::kLevelScheduled) {
     {
       Span span("sptrsv_lower", "solve");
-      sptrsv_lower_levels(f.l, l_sched, r, tmp);
+      sptrsv_lower_levels(f.l, l_sched, r, z);
     }
     Span span("sptrsv_upper", "solve");
-    sptrsv_upper_levels(f.u, u_sched,
-                        std::span<const T>(tmp.data(), tmp.size()), z);
+    sptrsv_upper_levels(f.u, u_sched, y, z);
   } else {
     const analysis::RaceReport rl =
-        analysis::sptrsv_lower_levels_checked(f.l, l_sched, r, tmp);
-    const analysis::RaceReport ru = analysis::sptrsv_upper_levels_checked(
-        f.u, u_sched, std::span<const T>(tmp.data(), tmp.size()), z);
+        analysis::sptrsv_lower_levels_checked(f.l, l_sched, r, z);
+    const analysis::RaceReport ru =
+        analysis::sptrsv_upper_levels_checked(f.u, u_sched, y, z);
     SPCG_CHECK_MSG(rl.ok() && ru.ok(),
                    "SpTRSV schedule race: "
                        << (rl.ok() ? ru : rl).to_diagnostics().to_string(4));
@@ -112,22 +113,20 @@ void ilu_apply(const TriangularFactors<T>& f, const LevelSchedule& l_sched,
 }  // namespace detail
 
 /// Non-owning ILU apply engine over factors and schedules that live
-/// elsewhere (e.g. a cached, shared SolverSetup). Each applier carries its
-/// own scratch buffer, so any number of appliers can solve concurrently over
-/// the same immutable factors — unlike sharing one IluPreconditioner, whose
-/// mutable scratch would race. The referenced objects must outlive the
-/// applier.
+/// elsewhere (e.g. a cached, shared SolverSetup). It holds no scratch, so
+/// one applier (like one IluPreconditioner) may serve any number of
+/// concurrent solves over the same immutable factors. The referenced objects
+/// must outlive the applier.
 template <class T>
 class IluApplier final : public Preconditioner<T> {
  public:
   IluApplier(const TriangularFactors<T>& factors, const LevelSchedule& l_sched,
              const LevelSchedule& u_sched, TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(&factors), l_sched_(&l_sched),
-        u_sched_(&u_sched), tmp_(static_cast<std::size_t>(factors.l.rows)) {}
+        u_sched_(&u_sched) {}
 
   void apply(std::span<const T> r, std::span<T> z) const override {
-    detail::ilu_apply(*factors_, *l_sched_, *u_sched_, exec_, r,
-                      std::span<T>(tmp_), z);
+    detail::ilu_apply(*factors_, *l_sched_, *u_sched_, exec_, r, z);
   }
 
   [[nodiscard]] index_t rows() const override { return factors_->l.rows; }
@@ -137,11 +136,11 @@ class IluApplier final : public Preconditioner<T> {
   const TriangularFactors<T>* factors_;
   const LevelSchedule* l_sched_;
   const LevelSchedule* u_sched_;
-  mutable std::vector<T> tmp_;  // intermediate y in L y = r, U z = y
 };
 
 /// M = L U from an incomplete factorization. Owns the split factors and
-/// their level schedules (built once at construction = the inspector phase).
+/// their level schedules (built once at construction = the inspector phase);
+/// apply() is stateless, so one instance may serve concurrent solves.
 template <class T>
 class IluPreconditioner final : public Preconditioner<T> {
  public:
@@ -149,7 +148,6 @@ class IluPreconditioner final : public Preconditioner<T> {
       : exec_(exec), factors_(split_lu(fact)) {
     l_sched_ = level_schedule(factors_.l, Triangle::kLower);
     u_sched_ = level_schedule(factors_.u, Triangle::kUpper);
-    tmp_.resize(static_cast<std::size_t>(factors_.l.rows));
   }
 
   /// Adopt factors whose schedules were already built (e.g. by spcg_setup),
@@ -157,12 +155,10 @@ class IluPreconditioner final : public Preconditioner<T> {
   IluPreconditioner(TriangularFactors<T> factors, LevelSchedule l_sched,
                     LevelSchedule u_sched, TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(std::move(factors)),
-        l_sched_(std::move(l_sched)), u_sched_(std::move(u_sched)),
-        tmp_(static_cast<std::size_t>(factors_.l.rows)) {}
+        l_sched_(std::move(l_sched)), u_sched_(std::move(u_sched)) {}
 
   void apply(std::span<const T> r, std::span<T> z) const override {
-    detail::ilu_apply(factors_, l_sched_, u_sched_, exec_, r,
-                      std::span<T>(tmp_), z);
+    detail::ilu_apply(factors_, l_sched_, u_sched_, exec_, r, z);
   }
 
   [[nodiscard]] index_t rows() const override { return factors_.l.rows; }
@@ -175,7 +171,6 @@ class IluPreconditioner final : public Preconditioner<T> {
   TriangularFactors<T> factors_;
   LevelSchedule l_sched_;
   LevelSchedule u_sched_;
-  mutable std::vector<T> tmp_;  // intermediate y in L y = r, U z = y
 };
 
 /// Incomplete Cholesky IC(0) for SPD matrices, derived from ILU(0): when A is

@@ -31,37 +31,27 @@
 namespace spcg {
 
 /// Multi-RHS ILU apply over shared immutable factors: Z[c] = (LU)^{-1} R[c]
-/// for all columns in one pair of fused level-sweeps. Owns one scratch
-/// column per batch lane; not safe for concurrent use of one instance.
+/// for all columns in one pair of fused level-sweeps — L solves R[c] into
+/// Z[c], then U solves Z[c] in place. Holds no scratch.
 template <class T>
 class BatchedIluApplier {
  public:
   BatchedIluApplier(const TriangularFactors<T>& factors,
-                    const LevelSchedule& l_sched, const LevelSchedule& u_sched,
-                    std::size_t max_batch)
-      : factors_(&factors), l_sched_(&l_sched), u_sched_(&u_sched),
-        tmp_(max_batch,
-             std::vector<T>(static_cast<std::size_t>(factors.l.rows))) {}
+                    const LevelSchedule& l_sched, const LevelSchedule& u_sched)
+      : factors_(&factors), l_sched_(&l_sched), u_sched_(&u_sched) {}
 
-  void apply(std::span<const T* const> rs, std::span<T* const> zs) {
+  void apply(std::span<const T* const> rs, std::span<T* const> zs) const {
     SPCG_CHECK(rs.size() == zs.size());
-    SPCG_CHECK_MSG(rs.size() <= tmp_.size(),
-                   "batch of " << rs.size() << " exceeds applier capacity "
-                               << tmp_.size());
-    std::vector<T*> ys(rs.size());
-    for (std::size_t c = 0; c < rs.size(); ++c) ys[c] = tmp_[c].data();
-    sptrsv_lower_levels_multi(factors_->l, *l_sched_, rs,
-                              std::span<T* const>(ys));
-    std::vector<const T*> ys_const(ys.begin(), ys.end());
+    sptrsv_lower_levels_multi(factors_->l, *l_sched_, rs, zs);
     sptrsv_upper_levels_multi(factors_->u, *u_sched_,
-                              std::span<const T* const>(ys_const), zs);
+                              std::span<const T* const>(zs.data(), zs.size()),
+                              zs);
   }
 
  private:
   const TriangularFactors<T>* factors_;
   const LevelSchedule* l_sched_;
   const LevelSchedule* u_sched_;
-  std::vector<std::vector<T>> tmp_;
 };
 
 /// Fused batched PCG over one shared factorization. Returns one SolveResult
@@ -94,7 +84,7 @@ std::vector<SolveResult<T>> pcg_batched(const Csr<T>& a,
 
   std::vector<SolveResult<T>> results(k_cols);
   std::vector<Column> cols(k_cols);
-  BatchedIluApplier<T> applier(factors, l_sched, u_sched, k_cols);
+  const BatchedIluApplier<T> applier(factors, l_sched, u_sched);
 
   // Per-column initialization, mirroring pcg()'s preamble (including the
   // zero-RHS early exit).

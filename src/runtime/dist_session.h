@@ -15,9 +15,10 @@
 // cache (the cache contract for pattern donors). Without a cache the setups
 // are built privately.
 //
-// Thread safety: solve() is const and every rank of a solve allocates its
-// own scratch (dist_pcg_solve builds one IluApplier per rank), so one
-// session may serve many threads concurrently, like SolverSession.
+// Thread safety: solve() is const, every rank of a solve allocates its own
+// iteration vectors, and the ILU apply (one IluApplier per rank) is
+// stateless, so one session may serve many threads concurrently, like
+// SolverSession.
 #pragma once
 
 #include <cstdint>

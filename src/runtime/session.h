@@ -14,9 +14,9 @@
 // spcg_setup. The refreshed setup stays private to the session and is never
 // inserted back into the cache.
 //
-// Thread safety: solve() and solve_batch() are const and allocate their own
-// scratch (each solve builds a fresh IluApplier over the shared immutable
-// factors), so one session may serve many threads concurrently.
+// Thread safety: solve() and solve_batch() are const, the ILU apply over
+// the shared immutable factors is stateless, and each solve allocates its
+// own iteration vectors, so one session may serve many threads concurrently.
 #pragma once
 
 #include <memory>
@@ -122,8 +122,8 @@ class SolverSession {
   SessionSolveResult<T> solve(std::span<const T> b) const {
     SessionSolveResult<T> out;
     WallTimer timer;
-    // Covers the applier construction (per-solve scratch) plus the nested
-    // pcg span, so request timelines have no untraced gap before iterating.
+    // Covers the applier construction plus the nested pcg span, so request
+    // timelines have no untraced gap before iterating.
     Span span("session.solve", "runtime");
     const analysis::AllocAuditScope alloc_scope("session.solve");
     taint_check(b, "b");

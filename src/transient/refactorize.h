@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/spcg.h"
@@ -37,9 +38,10 @@ namespace spcg {
 /// is allocation-free. All maps are positions (CSR entry indices), so a
 /// refresh is pure gather/scatter over value arrays.
 struct NumericRefreshWorkspace {
-  /// Scatter scratch for the numeric elimination: size n, every entry -1
-  /// between uses (ilu_numeric_in_place restores it).
-  std::vector<index_t> pos;
+  /// Dense work row of the numeric elimination (ilu_numeric_in_place): n
+  /// values, contents irrelevant between uses. Setups are built in double,
+  /// the value type refresh_setup_numerics() is defined for.
+  std::vector<double> work;
   /// For each a_hat entry: the position of the same (i, j) in A. Empty for
   /// baseline setups (no sparsification — the factorization input is A).
   std::vector<index_t> keep_pos;
@@ -61,10 +63,12 @@ struct NumericRefreshWorkspace {
 template <class T>
 NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
                                               const Csr<T>& a) {
+  static_assert(std::is_same_v<T, double>,
+                "the refresh workspace's work row holds doubles");
   NumericRefreshWorkspace ws;
   ws.expected_rows = a.rows;
   ws.expected_nnz = a.nnz();
-  ws.pos.assign(static_cast<std::size_t>(a.rows), -1);
+  ws.work.resize(static_cast<std::size_t>(a.rows));
 
   if (setup.decision.has_value()) {
     const Csr<T>& a_hat = setup.decision->chosen.a_hat;
@@ -157,7 +161,7 @@ void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
   }
 
   ilu_refactorize(setup.factorization, *input, opt.ilu,
-                  std::span<index_t>(ws.pos));
+                  std::span<T>(ws.work));
 
   // Propagate the combined factor into the split L/U the level schedules
   // reference — value writes only, the triangular patterns are untouched.

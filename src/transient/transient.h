@@ -17,8 +17,8 @@
 //   * Step policies: fixed tolerance, MPS_DAWN-style fixed iteration
 //     budget, or adaptive per-step tolerance (transient/step_policy.h).
 //   * Zero steady-state allocations: everything is bound before the loop
-//     (MPS_DAWN / HPCG-on-GraphBLAS style) — PcgWorkspace, refresh maps,
-//     the IluApplier scratch and a donor/solution double buffer — so a
+//     (MPS_DAWN / HPCG-on-GraphBLAS style) — PcgWorkspace, the refresh
+//     maps and work row, and a donor/solution double buffer — so a
 //     steady step (values refresh + solve) performs no heap allocation.
 //     The "transient.step" AllocAuditScope enforces this under
 //     SPCG_ALLOC_AUDIT.

@@ -335,8 +335,7 @@ TEST(RaceDetector, CheckedExecutorMatchesSerial) {
   const analysis::RaceReport report = analysis::sptrsv_lower_levels_checked(
       f.l, ls, std::span<const double>(b), std::span<double>(x_checked));
   EXPECT_TRUE(report.ok());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    EXPECT_NEAR(x_serial[i], x_checked[i], 1e-13);
+  EXPECT_EQ(x_serial, x_checked);
 }
 
 TEST(RaceDetector, CheckedExecutorWiredIntoPreconditioner) {
@@ -347,8 +346,7 @@ TEST(RaceDetector, CheckedExecutorWiredIntoPreconditioner) {
   std::vector<double> z1(r.size()), z2(r.size());
   serial.apply(std::span<const double>(r), std::span<double>(z1));
   checked.apply(std::span<const double>(r), std::span<double>(z2));
-  for (std::size_t i = 0; i < r.size(); ++i)
-    EXPECT_NEAR(z1[i], z2[i], 1e-13);
+  EXPECT_EQ(z1, z2);
 }
 
 // --- ILU factor and sparsify-split analyses ---------------------------------

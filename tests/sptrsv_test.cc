@@ -1,10 +1,17 @@
 // Unit + property tests for the sparse triangular solvers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
 
+#include "analysis/race_detector.h"
 #include "gen/generators.h"
+#include "gen/suite.h"
 #include "precond/ilu.h"
+#include "precond/preconditioner.h"
 #include "sparse/ops.h"
 #include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
@@ -83,8 +90,7 @@ TEST_P(SptrsvPropertyTest, SerialAndLevelScheduledMatchOnFactors) {
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   sptrsv_lower_levels(f.l, ls, std::span<const double>(b),
                       std::span<double>(x_level));
-  for (std::size_t i = 0; i < b.size(); ++i)
-    EXPECT_NEAR(x_serial[i], x_level[i], 1e-13);
+  EXPECT_EQ(x_serial, x_level);
   EXPECT_LT(lower_residual(f.l, x_serial, b), 1e-10);
 
   // Upper side.
@@ -94,8 +100,7 @@ TEST_P(SptrsvPropertyTest, SerialAndLevelScheduledMatchOnFactors) {
   const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
   sptrsv_upper_levels(f.u, us, std::span<const double>(b),
                       std::span<double>(y_level));
-  for (std::size_t i = 0; i < b.size(); ++i)
-    EXPECT_NEAR(y_serial[i], y_level[i], 1e-13);
+  EXPECT_EQ(y_serial, y_level);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SptrsvPropertyTest,
@@ -129,6 +134,243 @@ TEST(Sptrsv, SolveAgainstFullLuRecoversInput) {
   sptrsv_upper_serial(f.u, std::span<const double>(y), std::span<double>(x));
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(x[i], x_true[i], 1e-8);
+}
+
+// --- bit identity with the substitution kernels the row kernel replaced -----
+
+/// Test-local copy of the serial kernels before the structural row kernel:
+/// every entry is tested against the diagonal, the diagonal is found by that
+/// test, and every row divides.
+template <bool kLower>
+std::vector<double> reference_solve(const Csr<double>& m,
+                                    const std::vector<double>& b) {
+  const index_t n = m.rows;
+  std::vector<double> x(b.size());
+  for (index_t s = 0; s < n; ++s) {
+    const index_t i = kLower ? s : n - 1 - s;
+    double acc = b[static_cast<std::size_t>(i)];
+    double diag = 0.0;
+    for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
+         p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = m.colind[static_cast<std::size_t>(p)];
+      if (kLower ? j < i : j > i)
+        acc -= m.values[static_cast<std::size_t>(p)] *
+               x[static_cast<std::size_t>(j)];
+      else if (j == i)
+        diag = m.values[static_cast<std::size_t>(p)];
+    }
+    x[static_cast<std::size_t>(i)] = acc / diag;
+  }
+  return x;
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::equal(x.begin(), x.end(), y.begin(), [](double a, double b) {
+           return std::bit_cast<std::uint64_t>(a) ==
+                  std::bit_cast<std::uint64_t>(b);
+         });
+}
+
+using Solve = std::function<void(std::span<const double>, std::span<double>)>;
+
+/// The executors of one triangle, by name: the single-threaded ones (serial
+/// and race-checked), then, with `threaded`, the OpenMP level executors.
+std::vector<std::pair<std::string, Solve>> executors(const Csr<double>& m,
+                                                     const LevelSchedule& s,
+                                                     bool lower,
+                                                     bool threaded = true) {
+  using CSpan = std::span<const double>;
+  using MSpan = std::span<double>;
+  std::vector<std::pair<std::string, Solve>> out{
+      {"serial",
+       [&m, lower](CSpan b, MSpan x) {
+         lower ? sptrsv_lower_serial(m, b, x) : sptrsv_upper_serial(m, b, x);
+       }},
+      {"checked",
+       [&m, &s, lower](CSpan b, MSpan x) {
+         const analysis::RaceReport r =
+             lower ? analysis::sptrsv_lower_levels_checked(m, s, b, x)
+                   : analysis::sptrsv_upper_levels_checked(m, s, b, x);
+         EXPECT_TRUE(r.ok());
+       }}};
+  if (!threaded) return out;
+  out.insert(out.end(), {
+      {"levels",
+       [&m, &s, lower](CSpan b, MSpan x) {
+         lower ? sptrsv_lower_levels(m, s, b, x)
+               : sptrsv_upper_levels(m, s, b, x);
+       }},
+      {"levels_multi",
+       [&m, &s, lower](CSpan b, MSpan x) {
+         const double* const bs[] = {b.data()};
+         double* const xs[] = {x.data()};
+         const std::span<const double* const> b1(bs);
+         const std::span<double* const> x1(xs);
+         lower ? sptrsv_lower_levels_multi(m, s, b1, x1)
+               : sptrsv_upper_levels_multi(m, s, b1, x1);
+       }}});
+  return out;
+}
+
+/// The executors, out of place and in place (x aliasing b), reproduce the
+/// reference bit for bit on both factors of `f`.
+void expect_executors_match_reference(const TriangularFactors<double>& f,
+                                      const std::string& what,
+                                      std::uint64_t seed, bool threaded) {
+  std::vector<double> b(static_cast<std::size_t>(f.l.rows));
+  Rng rng(seed);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  for (const bool lower : {true, false}) {
+    const Csr<double>& m = lower ? f.l : f.u;
+    const LevelSchedule s =
+        level_schedule(m, lower ? Triangle::kLower : Triangle::kUpper);
+    const std::vector<double> ref =
+        lower ? reference_solve<true>(m, b) : reference_solve<false>(m, b);
+    for (const auto& [name, solve] : executors(m, s, lower, threaded)) {
+      const std::string at = what + (lower ? " L " : " U ") + name;
+      std::vector<double> x(b.size());
+      solve(std::span<const double>(b), std::span<double>(x));
+      EXPECT_TRUE(same_bits(ref, x)) << at;
+      std::vector<double> bx = b;
+      solve(std::span<const double>(bx), std::span<double>(bx));
+      EXPECT_TRUE(same_bits(ref, bx)) << at << " in place";
+    }
+  }
+}
+
+// The OpenMP level executors fork a team per level, and under a parallel
+// ctest run each level can cost a descheduled barrier (about 20 s per suite
+// matrix), so they are compared on small instances and the single-threaded
+// executors on every suite matrix. All of them run the same row kernel.
+class SptrsvIdentityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SptrsvIdentityTest, ExecutorsMatchBranchySerialOnIlu0Factors) {
+  const GeneratedMatrix g =
+      generate_suite_matrix(static_cast<index_t>(GetParam()));
+  expect_executors_match_reference(split_lu(ilu0(g.a)), g.spec.name + " ILU(0)",
+                                   static_cast<std::uint64_t>(GetParam()) + 1,
+                                   /*threaded=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMatrices, SptrsvIdentityTest,
+                         ::testing::Range(0, 107));
+
+TEST(SptrsvIdentity, ExecutorsMatchBranchySerialOnIlu2Factors) {
+  // Every 7th suite matrix, except the scattered patterns whose ILU(1)
+  // already fills past 4x nnz(A) (their ILU(2) is near-dense).
+  int compared = 0;
+  for (index_t id = 0; id < suite_size(); id += 7) {
+    const GeneratedMatrix g = generate_suite_matrix(id);
+    if (iluk_symbolic(g.a, 1).pattern.nnz() > 4 * g.a.nnz()) continue;
+    expect_executors_match_reference(split_lu(iluk(g.a, 2)),
+                                     g.spec.name + " ILU(2)",
+                                     static_cast<std::uint64_t>(id) + 500,
+                                     /*threaded=*/false);
+    ++compared;
+  }
+  EXPECT_GE(compared, 10);
+}
+
+TEST(SptrsvIdentity, LevelExecutorsMatchBranchySerial) {
+  for (const Csr<double>& a :
+       {gen_grid_laplacian(14, 14, 1.5, 0.4, 3),
+        gen_mesh_laplacian(12, 12, 0.3, 0.05, 8),
+        gen_banded(150, 6, 0.4, false, 2)}) {
+    const std::string what = "n=" + std::to_string(a.rows);
+    expect_executors_match_reference(split_lu(ilu0(a)), what + " ILU(0)", 7,
+                                     /*threaded=*/true);
+    expect_executors_match_reference(split_lu(iluk(a, 2)), what + " ILU(2)",
+                                     8, /*threaded=*/true);
+  }
+}
+
+TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
+  const Csr<double> a = gen_mesh_laplacian(12, 12, 0.3, 0.05, 8);
+  std::vector<double> r(static_cast<std::size_t>(a.rows));
+  for (std::size_t i = 0; i < r.size(); ++i)
+    r[i] = std::sin(static_cast<double>(i) + 0.5);
+  const IluPreconditioner<double> serial(iluk(a, 1), TrsvExec::kSerial);
+  std::vector<double> z_ref(r.size());
+  serial.apply(r, std::span<double>(z_ref));
+  for (const TrsvExec exec :
+       {TrsvExec::kSerial, TrsvExec::kLevelScheduled,
+        TrsvExec::kLevelScheduledChecked}) {
+    const IluPreconditioner<double> m(iluk(a, 1), exec);
+    std::vector<double> z(r.size());
+    m.apply(r, std::span<double>(z));
+    EXPECT_TRUE(same_bits(z_ref, z)) << static_cast<int>(exec);
+    std::vector<double> rz = r;
+    m.apply(std::span<const double>(rz), std::span<double>(rz));
+    EXPECT_TRUE(same_bits(z_ref, rz)) << static_cast<int>(exec) << " in place";
+  }
+}
+
+// --- typed errors at the SpTRSV boundary -------------------------------------
+
+/// Runs `solve` and returns the spcg::Error message it raised ("" if none).
+std::string error_of(const Solve& solve, std::vector<double> b) {
+  std::vector<double> x(b.size());
+  try {
+    solve(std::span<const double>(b), std::span<double>(x));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SptrsvErrors, EveryExecutorRejectsAFullSymmetricMatrix) {
+  const Csr<double> a = gen_poisson2d(5, 5);
+  const std::vector<double> b(static_cast<std::size_t>(a.rows), 1.0);
+  for (const bool lower : {true, false}) {
+    // level_schedule still accepts the full matrix: only the solve rejects.
+    const LevelSchedule s =
+        level_schedule(a, lower ? Triangle::kLower : Triangle::kUpper);
+    for (const auto& [name, solve] : executors(a, s, lower)) {
+      const std::string msg = error_of(solve, b);
+      EXPECT_NE(msg.find(lower ? "above the diagonal" : "below the diagonal"),
+                std::string::npos)
+          << name << ": " << msg;
+      EXPECT_NE(msg.find("sptrsv: row "), std::string::npos) << name;
+    }
+  }
+}
+
+/// Rebuild `m` with entry (row, row) removed or zeroed.
+Csr<double> with_bad_diagonal(const Csr<double>& m, index_t row, bool remove) {
+  std::vector<Triplet<double>> ts;
+  for (index_t i = 0; i < m.rows; ++i)
+    for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
+         p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = m.colind[static_cast<std::size_t>(p)];
+      if (i == row && j == row && remove) continue;
+      ts.push_back({i, j,
+                    i == row && j == row
+                        ? 0.0
+                        : m.values[static_cast<std::size_t>(p)]});
+    }
+  return csr_from_triplets<double>(m.rows, m.cols, std::move(ts));
+}
+
+TEST(SptrsvErrors, EveryExecutorNamesTheRowOfAMissingOrZeroDiagonal) {
+  const TriangularFactors<double> f = split_lu(ilu0(gen_poisson2d(5, 5)));
+  const std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0);
+  const index_t row = 7;
+  for (const bool lower : {true, false}) {
+    for (const bool remove : {true, false}) {
+      const Csr<double> m = with_bad_diagonal(lower ? f.l : f.u, row, remove);
+      const LevelSchedule s =
+          level_schedule(m, lower ? Triangle::kLower : Triangle::kUpper);
+      const std::string want =
+          "sptrsv: row " + std::to_string(row) +
+          (remove ? " has no diagonal entry" : " has a zero diagonal");
+      for (const auto& [name, solve] : executors(m, s, lower)) {
+        const std::string msg = error_of(solve, b);
+        EXPECT_NE(msg.find(want), std::string::npos)
+            << (lower ? "L " : "U ") << name << ": '" << msg << "'";
+      }
+    }
+  }
 }
 
 }  // namespace
