@@ -64,9 +64,11 @@ struct TuneNeighbor {
 
 class TuneDb {
  public:
-  /// Current on-disk schema version. Bump on any incompatible layout change;
-  /// load_file rejects other versions with kVersionMismatch.
-  static constexpr int kSchemaVersion = 1;
+  /// Current on-disk schema version. Bump on any incompatible layout change,
+  /// including a change of the fingerprint hash the records are keyed by
+  /// (2: XXH64 fingerprints); load_file rejects other versions with
+  /// kVersionMismatch.
+  static constexpr int kSchemaVersion = 2;
 
   /// Exact-fingerprint lookup.
   [[nodiscard]] std::optional<TuneRecord> find_exact(

@@ -22,6 +22,7 @@
 // ones. TransientSession treats them as provenance, not state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -47,10 +48,6 @@ struct NumericRefreshWorkspace {
   std::vector<index_t> keep_pos;
   /// For each entry of the residual matrix S: its position in A.
   std::vector<index_t> s_pos;
-  /// For each entry of factors.l / factors.u: its position in the combined
-  /// factorization.lu; -1 marks L's stored unit diagonal (always 1).
-  std::vector<index_t> l_map;
-  std::vector<index_t> u_map;
   /// Shape guards: the A this workspace was built against.
   index_t expected_rows = 0;
   index_t expected_nnz = 0;
@@ -58,8 +55,9 @@ struct NumericRefreshWorkspace {
 
 /// Build the refresh maps for `setup` against the matrix `a` it was built
 /// from (same pattern; values are irrelevant here). One merge-walk over A's
-/// rows recovers the keep/drop split positions; the factor maps come from
-/// binary search in the combined LU pattern.
+/// rows recovers the keep/drop split positions. The split factors need no
+/// map: split_lu() lays each row of L and U out as a prefix and the suffix
+/// of the combined factor's row.
 template <class T>
 NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
                                               const Csr<T>& a) {
@@ -99,30 +97,6 @@ NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
         }
       }
       SPCG_CHECK(ph == ph_end && ps == ps_end);
-    }
-  }
-
-  const Csr<T>& lu = setup.factorization.lu;
-  const Csr<T>& l = setup.factors.l;
-  const Csr<T>& u = setup.factors.u;
-  ws.l_map.assign(static_cast<std::size_t>(l.nnz()), -1);
-  ws.u_map.assign(static_cast<std::size_t>(u.nnz()), -1);
-  for (index_t i = 0; i < l.rows; ++i) {
-    for (index_t p = l.rowptr[static_cast<std::size_t>(i)];
-         p < l.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t col = l.colind[static_cast<std::size_t>(p)];
-      if (col == i) continue;  // stored unit diagonal: stays -1
-      const index_t q = lu.find(i, col);
-      SPCG_CHECK_MSG(q >= 0, "L entry missing from combined factor at row "
-                                 << i);
-      ws.l_map[static_cast<std::size_t>(p)] = q;
-    }
-    for (index_t p = u.rowptr[static_cast<std::size_t>(i)];
-         p < u.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = lu.find(i, u.colind[static_cast<std::size_t>(p)]);
-      SPCG_CHECK_MSG(q >= 0, "U entry missing from combined factor at row "
-                                 << i);
-      ws.u_map[static_cast<std::size_t>(p)] = q;
     }
   }
   return ws;
@@ -165,17 +139,26 @@ void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
 
   // Propagate the combined factor into the split L/U the level schedules
   // reference — value writes only, the triangular patterns are untouched.
+  // split_lu() stores row i of L as the combined row's strict-lower prefix
+  // plus the unit diagonal, and row i of U as the rest of the row.
   Csr<T>& l = setup.factors.l;
   Csr<T>& u = setup.factors.u;
-  SPCG_CHECK(l.values.size() == ws.l_map.size() &&
-             u.values.size() == ws.u_map.size());
-  const std::vector<T>& lu_values = setup.factorization.lu.values;
-  for (std::size_t j = 0; j < ws.l_map.size(); ++j)
-    l.values[j] = ws.l_map[j] < 0
-                      ? T{1}
-                      : lu_values[static_cast<std::size_t>(ws.l_map[j])];
-  for (std::size_t j = 0; j < ws.u_map.size(); ++j)
-    u.values[j] = lu_values[static_cast<std::size_t>(ws.u_map[j])];
+  const Csr<T>& lu = setup.factorization.lu;
+  SPCG_CHECK(l.rows == lu.rows && u.rows == lu.rows &&
+             l.nnz() + u.nnz() == lu.nnz() + lu.rows);
+  for (index_t i = 0; i < lu.rows; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    const auto src = static_cast<std::size_t>(lu.rowptr[row]);
+    const auto dl = static_cast<std::size_t>(l.rowptr[row]);
+    const auto du = static_cast<std::size_t>(u.rowptr[row]);
+    const std::size_t lower = static_cast<std::size_t>(l.rowptr[row + 1]) -
+                              dl - 1;
+    std::copy_n(lu.values.data() + src, lower, l.values.data() + dl);
+    l.values[dl + lower] = T{1};
+    std::copy_n(lu.values.data() + src + lower,
+                static_cast<std::size_t>(u.rowptr[row + 1]) - du,
+                u.values.data() + du);
+  }
 }
 
 }  // namespace spcg

@@ -12,14 +12,19 @@
 //     retained symbolic structure; level schedules, wavefront inspection
 //     and the sparsification pattern decision are reused verbatim. Only a
 //     pattern change pays a full symbolic rebuild.
-//   * Warm starts: each step seeds PCG with the previous step's solution
-//     (x0), which on a smooth sequence cuts iterations substantially.
+//   * Warm starts: each step seeds PCG with the A_t-norm-optimal guess in
+//     the span of the last few solutions (transient/warm_start.h): the
+//     previous solution plus a ring of up to kWarmStartHistory solution
+//     differences. On a smooth sequence this needs half the iterations of
+//     a previous-solution seed or fewer; with no history (or when the
+//     guard rejects the projection) the seed is the previous solution.
 //   * Step policies: fixed tolerance, MPS_DAWN-style fixed iteration
 //     budget, or adaptive per-step tolerance (transient/step_policy.h).
 //   * Zero steady-state allocations: everything is bound before the loop
 //     (MPS_DAWN / HPCG-on-GraphBLAS style) — PcgWorkspace, the refresh
-//     maps and work row, and a donor/solution double buffer — so a
-//     steady step (values refresh + solve) performs no heap allocation.
+//     maps and work row, a donor/solution double buffer and the history
+//     ring — so a steady step (values refresh + solve) performs no heap
+//     allocation.
 //     The "transient.step" AllocAuditScope enforces this under
 //     SPCG_ALLOC_AUDIT.
 //
@@ -31,6 +36,8 @@
 // spcg_setup on the new values would have chosen.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -52,6 +59,7 @@
 #include "support/trace.h"
 #include "transient/refactorize.h"
 #include "transient/step_policy.h"
+#include "transient/warm_start.h"
 
 namespace spcg {
 
@@ -61,7 +69,8 @@ struct TransientOptions {
   /// is ignored by step() — the StepPolicy governs per-step solve options.
   SpcgOptions base;
   StepPolicy policy;
-  /// Seed each step's PCG with the previous step's solution.
+  /// Seed each step's PCG from the previous solutions (projected warm start;
+  /// false = every step starts from zero).
   bool warm_start = true;
 };
 
@@ -70,7 +79,9 @@ struct TransientStepStats {
   std::int64_t step = 0;            // 0-based index in the sequence
   bool symbolic_rebuild = false;    // full setup build (first step / pattern)
   bool refactorized = false;        // values-only numeric refresh
-  bool warm_started = false;
+  /// Warm-start basis: 0 = cold (x0 = 0), 1 = previous solution only,
+  /// k > 1 = projected over the previous solution and k - 1 differences.
+  std::int32_t warm_basis = 0;
   std::int32_t iterations = 0;
   SolveStatus status = SolveStatus::kMaxIterations;
   double final_residual_norm = 0.0;   // true residual at exit (or at budget)
@@ -85,6 +96,7 @@ struct TransientStats {
   std::int64_t symbolic_rebuilds = 0;     // full setups paid
   std::int64_t refactorize_steps = 0;     // values-only refreshes paid
   std::int64_t warm_steps = 0;
+  std::int64_t projected_steps = 0;        // warm steps with warm_basis > 1
   std::int64_t total_iterations = 0;
   std::int64_t cache_hits = 0;             // exact-key setups adopted
   std::int64_t cache_partial_adoptions = 0;  // same-pattern setups adopted
@@ -149,7 +161,7 @@ class TransientSession {
 
   /// Advance one step: bring the setup current (full build, numeric refresh
   /// or pure reuse), then solve A x = b under the step policy, warm-started
-  /// from the previous solution when enabled. Returns this step's stats
+  /// from the projected guess when enabled. Returns this step's stats
   /// (also retained — see last_step()). Steady-state steps (setup ready or
   /// values-only refresh, workspace warm) perform zero heap allocations.
   const TransientStepStats& step(std::span<const T> b) {
@@ -175,12 +187,30 @@ class TransientSession {
     const auto n = static_cast<std::size_t>(a_->rows);
     const bool warm = opt_.warm_start && x_.size() == n;
 
+    WallTimer timer;
+    // The guess is formed in the ring slot the next difference overwrites;
+    // r and A v_j borrow pcg()'s scratch, which pcg() reassigns anyway.
+    std::vector<T>& slot = history_[next_slot_];
+    std::span<const T> x0;  // empty = cold start
+    if (warm) {
+      std::array<std::span<const T>, kWarmStartHistory> dirs;
+      for (std::size_t j = 0; j < history_size_; ++j)
+        dirs[j] = history_[(next_slot_ + kWarmStartHistory - 1 - j) %
+                           kWarmStartHistory];
+      last_.warm_basis = project_warm_start(
+          *a_, b, std::span<const T>(x_),
+          std::span<const std::span<const T>>(dirs.data(), history_size_),
+          std::span<T>(slot), pcg_ws_.r, pcg_ws_.w);
+      x0 = last_.warm_basis > 1 ? std::span<const T>(slot)
+                                : std::span<const T>(x_);
+    }
+
     double r0_norm = 0.0;
     if (opt_.policy.mode == StepMode::kAdaptive) {
       // ||b - A x0|| for the adaptive target; plain ||b|| on a cold start.
       if (warm) {
         pcg_ws_.ax.assign(n, T{0});
-        spmv(*a_, std::span<const T>(x_), std::span<T>(pcg_ws_.ax));
+        spmv(*a_, x0, std::span<T>(pcg_ws_.ax));
         double acc = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           const double d = static_cast<double>(b[i]) -
@@ -194,14 +224,17 @@ class TransientSession {
     }
     const PcgOptions popt = step_solve_options(opt_.policy, r0_norm);
 
-    WallTimer timer;
     // Donor double-buffer: the retired solution (spare_) becomes pcg()'s
     // result buffer; afterwards the previous solution retires into spare_.
     // Net effect: no vector is ever reallocated across steady steps.
     pcg_ws_.x = std::move(spare_);
-    SolveResult<T> r =
-        pcg(*a_, b, *applier_, popt,
-            warm ? std::span<const T>(x_) : std::span<const T>{}, &pcg_ws_);
+    SolveResult<T> r = pcg(*a_, b, *applier_, popt, x0, &pcg_ws_);
+    if (warm) {
+      // pcg() copied the guess; the slot now takes x_t - x_{t-1}.
+      for (std::size_t i = 0; i < n; ++i) slot[i] = r.x[i] - x_[i];
+      next_slot_ = (next_slot_ + 1) % kWarmStartHistory;
+      history_size_ = std::min(history_size_ + 1, kWarmStartHistory);
+    }
     spare_ = std::move(x_);
     x_ = std::move(r.x);
     // On the structural step the retiring x_ was empty (no previous
@@ -210,7 +243,6 @@ class TransientSession {
     if (spare_.size() != n) spare_.assign(n, T{0});
     last_.solve_seconds = timer.seconds();
 
-    last_.warm_started = warm;
     last_.iterations = r.iterations;
     last_.status = r.status;
     last_.final_residual_norm = r.final_residual_norm;
@@ -221,10 +253,12 @@ class TransientSession {
     stats_.steps += 1;
     stats_.total_iterations += r.iterations;
     if (warm) stats_.warm_steps += 1;
+    if (last_.warm_basis > 1) stats_.projected_steps += 1;
     stats_.refactorize_seconds += last_.refactorize_seconds;
     stats_.solve_seconds += last_.solve_seconds;
     span.arg("iterations", r.iterations);
     span.arg("refactorized", last_.refactorized);
+    span.arg("warm_basis", last_.warm_basis);
     return last_;
   }
 
@@ -283,8 +317,14 @@ class TransientSession {
     applier_.emplace(setup_.factors, setup_.l_schedule, setup_.u_schedule,
                      opt_.base.executor);
     // Pre-size the donor so even the structural step's pcg() gets a warm
-    // result buffer (steady steps re-guarantee this in step()).
-    spare_.assign(static_cast<std::size_t>(a_->rows), T{0});
+    // result buffer (steady steps re-guarantee this in step()), and the
+    // history ring, which starts empty: a rebuild may change the layout.
+    const auto n = static_cast<std::size_t>(a_->rows);
+    spare_.assign(n, T{0});
+    if (opt_.warm_start)
+      for (std::vector<T>& slot : history_) slot.resize(n);
+    history_size_ = 0;
+    next_slot_ = 0;
     ready_ = true;
     dirty_pattern_ = false;
     dirty_values_ = false;
@@ -306,6 +346,11 @@ class TransientSession {
   PcgWorkspace<T> pcg_ws_;
   std::vector<T> x_;      // previous step's solution (warm-start source)
   std::vector<T> spare_;  // donor buffer for the next result
+  /// Ring of solution differences x_{t-j} - x_{t-j-1}: the newest sits just
+  /// before next_slot_, the oldest (when full) at next_slot_.
+  std::array<std::vector<T>, kWarmStartHistory> history_;
+  std::size_t history_size_ = 0;
+  std::size_t next_slot_ = 0;
 
   bool ready_ = false;
   bool dirty_values_ = false;

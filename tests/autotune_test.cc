@@ -302,25 +302,26 @@ TEST(AutotuneDb, LoadDistinguishesMissingMismatchedAndCorruptFiles) {
 
   // A future schema version is a mismatch, not corruption.
   std::string doc = db.to_json();
-  const std::string tag = "\"version\": 1";
-  const std::size_t at = doc.find(tag);
+  const std::string version =
+      "\"version\": " + std::to_string(TuneDb::kSchemaVersion);
+  const std::size_t at = doc.find(version);
   ASSERT_NE(at, std::string::npos);
-  doc.replace(at, tag.size(), "\"version\": 99");
+  doc.replace(at, version.size(), "\"version\": 99");
   EXPECT_EQ(db.from_json(doc), TuneDbLoad::kVersionMismatch);
   EXPECT_EQ(db.size(), 1u);
 
   EXPECT_EQ(db.from_json("this is not json"), TuneDbLoad::kCorrupt);
-  EXPECT_EQ(db.from_json("{\"schema\": \"other\", \"version\": 1}"),
+  EXPECT_EQ(db.from_json("{\"schema\": \"other\", " + version + "}"),
             TuneDbLoad::kCorrupt);
-  EXPECT_EQ(db.from_json("{\"schema\": \"spcg-tune-db\", \"version\": 1, "
-                         "\"records\": [{\"bogus\": true}]}"),
+  EXPECT_EQ(db.from_json("{\"schema\": \"spcg-tune-db\", " + version +
+                         ", \"records\": [{\"bogus\": true}]}"),
             TuneDbLoad::kCorrupt);
   EXPECT_EQ(db.size(), 1u);
 
   const std::string path = temp_path("corrupt");
   {
     std::ofstream out(path);
-    out << "{\"schema\": \"spcg-tune-db\", \"version\": 1, \"records\": ";
+    out << "{\"schema\": \"spcg-tune-db\", " << version << ", \"records\": ";
     // Truncated mid-document.
   }
   EXPECT_EQ(db.load_file(path), TuneDbLoad::kCorrupt);

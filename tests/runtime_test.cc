@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -49,6 +50,80 @@ TEST(RuntimeFingerprint, DeterministicAndSensitive) {
   // A different pattern changes pattern_hash.
   const MatrixFingerprint fb = fingerprint(gen_poisson2d(12, 13));
   EXPECT_NE(fb.pattern_hash, fa.pattern_hash);
+}
+
+TEST(RuntimeFingerprint, HashIsXxh64) {
+  // Published XXH64 vectors (seed 0): the empty input, the short-input path
+  // and the four-lane stripe path with a tail.
+  auto h = [](const char* text) {
+    return detail::hash_bytes(text, std::strlen(text));
+  };
+  EXPECT_EQ(h(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(h("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(h("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(h("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(RuntimeFingerprint, EveryBitReachesTheHash) {
+  // 32-byte stripes, then an 8-byte word, a 4-byte word and single bytes:
+  // flipping any bit anywhere changes the hash.
+  std::vector<unsigned char> bytes(77);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  const std::uint64_t base = detail::hash_bytes(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(detail::hash_bytes(bytes.data(), bytes.size()), base)
+          << "byte " << i << " bit " << bit;
+      bytes[i] ^= static_cast<unsigned char>(1u << bit);
+    }
+  // The length is mixed in: a trailing zero byte is not invisible.
+  EXPECT_NE(detail::hash_bytes(bytes.data(), bytes.size() - 1),
+            detail::hash_bytes(bytes.data(), bytes.size() - 2));
+
+  // Each CSR array: a single-bit flip in the first entry and in every bit of
+  // the last one (inside a tail shorter than a stripe for all three arrays
+  // of this shape) moves exactly the hash that array feeds.
+  const Csr<double> a = gen_poisson2d(12, 13);
+  ASSERT_NE(a.rowptr.size() * sizeof(index_t) % 32, 0u);
+  ASSERT_NE(a.colind.size() * sizeof(index_t) % 32, 0u);
+  ASSERT_NE(a.values.size() * sizeof(double) % 32, 0u);
+  const MatrixFingerprint fa = fingerprint(a);
+  EXPECT_EQ(fingerprint(Csr<double>(a)), fa);  // equal matrices, equal hashes
+  auto flip = [](auto& array, std::size_t pos, int bit) {
+    auto* raw = reinterpret_cast<unsigned char*>(array.data() + pos);
+    raw[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  };
+  auto check = [&](auto member, bool pattern) {
+    Csr<double> b = a;
+    auto& array = b.*member;
+    const int bits = static_cast<int>(sizeof(array[0]) * 8);
+    for (const std::size_t pos : {std::size_t{0}, array.size() - 1})
+      for (int bit = 0; bit < bits; ++bit) {
+        flip(array, pos, bit);
+        const MatrixFingerprint fb = fingerprint(b);
+        EXPECT_EQ(fb.pattern_hash != fa.pattern_hash, pattern)
+            << "pos " << pos << " bit " << bit;
+        EXPECT_EQ(fb.values_hash != fa.values_hash, !pattern)
+            << "pos " << pos << " bit " << bit;
+        flip(array, pos, bit);
+      }
+  };
+  check(&Csr<double>::rowptr, true);
+  check(&Csr<double>::colind, true);
+  check(&Csr<double>::values, false);
+}
+
+TEST(RuntimeFingerprint, GoldenValue) {
+  // Pins the persisted meaning of a fingerprint (TuneDb keys): a change here
+  // must come with a TuneDb::kSchemaVersion bump.
+  const MatrixFingerprint fp = fingerprint(gen_poisson2d(4, 5));
+  EXPECT_EQ(fp.pattern_hash, 0xA6F066D797B91121ull);
+  EXPECT_EQ(fp.values_hash, 0xA2AAC99A67B28EBAull);
+  EXPECT_EQ(fp.rows, 20);
+  EXPECT_EQ(fp.nnz, 82);
 }
 
 TEST(RuntimeFingerprint, OptionsDigestTracksSetupRelevantFieldsOnly) {
