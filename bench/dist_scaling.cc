@@ -1,6 +1,6 @@
 // Strong-scaling bench for the distributed SPCG layer: one >= 100k-row 2D
-// Poisson system solved at P in {1, 2, 4, 8} thread-ranks across all three
-// solver bodies (classic, communication-overlapped, communication-reduced),
+// Poisson system solved at P in {1, 2, 4, 8} thread-ranks across both
+// solver bodies (classic and communication-reduced),
 // reporting iterations (vs the single-domain serial SPCG reference),
 // communication volume (halo bytes, all-reduce count), overlap efficiency,
 // and wall-clock speedup over P = 1.
@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
   std::cout << "serial spcg_solve: " << serial.solve.iterations
             << " iterations, " << fmt(serial_seconds) << " s\n\n";
 
-  constexpr DistBody kBodies[] = {DistBody::kClassic, DistBody::kOverlapped,
-                                  DistBody::kCommReduced};
+  constexpr DistBody kBodies[] = {DistBody::kClassic, DistBody::kCommReduced};
 
   TextTable table;
   table.set_header({"P", "body", "iters", "vs-serial", "solve s", "speedup",
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
     gates_ok = false;
   };
 
-  double p1_seconds[3] = {0.0, 0.0, 0.0};
+  double p1_seconds[2] = {0.0, 0.0};
   for (const index_t parts : parts_list) {
     if (parts > a.rows) continue;
     DistOptions dopt;

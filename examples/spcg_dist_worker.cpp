@@ -14,7 +14,7 @@
 // Usage:
 //   spcg-dist-worker --rank R --parts P --transport shm|socket
 //     [--port N] [--host H] [--shm-path PATH] [--nx N] [--seed S]
-//     [--body classic|overlapped|comm-reduced] [--inject-latency-us U]
+//     [--body classic|comm-reduced] [--inject-latency-us U]
 //     [--timeout-s T]
 //
 //   --rank R          this process's rank in [0, parts)
@@ -61,7 +61,7 @@ void usage(const char* argv0) {
             << " --rank R --parts P --transport shm|socket\n"
                "  [--port N] [--host H] [--shm-path PATH] [--nx N]"
                " [--seed S]\n"
-               "  [--body classic|overlapped|comm-reduced]"
+               "  [--body classic|comm-reduced]"
                " [--inject-latency-us U] [--timeout-s T]\n";
 }
 
@@ -149,8 +149,7 @@ bool parse(int argc, char** argv, CliOptions* out) {
       const char* text = next();
       if (text == nullptr) return false;
       if (!parse_dist_body(text, &out->body)) {
-        std::cerr << "error: --body expects classic, overlapped, or "
-                     "comm-reduced; got '"
+        std::cerr << "error: --body expects classic or comm-reduced; got '"
                   << text << "'\n";
         return false;
       }
@@ -211,7 +210,7 @@ int main(int argc, char** argv) {
 
   std::cout << "rank " << cli.rank << "/" << cli.parts << ": "
             << to_string(cli.transport.kind) << " transport, "
-            << to_string(dopt.effective_body()) << " body, " << a.rows
+            << to_string(dopt.body) << " body, " << a.rows
             << " rows\n";
 
   try {

@@ -15,8 +15,8 @@
 //
 // Usage:
 //   spcg-serve [--requests N] [--matrices M] [--workers W] [--seed S]
-//              [--fill K] [--deadline-ms D] [--parts P] [--overlap]
-//              [--comm-reduced] [--transport KIND] [--inject-latency-us U]
+//              [--fill K] [--deadline-ms D] [--parts P] [--comm-reduced]
+//              [--transport KIND] [--inject-latency-us U]
 //              [--no-compare] [--trace-out FILE] [--metrics-out FILE]
 //              [--trace-every N] [--autotune] [--tune-db FILE]
 //
@@ -28,7 +28,6 @@
 //   --deadline-ms D  per-request relative deadline (default: none)
 //   --parts P        solve each request distributed over P thread-ranks
 //                    (default 1 = serial session)
-//   --overlap        use the communication-overlapped distributed body
 //   --comm-reduced   use the communication-reduced body (one fused
 //                    all-reduce per iteration); implies a distributed solve
 //   --transport K    transport backing the rank collectives: inproc
@@ -86,8 +85,7 @@ struct CliOptions {
   index_t fill = -1;  // <0: ILU(0)
   int deadline_ms = -1;
   int parts = 1;
-  bool overlap = false;
-  bool comm_reduced = false;
+  DistBody body = DistBody::kClassic;
   TransportOptions transport;
   bool compare = true;
   int trace_every = 0;
@@ -100,8 +98,7 @@ struct CliOptions {
 void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--requests N] [--matrices M] [--workers W] [--seed S]\n"
-               "  [--fill K] [--deadline-ms D] [--parts P] [--overlap]"
-               " [--comm-reduced]\n"
+               "  [--fill K] [--deadline-ms D] [--parts P] [--comm-reduced]\n"
                "  [--transport inproc|shm|socket] [--inject-latency-us U]"
                " [--no-compare]\n"
                "  [--trace-out FILE] [--metrics-out FILE] [--trace-every N]\n"
@@ -187,10 +184,8 @@ bool parse(int argc, char** argv, CliOptions* out) {
         return false;
     } else if (arg == "--parts") {
       if (!next_int(1, 256, &out->parts)) return false;
-    } else if (arg == "--overlap") {
-      out->overlap = true;
     } else if (arg == "--comm-reduced") {
-      out->comm_reduced = true;
+      out->body = DistBody::kCommReduced;
     } else if (arg == "--transport") {
       const char* text = next();
       if (text == nullptr) return false;
@@ -231,13 +226,9 @@ bool parse(int argc, char** argv, CliOptions* out) {
                  "(--parts 1)\n";
     return false;
   }
-  if (out->overlap && out->comm_reduced) {
-    std::cerr << "error: --overlap and --comm-reduced are mutually "
-                 "exclusive bodies\n";
-    return false;
-  }
   if (out->parts == 1 &&
-      (out->comm_reduced || out->transport.kind != TransportKind::kInProcess ||
+      (out->body != DistBody::kClassic ||
+       out->transport.kind != TransportKind::kInProcess ||
        out->transport.inject_latency_us > 0)) {
     std::cerr << "error: --comm-reduced / --transport / --inject-latency-us "
                  "require a distributed solve (--parts > 1)\n";
@@ -340,10 +331,7 @@ int main(int argc, char** argv) {
                     : ", ILU(0)");
   if (cli.parts > 1) {
     std::cout << ", " << cli.parts << " parts";
-    if (cli.comm_reduced)
-      std::cout << " (comm-reduced)";
-    else if (cli.overlap)
-      std::cout << " (overlapped)";
+    std::cout << " (" << to_string(cli.body) << ")";
     std::cout << ", transport " << to_string(cli.transport.kind);
     if (cli.transport.inject_latency_us > 0)
       std::cout << " +" << cli.transport.inject_latency_us << "us";
@@ -373,8 +361,7 @@ int main(int argc, char** argv) {
     if (cli.deadline_ms >= 0)
       req.deadline = std::chrono::milliseconds(cli.deadline_ms);
     req.parts = static_cast<index_t>(cli.parts);
-    req.overlap_comm = cli.overlap;
-    req.comm_reduced = cli.comm_reduced;
+    req.body = cli.body;
     req.transport = cli.transport;
     req.autotune = cli.autotune;
     tickets.push_back(service.submit(std::move(req)));

@@ -7,10 +7,10 @@
 // factorization cost that dominates the ILU(K) end-to-end win.
 #include <iostream>
 
+#include "autotune/fill_level.h"
 #include "core/spcg.h"
 #include "gen/generators.h"
 #include "gpumodel/cost_model.h"
-#include "runtime/session.h"
 #include "support/table.h"
 
 int main() {
@@ -27,7 +27,7 @@ int main() {
   opt.preconditioner = PrecondKind::kIluK;
   opt.max_row_fill = 512;
   const std::vector<index_t> ks{2, 3, 5, 8};  // scale-adjusted, see DESIGN.md
-  const KSelection<double> sel = select_best_fill_level(a, b, opt, ks);
+  const KSelection<double> sel = tune_fill_level(a, b, opt, ks);
   std::cout << "best-converging K for the baseline: " << sel.k << " ("
             << sel.baseline.solve.iterations << " iterations)\n\n";
 

@@ -1,12 +1,8 @@
-// Best-K fill-level selection, autotune edition.
-//
-// tune_fill_level is the successor of runtime/session.h's
-// select_best_fill_level (which now forwards here): the same paper-§3.3
-// probe — one baseline PCG-ILU(K) run per candidate K through a shared
-// SetupCache — but every candidate's timings and iteration counts survive
-// into KSelection::trials, each probe is traced, and an optional
-// TelemetryRegistry counts probes and cache hits. Selection order is
-// unchanged: converged beats non-converged, then fewest iterations, then
+// Best-K fill-level selection (paper §3.3): one baseline PCG-ILU(K) run
+// per candidate K through a shared SetupCache. Every candidate's timings and
+// iteration counts survive into KSelection::trials, each probe is traced,
+// and an optional TelemetryRegistry counts probes and cache hits. Selection
+// order: converged beats non-converged, then fewest iterations, then
 // smallest final residual; ties keep the earlier (smaller) K.
 #pragma once
 

@@ -185,10 +185,10 @@ struct KCandidateTrial {
 };
 
 /// Best-K selection for the baseline PCG-ILU(K) (paper §3.3): the winner of
-/// one run per candidate K. Produced by tune_fill_level (autotune/) and its
-/// compatibility wrapper select_best_fill_level in runtime/session.h, which
-/// route every candidate through a SolverSession so the matrix fingerprint
-/// and cached setups are shared across candidates.
+/// one run per candidate K. Produced by tune_fill_level
+/// (autotune/fill_level.h), which routes every candidate through a
+/// SolverSession so the matrix fingerprint and cached setups are shared
+/// across candidates.
 template <class T>
 struct KSelection {
   index_t k = 0;

@@ -39,37 +39,6 @@
 
 namespace spcg {
 
-template <class T>
-class Communicator;
-
-/// Compatibility shim: a P-rank in-process world. Construct once, hand a
-/// Communicator to each rank thread. New code should build a TransportGroup
-/// via make_transport_group and wrap each endpoint in a Communicator — this
-/// class survives so existing harnesses (tests, benches) keep working.
-template <class T>
-class CommWorld {
- public:
-  explicit CommWorld(index_t ranks, const TransportOptions& opt = {})
-      : group_(make_transport_group(ranks, {}, opt)) {
-    SPCG_CHECK(ranks >= 1);
-  }
-
-  CommWorld(const CommWorld&) = delete;
-  CommWorld& operator=(const CommWorld&) = delete;
-
-  [[nodiscard]] index_t size() const { return group_->size(); }
-  [[nodiscard]] bool aborted() const { return group_->aborted(); }
-  [[nodiscard]] Transport& transport(index_t rank) {
-    return group_->transport(rank);
-  }
-
-  /// Widest fused reduction supported (enough for {dot, dot, norm^2, spare}).
-  static constexpr std::size_t kReduceWidth = Transport::kReduceWidth;
-
- private:
-  std::unique_ptr<TransportGroup> group_;
-};
-
 /// One rank's typed handle over a Transport endpoint. Not thread-safe;
 /// exactly one thread drives each rank, and all ranks must issue the same
 /// collective sequence.
@@ -79,10 +48,6 @@ class Communicator {
   explicit Communicator(Transport* transport) : t_(transport) {
     SPCG_CHECK(t_ != nullptr);
   }
-
-  /// Legacy spelling over an in-process world.
-  Communicator(CommWorld<T>* world, index_t rank)
-      : Communicator(&world->transport(rank)) {}
 
   [[nodiscard]] index_t rank() const { return t_->rank(); }
   [[nodiscard]] index_t size() const { return t_->size(); }

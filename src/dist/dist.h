@@ -1,7 +1,7 @@
 // Umbrella header for the distributed solver layer: row partitioning
 // (partition.h), the pluggable transport seam and its backings
 // (transport.h), the typed halo-exchange communicator facade (comm.h), and
-// the distributed classic/overlapped/comm-reduced PCG bodies with
+// the rank policy that runs the classic and comm-reduced CG bodies with
 // per-subdomain SPCG preconditioning (dist_pcg.h).
 #pragma once
 

@@ -5,26 +5,19 @@
 // a pluggable Transport (dist/transport.h): in-process threads, a POSIX
 // shared-memory segment, or TCP sockets.
 //
-// Three solver bodies, selected by DistOptions::body:
-//   * classic      — mirrors solver/pcg.h line by line. Two reductions per
-//     iteration ({p,w} curvature; fused {r,z} + ||r||^2), one blocking halo
-//     exchange before the SpMV.
-//   * overlapped   — mirrors solver/pipelined_cg.h. One fused reduction per
-//     iteration whose synchronization overlaps the preconditioner apply,
-//     and a halo exchange whose in-flight window overlaps the interior SpMV
-//     (LocalSystem's interior/boundary split exists for exactly this) —
-//     plus the startup reduction, still two synchronizations per iteration
-//     counting the exchange.
-//   * comm_reduced — the communication-reduced variant (s-step flavor of
-//     the pipelined recurrence, a la Chronopoulos-Gear): the curvature term
-//     delta = (w, z) is computed at the *bottom* of the iteration, where w
-//     and z already hold the values the next iteration's top would see, and
-//     fused into the same reduction as {gamma, ||r||^2}. One all-reduce per
-//     iteration instead of two, still overlapped with the preconditioner
-//     apply. Bitwise-equal to the pipelined body (and hence, at P = 1, to
-//     pipelined_pcg) because every partial sum is taken over identical
-//     operand vectors in the identical order — only the synchronization
-//     count changes.
+// The rank bodies are not written here. Each is the serial solver's own
+// loop instantiated on RankOps, the rank communication policy below
+// (solver/pcg.h describes the policy seam). DistOptions::body picks one:
+//   * classic      — detail::classic_cg (solver/pcg.h): two all-reduces per
+//     iteration, the curvature (p, Ap) and {(r, z), ||r||^2} fused; 2k + 3
+//     per solve, counting the ||b|| reduction, the startup one and the
+//     true-residual check.
+//   * comm-reduced — detail::pipelined_cg (solver/pipelined_cg.h): one
+//     fused all-reduce per iteration, overlapped with the preconditioner
+//     apply; k + 2 per solve.
+// Both overlap every halo exchange with the interior SpMV (LocalSystem's
+// interior/boundary split exists for exactly this); the arithmetic order
+// stays interior first, boundary second.
 //
 // SPMD invariant: every control-flow decision (convergence, breakdown) is a
 // function of all-reduced values, which the deterministic rank-order
@@ -38,12 +31,13 @@
 // both spcg_solve and pipelined_pcg, on every transport.
 #pragma once
 
-#include <array>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -52,7 +46,7 @@
 #include "dist/partition.h"
 #include "precond/preconditioner.h"
 #include "solver/pcg.h"
-#include "sparse/norms.h"
+#include "solver/pipelined_cg.h"
 #include "sparse/ops.h"
 #include "support/timer.h"
 #include "support/trace.h"
@@ -62,27 +56,22 @@ namespace spcg {
 /// Which rank-local iteration body drives the distributed solve.
 enum class DistBody {
   kClassic,      // solver/pcg.h recurrence, 2 all-reduces / iteration
-  kOverlapped,   // pipelined recurrence, reductions hidden behind compute
-  kCommReduced,  // pipelined recurrence, 1 fused all-reduce / iteration
+  kCommReduced,  // solver/pipelined_cg.h recurrence, 1 / iteration
 };
 
 inline const char* to_string(DistBody b) {
   switch (b) {
     case DistBody::kClassic: return "classic";
-    case DistBody::kOverlapped: return "overlapped";
     case DistBody::kCommReduced: return "comm-reduced";
   }
   return "unknown";
 }
 
-/// Parse a CLI spelling ("classic" | "overlapped" | "comm-reduced").
+/// Parse a CLI spelling: "classic" | "comm-reduced".
 inline bool parse_dist_body(std::string_view name, DistBody* out) {
   if (name == "classic") {
     *out = DistBody::kClassic;
-  } else if (name == "overlapped" || name == "pipelined") {
-    *out = DistBody::kOverlapped;
-  } else if (name == "comm-reduced" || name == "comm_reduced" ||
-             name == "sstep") {
+  } else if (name == "comm-reduced") {
     *out = DistBody::kCommReduced;
   } else {
     return false;
@@ -97,19 +86,10 @@ struct DistOptions {
   /// Per-subdomain SPCG pipeline configuration (sparsify + ILU + executor)
   /// and the PCG options of the outer distributed iteration.
   SpcgOptions options;
-  /// Solver body. kClassic here defers to the legacy `overlap` flag so
-  /// existing call sites keep their meaning.
   DistBody body = DistBody::kClassic;
-  /// Legacy spelling of body = kOverlapped (honored when body is kClassic).
-  bool overlap = false;
   /// Transport backing and knobs (kind, collective timeout, injected
   /// latency) for the rank group.
   TransportOptions transport;
-
-  [[nodiscard]] DistBody effective_body() const {
-    if (body != DistBody::kClassic) return body;
-    return overlap ? DistBody::kOverlapped : DistBody::kClassic;
-  }
 };
 
 /// Everything a distributed solve needs before it sees a right-hand side:
@@ -164,8 +144,9 @@ struct DistSolveStats {
   double overlap_hidden_seconds = 0.0;  // compute inside open collectives,
                                         // summed over ranks
   /// Fraction of synchronization hidden behind compute: overlapped work /
-  /// (overlapped work + barrier waits), summed over ranks. 0 for the classic
-  /// body (nothing is overlapped).
+  /// (overlapped work + barrier waits), summed over ranks. Both bodies hide
+  /// each halo exchange behind the interior SpMV; comm-reduced also hides
+  /// its reduction behind the preconditioner apply.
   double overlap_efficiency = 0.0;
 };
 
@@ -211,478 +192,90 @@ void spmv_add(const Csr<T>& bnd, std::span<const T> h, std::span<T> y) {
   }
 }
 
-/// Local partial of dot(x, y), accumulated in T like sparse/norms.h dot().
+/// Rank communication policy (the seam solver/pcg.h describes). The matvec
+/// publishes this rank's slice and runs the interior SpMV while the halo is
+/// in flight, then adds the boundary block against the gathered halo. The
+/// reductions are the deterministic all-reduce; reduce_around runs its work
+/// between reduce_begin and reduce_end.
 template <class T>
-T partial_dot(std::span<const T> x, std::span<const T> y) {
-  T acc{0};
-  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-  return acc;
-}
+struct RankOps {
+  static constexpr const char* kCategory = "dist";
+  Communicator<T>& comm;
+  const LocalSystem<T>& local;
+  std::vector<T> halo;
 
-/// Local partial of ||x||^2, accumulated in T like norm2() before its sqrt.
-template <class T>
-T partial_sumsq(std::span<const T> x) {
-  T acc{0};
-  for (const T& v : x) acc += v * v;
-  return acc;
-}
-
-/// Finish a reduced sum-of-squares the way serial code finishes norm2():
-/// cast back to T, sqrt in T, report as double.
-template <class T>
-double norm_from_sumsq(double reduced) {
-  return static_cast<double>(std::sqrt(static_cast<T>(reduced)));
-}
-
-/// Shared tail of both rank bodies: recompute the true residual against the
-/// distributed operator in double (the serial solvers' drift check), scatter
-/// this rank's solution slice, and let rank 0 finalize the result.
-template <class T>
-void finish_rank(Communicator<T>& comm, const LocalSystem<T>& local,
-                 std::span<const T> b_loc, std::span<const T> x,
-                 std::span<T> w, std::span<T> halo, SolveStatus status,
-                 std::int32_t iterations, std::span<T> x_global,
-                 SolveResult<T>& res) {
-  auto h = comm.exchange_begin(x);
-  comm.exchange_end(h, local, halo);
-  spmv(local.a_interior, x, w);
-  spmv_add(local.a_boundary, std::span<const T>(halo.data(), halo.size()), w);
-  double true_norm = 0.0;
-  for (std::size_t i = 0; i < b_loc.size(); ++i) {
-    const double d =
-        static_cast<double>(b_loc[i]) - static_cast<double>(w[i]);
-    true_norm += d * d;
-  }
-  std::array<double, 1> red{true_norm};
-  comm.allreduce(std::span<double>(red));
-  scatter_local(std::span<const T>(x.data(), x.size()), local.owned, x_global);
-  if (comm.rank() == 0) {
-    res.status = status;
-    res.iterations = iterations;
-    res.final_residual_norm = std::sqrt(red[0]);
-  }
-}
-
-/// Classic distributed PCG — the rank-local body of solver/pcg.h pcg().
-template <class T>
-void dist_rank_classic(Communicator<T>& comm, const DistSetup<T>& setup,
-                       std::span<const T> b, const SpcgOptions& sopt,
-                       std::span<T> x_global, SolveResult<T>& res) {
-  const index_t rank = comm.rank();
-  const LocalSystem<T>& local = setup.locals[static_cast<std::size_t>(rank)];
-  const SpcgSetup<T>& sub = *setup.subdomains[static_cast<std::size_t>(rank)];
-  const PcgOptions& opt = sopt.pcg;
-  const auto n_loc = static_cast<std::size_t>(local.rows());
-  IluApplier<T> m(sub.factors, sub.l_schedule, sub.u_schedule, sopt.executor);
-
-  const std::vector<T> b_loc = gather_local(b, local.owned);
-  std::array<double, 2> red{};
-
-  red[0] = static_cast<double>(partial_sumsq(std::span<const T>(b_loc)));
-  comm.allreduce(std::span<double>(red.data(), 1));
-  const double b_norm = norm_from_sumsq<T>(red[0]);
-  if (b_norm == 0.0) {
-    // Mirrors pcg(): b = 0 answers x = 0 directly. x_global is already zero.
-    if (rank == 0) {
-      res.status = SolveStatus::kConverged;
-      if (opt.record_history) res.residual_history.push_back(0.0);
-    }
-    return;
+  [[nodiscard]] index_t nnz() const {
+    return local.a_interior.nnz() + local.a_boundary.nnz();
   }
 
-  std::vector<T> x(n_loc, T{0});
-  std::vector<T> r(b_loc);
-  std::vector<T> z(n_loc), p(n_loc), w(n_loc);
-  std::vector<T> halo(static_cast<std::size_t>(local.halo_size()));
-  m.apply(r, std::span<T>(z));
-  p = z;
-
-  red[0] = static_cast<double>(
-      partial_dot(std::span<const T>(r), std::span<const T>(z)));
-  red[1] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-  comm.allreduce(std::span<double>(red));
-  T rz = static_cast<T>(red[0]);
-  double r_norm = norm_from_sumsq<T>(red[1]);
-  const double target = opt.relative ? opt.tolerance * b_norm : opt.tolerance;
-  if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
-
-  const bool trace_iters =
-      opt.trace_every > 0 && global_trace().enabled();
-  SolveStatus status = SolveStatus::kMaxIterations;
-  std::int32_t k = 0;
-  for (; k < opt.max_iterations; ++k) {
-    if (r_norm < target) {
-      status = SolveStatus::kConverged;
-      break;
-    }
-    const TraceSampleScope sample(trace_iters && k % opt.trace_every == 0);
-    Span iter_span("iteration", "dist");
-    iter_span.arg("k", k);
-    // Blocking halo exchange, then the full local SpMV (the overlapped body
-    // hides the exchange behind the interior half instead).
-    {
-      Span span("halo_exchange", "dist");
-      auto h = comm.exchange_begin(std::span<const T>(p));
-      comm.exchange_end(h, local, std::span<T>(halo));
-    }
-    {
-      Span span("spmv", "dist");
-      spmv(local.a_interior, std::span<const T>(p), std::span<T>(w));
-      spmv_add(local.a_boundary, std::span<const T>(halo), std::span<T>(w));
-    }
-
-    T pw;
-    {
-      Span span("allreduce", "dist");
-      red[0] = static_cast<double>(
-          partial_dot(std::span<const T>(p), std::span<const T>(w)));
-      comm.allreduce(std::span<double>(red.data(), 1));
-      pw = static_cast<T>(red[0]);
-    }
-    if (!(pw > T{0})) {
-      status = SolveStatus::kBreakdown;
-      break;
-    }
-    const T alpha = rz / pw;
-    axpy(alpha, std::span<const T>(p), std::span<T>(x));
-    axpy(-alpha, std::span<const T>(w), std::span<T>(r));
-    {
-      Span span("precond", "dist");
-      m.apply(r, std::span<T>(z));
-    }
-    {
-      Span span("allreduce", "dist");
-      red[0] = static_cast<double>(
-          partial_dot(std::span<const T>(r), std::span<const T>(z)));
-      red[1] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-      comm.allreduce(std::span<double>(red));
-    }
-    const T rz_next = static_cast<T>(red[0]);
-    if (rz == T{0} || rz_next != rz_next) {
-      status = SolveStatus::kBreakdown;
-      ++k;
-      break;
-    }
-    const T beta = rz_next / rz;
-    rz = rz_next;
-    xpby(std::span<const T>(z), beta, std::span<T>(p));
-    r_norm = norm_from_sumsq<T>(red[1]);
-    if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
-  }
-  if (status == SolveStatus::kMaxIterations && r_norm < target)
-    status = SolveStatus::kConverged;
-
-  finish_rank(comm, local, std::span<const T>(b_loc), std::span<const T>(x),
-              std::span<T>(w), std::span<T>(halo), status, k, x_global, res);
-}
-
-/// Overlapped distributed PCG — the rank-local body of pipelined_pcg(), with
-/// the reduction hidden behind the preconditioner apply and the halo
-/// exchange hidden behind the interior SpMV.
-template <class T>
-void dist_rank_overlapped(Communicator<T>& comm, const DistSetup<T>& setup,
-                          std::span<const T> b, const SpcgOptions& sopt,
-                          std::span<T> x_global, SolveResult<T>& res) {
-  const index_t rank = comm.rank();
-  const LocalSystem<T>& local = setup.locals[static_cast<std::size_t>(rank)];
-  const SpcgSetup<T>& sub = *setup.subdomains[static_cast<std::size_t>(rank)];
-  const PcgOptions& opt = sopt.pcg;
-  const auto n_loc = static_cast<std::size_t>(local.rows());
-  IluApplier<T> m(sub.factors, sub.l_schedule, sub.u_schedule, sopt.executor);
-
-  const std::vector<T> b_loc = gather_local(b, local.owned);
-  std::vector<T> x(n_loc, T{0});
-  std::vector<T> r(b_loc);
-  std::vector<T> z(n_loc), w(n_loc), mw(n_loc), p(n_loc), s(n_loc), q(n_loc);
-  std::vector<T> halo(static_cast<std::size_t>(local.halo_size()));
-
-  // Overlapped w = A z: interior SpMV runs while the halo is in flight.
-  auto local_spmv_overlapped = [&](std::span<const T> in, std::span<T> out) {
-    auto h = comm.exchange_begin(in);
-    WallTimer t;
-    {
-      Span span("spmv", "dist");
-      spmv(local.a_interior, in, out);
-    }
-    comm.note_overlap_compute(t.seconds());
-    Span span("halo_exchange", "dist");
+  void matvec(std::span<const T> x, std::span<T> y) {
+    auto h = comm.exchange_begin(x);
+    WallTimer timer;
+    spmv(local.a_interior, x, y);
+    comm.note_overlap_compute(timer.seconds());
+    Span span("halo_exchange", kCategory);
     comm.exchange_end(h, local, std::span<T>(halo));
-    spmv_add(local.a_boundary, std::span<const T>(halo), out);
-  };
-
-  m.apply(r, std::span<T>(z));
-  local_spmv_overlapped(std::span<const T>(z), std::span<T>(w));
-
-  // One fused startup reduction: {||b||^2, (r, z), ||r||^2}.
-  std::array<double, 3> red3{};
-  red3[0] = static_cast<double>(partial_sumsq(std::span<const T>(b_loc)));
-  red3[1] = static_cast<double>(
-      partial_dot(std::span<const T>(r), std::span<const T>(z)));
-  red3[2] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-  comm.allreduce(std::span<double>(red3));
-  const double b_norm = norm_from_sumsq<T>(red3[0]);
-  const double target =
-      opt.relative ? opt.tolerance * (b_norm > 0.0 ? b_norm : 1.0)
-                   : opt.tolerance;
-  T gamma = static_cast<T>(red3[1]);
-  T alpha{0}, gamma_old{0};
-  double r_norm = norm_from_sumsq<T>(red3[2]);
-  if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
-
-  const bool trace_iters =
-      opt.trace_every > 0 && global_trace().enabled();
-  std::array<double, 2> red{};
-  SolveStatus status = SolveStatus::kMaxIterations;
-  std::int32_t k = 0;
-  for (; k < opt.max_iterations; ++k) {
-    if (r_norm < target) {
-      status = SolveStatus::kConverged;
-      break;
-    }
-    const TraceSampleScope sample(trace_iters && k % opt.trace_every == 0);
-    Span iter_span("iteration", "dist");
-    iter_span.arg("k", k);
-    // The iteration's reduction, hidden behind the preconditioner apply. If
-    // apply throws (checked executor), finish the collective first so the
-    // abort fires outside the open window (comm.h contract).
-    red[0] = static_cast<double>(
-        partial_dot(std::span<const T>(w), std::span<const T>(z)));
-    auto rh = comm.reduce_begin(std::span<const double>(red.data(), 1));
-    std::exception_ptr apply_error;
-    WallTimer apply_timer;
-    try {
-      m.apply(w, std::span<T>(mw));
-    } catch (...) {
-      apply_error = std::current_exception();
-    }
-    comm.note_overlap_compute(apply_timer.seconds());
-    comm.reduce_end(rh, std::span<double>(red.data(), 1));
-    if (apply_error) std::rethrow_exception(apply_error);
-    const T delta = static_cast<T>(red[0]);
-
-    T beta;
-    if (k == 0) {
-      beta = T{0};
-      alpha = gamma / delta;
-    } else {
-      beta = gamma / gamma_old;
-      const T denom = delta - beta * gamma / alpha;
-      if (!(denom != T{0}) || denom != denom) {
-        status = SolveStatus::kBreakdown;
-        break;
-      }
-      alpha = gamma / denom;
-    }
-    if (!(alpha == alpha)) {
-      status = SolveStatus::kBreakdown;
-      break;
-    }
-
-    xpby(std::span<const T>(z), beta, std::span<T>(p));
-    xpby(std::span<const T>(w), beta, std::span<T>(s));
-    xpby(std::span<const T>(mw), beta, std::span<T>(q));
-    axpy(alpha, std::span<const T>(p), std::span<T>(x));
-    axpy(-alpha, std::span<const T>(s), std::span<T>(r));
-    axpy(-alpha, std::span<const T>(q), std::span<T>(z));
-
-    local_spmv_overlapped(std::span<const T>(z), std::span<T>(w));
-    gamma_old = gamma;
-    red[0] = static_cast<double>(
-        partial_dot(std::span<const T>(r), std::span<const T>(z)));
-    red[1] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-    comm.allreduce(std::span<double>(red));
-    gamma = static_cast<T>(red[0]);
-    if (gamma != gamma) {
-      status = SolveStatus::kBreakdown;
-      ++k;
-      break;
-    }
-    r_norm = norm_from_sumsq<T>(red[1]);
-    if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
+    spmv_add(local.a_boundary, std::span<const T>(halo), y);
   }
-  if (status == SolveStatus::kMaxIterations && r_norm < target)
-    status = SolveStatus::kConverged;
 
-  finish_rank(comm, local, std::span<const T>(b_loc), std::span<const T>(x),
-              std::span<T>(w), std::span<T>(halo), status, k, x_global, res);
-}
-
-/// Communication-reduced distributed PCG — the pipelined recurrence with
-/// ONE fused all-reduce per iteration.
-///
-/// Derivation: in the pipelined body, the iteration-top reduction computes
-/// delta = (w, z) and the iteration-bottom reduction computes {gamma =
-/// (r, z), ||r||^2}. Between the bottom of iteration k and the top of
-/// iteration k+1 neither w nor z changes (w is recomputed by the bottom
-/// SpMV from the already-updated z; only scalars move in between). So the
-/// bottom reduction can carry next iteration's delta as a third fused
-/// element — same partial sums over the same vectors in the same order,
-/// folded per-element in the same rank order, hence bitwise-identical
-/// scalars — and the top reduction disappears. The preconditioner apply
-/// mw = M^{-1} w moves to the bottom as well (w is final there) and
-/// overlaps the single reduction's synchronization. The startup reduction
-/// fuses {||b||^2, (r, z), ||r||^2, (w, z)} — exactly kReduceWidth wide.
-///
-/// All-reduce totals per solve: iterations + 2 (startup + one per
-/// iteration + the true-residual check), vs 2 * iterations + 3 classic.
-template <class T>
-void dist_rank_comm_reduced(Communicator<T>& comm, const DistSetup<T>& setup,
-                            std::span<const T> b, const SpcgOptions& sopt,
-                            std::span<T> x_global, SolveResult<T>& res) {
-  const index_t rank = comm.rank();
-  const LocalSystem<T>& local = setup.locals[static_cast<std::size_t>(rank)];
-  const SpcgSetup<T>& sub = *setup.subdomains[static_cast<std::size_t>(rank)];
-  const PcgOptions& opt = sopt.pcg;
-  const auto n_loc = static_cast<std::size_t>(local.rows());
-  IluApplier<T> m(sub.factors, sub.l_schedule, sub.u_schedule, sopt.executor);
-
-  const std::vector<T> b_loc = gather_local(b, local.owned);
-  std::vector<T> x(n_loc, T{0});
-  std::vector<T> r(b_loc);
-  std::vector<T> z(n_loc), w(n_loc), mw(n_loc), p(n_loc), s(n_loc), q(n_loc);
-  std::vector<T> halo(static_cast<std::size_t>(local.halo_size()));
-
-  auto local_spmv_overlapped = [&](std::span<const T> in, std::span<T> out) {
-    auto h = comm.exchange_begin(in);
-    WallTimer t;
-    {
-      Span span("spmv", "dist");
-      spmv(local.a_interior, in, out);
-    }
-    comm.note_overlap_compute(t.seconds());
-    Span span("halo_exchange", "dist");
-    comm.exchange_end(h, local, std::span<T>(halo));
-    spmv_add(local.a_boundary, std::span<const T>(halo), out);
-  };
-
-  /// The fused reduction, overlapped with mw = M^{-1} w. If apply throws
-  /// (checked executor), finish the collective first so the abort fires
-  /// outside the open window (transport contract).
-  auto reduce_overlapping_apply = [&](std::span<double> red) {
-    auto rh = comm.reduce_begin(std::span<const double>(red.data(),
-                                                        red.size()));
-    std::exception_ptr apply_error;
-    WallTimer apply_timer;
-    try {
-      m.apply(w, std::span<T>(mw));
-    } catch (...) {
-      apply_error = std::current_exception();
-    }
-    comm.note_overlap_compute(apply_timer.seconds());
-    comm.reduce_end(rh, red);
-    if (apply_error) std::rethrow_exception(apply_error);
-  };
-
-  m.apply(r, std::span<T>(z));
-  local_spmv_overlapped(std::span<const T>(z), std::span<T>(w));
-
-  // Fused startup reduction: {||b||^2, (r, z), ||r||^2, (w, z)}.
-  std::array<double, 4> red4{};
-  red4[0] = static_cast<double>(partial_sumsq(std::span<const T>(b_loc)));
-  red4[1] = static_cast<double>(
-      partial_dot(std::span<const T>(r), std::span<const T>(z)));
-  red4[2] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-  red4[3] = static_cast<double>(
-      partial_dot(std::span<const T>(w), std::span<const T>(z)));
-  reduce_overlapping_apply(std::span<double>(red4));
-  const double b_norm = norm_from_sumsq<T>(red4[0]);
-  const double target =
-      opt.relative ? opt.tolerance * (b_norm > 0.0 ? b_norm : 1.0)
-                   : opt.tolerance;
-  T gamma = static_cast<T>(red4[1]);
-  T alpha{0}, gamma_old{0};
-  double r_norm = norm_from_sumsq<T>(red4[2]);
-  double delta_d = red4[3];
-  if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
-
-  const bool trace_iters =
-      opt.trace_every > 0 && global_trace().enabled();
-  std::array<double, 3> red3{};
-  SolveStatus status = SolveStatus::kMaxIterations;
-  std::int32_t k = 0;
-  for (; k < opt.max_iterations; ++k) {
-    if (r_norm < target) {
-      status = SolveStatus::kConverged;
-      break;
-    }
-    const TraceSampleScope sample(trace_iters && k % opt.trace_every == 0);
-    Span iter_span("iteration", "dist");
-    iter_span.arg("k", k);
-    const T delta = static_cast<T>(delta_d);
-
-    T beta;
-    if (k == 0) {
-      beta = T{0};
-      alpha = gamma / delta;
-    } else {
-      beta = gamma / gamma_old;
-      const T denom = delta - beta * gamma / alpha;
-      if (!(denom != T{0}) || denom != denom) {
-        status = SolveStatus::kBreakdown;
-        break;
-      }
-      alpha = gamma / denom;
-    }
-    if (!(alpha == alpha)) {
-      status = SolveStatus::kBreakdown;
-      break;
-    }
-
-    xpby(std::span<const T>(z), beta, std::span<T>(p));
-    xpby(std::span<const T>(w), beta, std::span<T>(s));
-    xpby(std::span<const T>(mw), beta, std::span<T>(q));
-    axpy(alpha, std::span<const T>(p), std::span<T>(x));
-    axpy(-alpha, std::span<const T>(s), std::span<T>(r));
-    axpy(-alpha, std::span<const T>(q), std::span<T>(z));
-
-    local_spmv_overlapped(std::span<const T>(z), std::span<T>(w));
-    gamma_old = gamma;
-    // The iteration's single reduction: this iteration's {gamma, ||r||^2}
-    // plus next iteration's delta, overlapped with the apply.
-    red3[0] = static_cast<double>(
-        partial_dot(std::span<const T>(r), std::span<const T>(z)));
-    red3[1] = static_cast<double>(partial_sumsq(std::span<const T>(r)));
-    red3[2] = static_cast<double>(
-        partial_dot(std::span<const T>(w), std::span<const T>(z)));
-    reduce_overlapping_apply(std::span<double>(red3));
-    gamma = static_cast<T>(red3[0]);
-    if (gamma != gamma) {
-      status = SolveStatus::kBreakdown;
-      ++k;
-      break;
-    }
-    delta_d = red3[2];
-    r_norm = norm_from_sumsq<T>(red3[1]);
-    if (rank == 0 && opt.record_history) res.residual_history.push_back(r_norm);
+  void reduce(std::span<double> partials) {
+    Span span("allreduce", kCategory);
+    comm.allreduce(partials);
   }
-  if (status == SolveStatus::kMaxIterations && r_norm < target)
-    status = SolveStatus::kConverged;
 
-  finish_rank(comm, local, std::span<const T>(b_loc), std::span<const T>(x),
-              std::span<T>(w), std::span<T>(halo), status, k, x_global, res);
-}
+  /// If `work` throws (the checked executor's race report), the collective
+  /// is closed first, so the abort fires outside the open window (comm.h
+  /// contract).
+  template <class Work>
+  void reduce_around(std::span<double> partials, Work&& work) {
+    auto h = comm.reduce_begin(std::span<const double>(partials));
+    std::exception_ptr error;
+    WallTimer timer;
+    try {
+      work();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    comm.note_overlap_compute(timer.seconds());
+    Span span("allreduce", kCategory);
+    comm.reduce_end(h, partials);
+    if (error) std::rethrow_exception(error);
+  }
+};
 
 }  // namespace detail
 
-/// The rank-local body of one distributed solve, dispatched on
-/// DistOptions::effective_body(). Public so multi-process rank drivers
-/// (examples/spcg_dist_worker) can run one rank over a process transport.
+/// The rank-local part of one distributed solve: gather this rank's slice of
+/// b, run the body DistOptions::body names over the rank policy, scatter the
+/// slice of x back; rank 0 reports status, iterations, the true residual and
+/// the history. Public so multi-process rank drivers (examples/
+/// spcg_dist_worker) can run one rank over a process transport.
 template <class T>
 void dist_pcg_rank(Communicator<T>& comm, const DistSetup<T>& setup,
                    std::span<const T> b, const DistOptions& opt,
                    std::span<T> x_global, SolveResult<T>& res) {
-  switch (opt.effective_body()) {
-    case DistBody::kOverlapped:
-      detail::dist_rank_overlapped(comm, setup, b, opt.options, x_global,
-                                   res);
-      break;
-    case DistBody::kCommReduced:
-      detail::dist_rank_comm_reduced(comm, setup, b, opt.options, x_global,
-                                     res);
-      break;
-    case DistBody::kClassic:
-      detail::dist_rank_classic(comm, setup, b, opt.options, x_global, res);
-      break;
+  const auto rank = static_cast<std::size_t>(comm.rank());
+  const LocalSystem<T>& local = setup.locals[rank];
+  const SpcgSetup<T>& sub = *setup.subdomains[rank];
+  const IluApplier<T> m(sub.factors, sub.l_schedule, sub.u_schedule,
+                        opt.options.executor);
+  const std::vector<T> b_loc = gather_local(b, local.owned);
+  detail::RankOps<T> ops{
+      comm, local,
+      std::vector<T>(static_cast<std::size_t>(local.halo_size()))};
+  PcgWorkspace<T> ws;
+  SolveResult<T> mine =
+      opt.body == DistBody::kCommReduced
+          ? detail::pipelined_cg(ops, std::span<const T>(b_loc), m,
+                                 opt.options.pcg, {}, ws)
+          : detail::classic_cg(ops, std::span<const T>(b_loc), m,
+                               opt.options.pcg, {}, ws);
+  scatter_local(std::span<const T>(mine.x), local.owned, x_global);
+  if (rank == 0) {
+    res.status = mine.status;
+    res.iterations = mine.iterations;
+    res.final_residual_norm = mine.final_residual_norm;
+    res.residual_history = std::move(mine.residual_history);
   }
 }
 
@@ -725,7 +318,7 @@ DistSolveResult<T> dist_pcg_solve(std::span<const T> b,
     Communicator<T> comm(&group->transport(rank));
     Span rank_span("rank", "dist");
     rank_span.arg("rank", static_cast<std::int64_t>(rank));
-    rank_span.arg("body", std::string(to_string(opt.effective_body())));
+    rank_span.arg("body", std::string(to_string(opt.body)));
     try {
       dist_pcg_rank(comm, setup, b, opt, x_global, out.solve);
     } catch (...) {

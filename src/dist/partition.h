@@ -6,9 +6,9 @@
 // columns (off-part couplings, also ascending) — and splits the block row
 // into an *interior* matrix (owned x owned, also the restricted-additive-
 // Schwarz subdomain matrix the per-part SPCG preconditioner is built from)
-// and a *boundary* matrix (owned x halo). The split is what the overlapped
-// solver exploits: the interior SpMV needs no remote data and can run while
-// the halo values are in flight.
+// and a *boundary* matrix (owned x halo). The split is what the rank matvec
+// exploits: the interior SpMV needs no remote data and can run while the
+// halo values are in flight.
 //
 // Strategies:
 //   * kContiguous — balanced contiguous row blocks; optimal for matrices

@@ -230,7 +230,7 @@ inline SetupPatternKey pattern_key_of(const SetupKey& k) {
 }
 
 /// Same, reusing an already-computed fingerprint (e.g. shared across the
-/// fill-level candidates of select_best_fill_level).
+/// fill-level candidates of tune_fill_level).
 inline SetupKey make_setup_key(const MatrixFingerprint& fp,
                                const SpcgOptions& opt) {
   return SetupKey{fp, setup_options_digest(opt)};

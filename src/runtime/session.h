@@ -80,7 +80,7 @@ class SolverSession {
                       allow_pattern_refresh) {}
 
   /// Borrow with a precomputed fingerprint, so callers probing several
-  /// option sets against one matrix (select_best_fill_level) hash it once.
+  /// option sets against one matrix (tune_fill_level) hash it once.
   SolverSession(const Csr<T>& a, const MatrixFingerprint& fp, SpcgOptions opt,
                 std::shared_ptr<SetupCache<T>> cache = nullptr)
       : a_(std::shared_ptr<const Csr<T>>(&a, [](const Csr<T>*) {})),
@@ -283,41 +283,5 @@ class SolverSession {
   std::optional<analysis::VerifyOptions> verify_;
 };
 
-/// Select the best-converging K ∈ `candidates` for the *baseline* PCG-ILU(K)
-/// on matrix A (paper §3.3: "we select the best converging K ... for the
-/// non-sparsified PCG-ILU(K). We then use this value to measure the effect
-/// of sparsification"). Best = fewest iterations among converging runs, ties
-/// to the smaller K; when nothing converges, the K with the smallest final
-/// residual.
-///
-/// Deprecated spelling: this forwards to tune_fill_level in
-/// autotune/fill_level.h, which additionally records every candidate's
-/// timings in KSelection::trials and accepts a TelemetryRegistry. New code
-/// should call tune_fill_level (or the full Tuner in autotune/tuner.h)
-/// directly; this wrapper stays for source compatibility.
-template <class T>
-KSelection<T> select_best_fill_level(
-    const Csr<T>& a, std::span<const T> b, SpcgOptions opt,
-    std::span<const index_t> candidates,
-    std::shared_ptr<SetupCache<T>> cache = nullptr) {
-  return tune_fill_level(a, b, std::move(opt), candidates, std::move(cache),
-                         nullptr);
-}
-
-template <class T>
-KSelection<T> select_best_fill_level(
-    const Csr<T>& a, const std::vector<T>& b, const SpcgOptions& opt,
-    const std::vector<index_t>& candidates,
-    std::shared_ptr<SetupCache<T>> cache = nullptr) {
-  return select_best_fill_level(a, std::span<const T>(b), opt,
-                                std::span<const index_t>(candidates),
-                                std::move(cache));
-}
-
 }  // namespace spcg
 
-// The forwarding target. Trailing include so both include orders compile:
-// fill_level.h itself includes this header (its probes run through
-// SolverSession), and the wrapper's call is resolved via argument-dependent
-// lookup at instantiation time, by which point the definition is visible.
-#include "autotune/fill_level.h"  // NOLINT(misc-include-cleaner)

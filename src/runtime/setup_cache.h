@@ -77,7 +77,7 @@ class SetupCache {
   }
 
   /// Same with a precomputed key (callers that fingerprint once and reuse it
-  /// across several option sets, e.g. select_best_fill_level).
+  /// across several option sets, e.g. tune_fill_level).
   SetupPtr get_or_build(const SetupKey& key,
                         const std::function<SpcgSetup<T>()>& build,
                         bool* was_hit = nullptr) {

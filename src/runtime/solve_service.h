@@ -54,10 +54,7 @@ struct ServiceRequest {
   /// Subdomain setups flow through the same service-wide SetupCache.
   index_t parts = 1;
   PartitionOptions partition;  // partitioning strategy when parts > 1
-  bool overlap_comm = false;   // communication-overlapped distributed body
-  /// Communication-reduced distributed body (one fused all-reduce per
-  /// iteration); takes precedence over overlap_comm.
-  bool comm_reduced = false;
+  DistBody body = DistBody::kClassic;  // distributed body when parts > 1
   /// Transport backing for distributed requests (kind, collective timeout,
   /// injected latency).
   TransportOptions transport;
@@ -322,8 +319,7 @@ class SolveService {
         dopt.parts = job.request.parts;
         dopt.partition = job.request.partition;
         dopt.options = job.request.options;
-        dopt.overlap = job.request.overlap_comm;
-        if (job.request.comm_reduced) dopt.body = DistBody::kCommReduced;
+        dopt.body = job.request.body;
         dopt.transport = job.request.transport;
         DistSolverSession<T> session(job.request.a, dopt, cache_, &telemetry_);
         DistSolveResult<T> run = session.solve(job.request.b);

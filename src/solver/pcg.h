@@ -5,6 +5,21 @@
 // application once per iteration, and a maximum-iteration cap. cg() is the
 // unpreconditioned special case.
 //
+// The recurrence is written once, as detail::classic_cg, against a small
+// compile-time communication policy `Ops`:
+//   * ops.matvec(x, y)          y = A x over the rows this caller owns;
+//   * ops.reduce(v)             sum the partials in v over every owner;
+//   * ops.reduce_around(v, f)   the same reduction, with f() run while it
+//                               is in flight;
+//   * ops.nnz(), Ops::kCategory the span annotation and category.
+// LocalOps below is the serial policy (spmv, no-op reductions, "solve"
+// spans) and pcg() is its instantiation; dist/dist_pcg.h supplies the rank
+// policy, so the distributed classic body is this same loop. Partial sums
+// are taken in T and carried through the reduction as double, which is
+// exact both ways, so the serial policy adds no arithmetic, no allocation
+// and no virtual call. solver/pipelined_cg.h holds the pipelined recurrence
+// in the same form.
+//
 // Two extensions serve the transient-solve subsystem (src/transient/):
 //   * an optional initial guess x0 (warm start). When omitted the solver is
 //     bitwise identical to the historical x0 = 0 behavior — the residual is
@@ -15,6 +30,9 @@
 //     SPCG_ALLOC_AUDIT enforce).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,7 +64,7 @@ struct PcgOptions {
 enum class SolveStatus {
   kConverged,
   kMaxIterations,
-  kBreakdown,  // division by (numerically) zero curvature or rho
+  kBreakdown,  // non-positive or NaN curvature, or a zero or NaN rho
 };
 
 /// Result of a CG/PCG run.
@@ -63,18 +81,217 @@ struct SolveResult {
   }
 };
 
-/// Caller-owned scratch for pcg(). A default-constructed workspace is valid;
-/// the first solve through it sizes every vector and subsequent solves of
-/// the same dimension reuse the capacity (no heap traffic). The `x` member
-/// is a donor buffer for the result: pcg() moves it into SolveResult::x, so
-/// it is empty after the call — move a retired solution buffer back in
-/// before the next solve to keep the round trip allocation-free (see
-/// TransientSession for the canonical double-buffer pattern).
+/// Caller-owned scratch for pcg() and pipelined_pcg(). A default-constructed
+/// workspace is valid; the first solve through it sizes every vector and
+/// subsequent solves of the same dimension reuse the capacity (no heap
+/// traffic). The `x` member is a donor buffer for the result: the solver
+/// moves it into SolveResult::x, so it is empty after the call — move a
+/// retired solution buffer back in before the next solve to keep the round
+/// trip allocation-free (see TransientSession for the canonical
+/// double-buffer pattern).
 template <class T>
 struct PcgWorkspace {
   std::vector<T> r, z, p, w, ax;
-  std::vector<T> x;  // donor buffer, consumed by each pcg() call
+  std::vector<T> s, q, mw;  // the pipelined recurrence's extra vectors
+  std::vector<T> x;  // donor buffer, consumed by each solve
 };
+
+/// Serial communication policy: the caller owns every row, so the matvec is
+/// spmv and the reductions have nothing to add.
+template <class T>
+struct LocalOps {
+  static constexpr const char* kCategory = "solve";
+  const Csr<T>& a;
+
+  [[nodiscard]] index_t nnz() const { return a.nnz(); }
+  void matvec(std::span<const T> x, std::span<T> y) const { spmv(a, x, y); }
+  void reduce(std::span<double> /*partials*/) const {}
+  template <class Work>
+  void reduce_around(std::span<double> /*partials*/, Work&& work) const {
+    work();
+  }
+};
+
+namespace detail {
+
+/// Finish a reduced sum of squares the way norm2() finishes its own: back
+/// to T, sqrt in T, reported as double.
+template <class T>
+double norm_from_sumsq(double reduced) {
+  return static_cast<double>(std::sqrt(static_cast<T>(reduced)));
+}
+
+/// Preamble of both bodies: the result takes the workspace's donor buffer
+/// and holds x0 (or 0); r = b - A x0, computed against the solver's own copy
+/// of the guess so callers may pass a span into a buffer they are about to
+/// recycle. Without a guess r0 = b and no matvec runs.
+template <class T, class Ops>
+void start_cg(Ops& ops, std::span<const T> b, std::span<const T> x0,
+              PcgWorkspace<T>& wk, SolveResult<T>& res) {
+  const std::size_t n = b.size();
+  res.x = std::move(wk.x);
+  if (x0.empty()) {
+    res.x.assign(n, T{0});
+  } else {
+    res.x.assign(x0.begin(), x0.end());
+  }
+  wk.r.assign(b.begin(), b.end());
+  wk.w.assign(n, T{0});
+  if (!x0.empty()) {
+    ops.matvec(std::span<const T>(res.x), std::span<T>(wk.w));
+    for (std::size_t i = 0; i < n; ++i) wk.r[i] -= wk.w[i];
+  }
+}
+
+/// b = 0 has the exact solution x = 0. Under relative tolerance the
+/// threshold tolerance*||b|| would be 0 and ||r|| < 0 can never hold, so
+/// the solver could only exit at max_iterations; answer directly instead
+/// (an initial guess is discarded — the exact answer is known).
+template <class T>
+void answer_zero_rhs(const PcgOptions& opt, SolveResult<T>& res,
+                     Span& solve_span) {
+  std::fill(res.x.begin(), res.x.end(), T{0});
+  res.status = SolveStatus::kConverged;
+  if (opt.record_history) res.residual_history.push_back(0.0);
+  solve_span.arg("iterations", std::int64_t{0});
+}
+
+/// Tail of both bodies: a loop that ran out of iterations below the target
+/// still counts as converged, and the true residual ||b - A x|| is
+/// recomputed in double (the recurrence can drift).
+template <class T, class Ops>
+void finish_cg(Ops& ops, std::span<const T> b, std::int32_t k,
+               bool below_target, PcgWorkspace<T>& wk, SolveResult<T>& res,
+               Span& solve_span) {
+  if (res.status == SolveStatus::kMaxIterations && below_target)
+    res.status = SolveStatus::kConverged;
+  res.iterations = k;
+  solve_span.arg("iterations", k);
+  solve_span.arg("converged", res.converged());
+  wk.ax.assign(b.size(), T{0});
+  ops.matvec(std::span<const T>(res.x), std::span<T>(wk.ax));
+  std::array<double, 1> red{0.0};
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const double d = static_cast<double>(b[i]) - static_cast<double>(wk.ax[i]);
+    red[0] += d * d;
+  }
+  ops.reduce(std::span<double>(red));
+  res.final_residual_norm = std::sqrt(red[0]);
+}
+
+/// The classic PCG recurrence over policy `ops`: two reductions per
+/// iteration, the curvature (p, Ap), then {(r, z), ||r||^2} fused.
+template <class T, class Ops>
+SolveResult<T> classic_cg(Ops& ops, std::span<const T> b,
+                          const Preconditioner<T>& m, const PcgOptions& opt,
+                          std::span<const T> x0, PcgWorkspace<T>& wk) {
+  constexpr const char* cat = Ops::kCategory;
+  Span pcg_span("pcg", cat);
+  pcg_span.arg("rows", static_cast<std::int64_t>(b.size()));
+  pcg_span.arg("nnz", static_cast<std::int64_t>(ops.nnz()));
+
+  SolveResult<T> res;
+  start_cg(ops, b, x0, wk, res);
+  std::array<double, 2> red{static_cast<double>(sumsq(b))};
+  ops.reduce(std::span<double>(red.data(), 1));
+  const double b_norm = norm_from_sumsq<T>(red[0]);
+  if (b_norm == 0.0) {
+    answer_zero_rhs(opt, res, pcg_span);
+    return res;
+  }
+
+  const bool trace_iters = opt.trace_every > 0 && global_trace().enabled();
+  wk.z.assign(b.size(), T{0});
+  wk.p.assign(b.size(), T{0});
+  {
+    const TraceSampleScope sample(trace_iters);
+    Span span("precond", cat);
+    m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
+  }
+  wk.p.assign(wk.z.begin(), wk.z.end());
+
+  red = {static_cast<double>(
+             dot(std::span<const T>(wk.r), std::span<const T>(wk.z))),
+         static_cast<double>(sumsq(std::span<const T>(wk.r)))};
+  ops.reduce(std::span<double>(red));
+  T rz = static_cast<T>(red[0]);
+  double r_norm = norm_from_sumsq<T>(red[1]);
+  const double target =
+      opt.relative ? opt.tolerance * b_norm : opt.tolerance;  // b_norm > 0
+  if (opt.record_history) res.residual_history.push_back(r_norm);
+
+  std::int32_t k = 0;
+  for (; k < opt.max_iterations; ++k) {
+    if (r_norm < target) {
+      res.status = SolveStatus::kConverged;
+      break;
+    }
+    // Allocation probe: after the warmup iteration (k = 0), an iteration
+    // must not touch the heap — the zero-allocation contract of ROADMAP
+    // Open item 4. Tracing and history recording allocate by design, so
+    // the steady-state claim only holds with both off; the auditor
+    // attributes those allocations to this phase either way.
+    const analysis::AllocAuditScope alloc_scope("pcg.iteration",
+                                                /*steady_state=*/k > 0);
+    // Per-iteration phase spans, sampled every trace_every-th iteration;
+    // unsampled iterations suppress these and any nested spans (the SpTRSV
+    // sweeps inside m.apply) on this thread.
+    const TraceSampleScope sample(trace_iters &&
+                                  k % opt.trace_every == 0);
+    Span iter_span("iteration", cat);
+    iter_span.arg("k", k);
+    {
+      Span span("spmv", cat);
+      ops.matvec(std::span<const T>(wk.p), std::span<T>(wk.w));
+    }
+    {
+      Span span("reduce", cat);
+      red[0] = static_cast<double>(
+          dot(std::span<const T>(wk.p), std::span<const T>(wk.w)));
+      ops.reduce(std::span<double>(red.data(), 1));
+    }
+    const T pw = static_cast<T>(red[0]);
+    if (!(pw > T{0})) {  // SPD curvature must be positive; catches NaN too
+      res.status = SolveStatus::kBreakdown;
+      break;
+    }
+    const T alpha = rz / pw;
+    {
+      Span span("axpy", cat);
+      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
+      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r));
+    }
+    {
+      Span span("precond", cat);
+      m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
+    }
+    {
+      Span span("reduce", cat);
+      red = {static_cast<double>(
+                 dot(std::span<const T>(wk.r), std::span<const T>(wk.z))),
+             static_cast<double>(sumsq(std::span<const T>(wk.r)))};
+      ops.reduce(std::span<double>(red));
+    }
+    const T rz_next = static_cast<T>(red[0]);
+    if (rz == T{0} || rz_next != rz_next) {  // NaN guard
+      res.status = SolveStatus::kBreakdown;
+      ++k;
+      break;
+    }
+    const T beta = rz_next / rz;
+    rz = rz_next;
+    {
+      Span span("axpy", cat);
+      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
+    }
+    r_norm = norm_from_sumsq<T>(red[1]);
+    if (opt.record_history) res.residual_history.push_back(r_norm);
+  }
+  finish_cg(ops, b, k, r_norm < target, wk, res, pcg_span);
+  return res;
+}
+
+}  // namespace detail
 
 /// Left-preconditioned conjugate gradient (Algorithm 1 of the paper).
 ///
@@ -90,145 +307,10 @@ SolveResult<T> pcg(const Csr<T>& a, std::span<const T> b,
   SPCG_CHECK(a.rows == a.cols);
   SPCG_CHECK(static_cast<index_t>(b.size()) == a.rows);
   SPCG_CHECK(m.rows() == a.rows);
-  const auto n = static_cast<std::size_t>(a.rows);
-  const bool warm = !x0.empty();
-  if (warm) SPCG_CHECK(static_cast<index_t>(x0.size()) == a.rows);
-
-  Span pcg_span("pcg", "solve");
-  pcg_span.arg("rows", static_cast<std::int64_t>(a.rows));
-  pcg_span.arg("nnz", static_cast<std::int64_t>(a.nnz()));
-
+  if (!x0.empty()) SPCG_CHECK(static_cast<index_t>(x0.size()) == a.rows);
   PcgWorkspace<T> local;
-  PcgWorkspace<T>& wk = ws != nullptr ? *ws : local;
-
-  SolveResult<T> res;
-  res.x = std::move(wk.x);  // donor buffer (empty for the private workspace)
-  if (warm) {
-    res.x.assign(x0.begin(), x0.end());
-  } else {
-    res.x.assign(n, T{0});  // x0 = 0
-  }
-
-  const double b_norm = static_cast<double>(norm2(b));
-  if (b_norm == 0.0) {
-    // b = 0 has the exact solution x = 0. Under relative tolerance the
-    // threshold tolerance*||b|| would be 0 and ||r|| < 0 can never hold, so
-    // the solver could only exit at max_iterations; answer directly instead
-    // (an initial guess is discarded — the exact answer is known).
-    res.x.assign(n, T{0});
-    res.status = SolveStatus::kConverged;
-    if (opt.record_history) res.residual_history.push_back(0.0);
-    pcg_span.arg("iterations", std::int64_t{0});
-    return res;
-  }
-
-  const bool trace_iters = opt.trace_every > 0 && global_trace().enabled();
-  wk.r.assign(b.begin(), b.end());  // r0 = b - A x0 (x0 = 0: r0 = b)
-  if (warm) {
-    // r0 = b - A x0, computed against the solver's own copy of the guess so
-    // callers may pass a span into a buffer they are about to recycle.
-    wk.w.assign(n, T{0});
-    spmv(a, std::span<const T>(res.x), std::span<T>(wk.w));
-    for (std::size_t i = 0; i < n; ++i) wk.r[i] -= wk.w[i];
-  }
-  wk.z.assign(n, T{0});
-  wk.p.assign(n, T{0});
-  wk.w.assign(n, T{0});
-  {
-    const TraceSampleScope sample(trace_iters);
-    Span span("precond", "solve");
-    m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
-  }
-  wk.p.assign(wk.z.begin(), wk.z.end());
-
-  T rz = dot(std::span<const T>(wk.r), std::span<const T>(wk.z));
-  const double target =
-      opt.relative ? opt.tolerance * b_norm : opt.tolerance;  // b_norm > 0
-
-  double r_norm = static_cast<double>(norm2(std::span<const T>(wk.r)));
-  if (opt.record_history) res.residual_history.push_back(r_norm);
-
-  std::int32_t k = 0;
-  for (; k < opt.max_iterations; ++k) {
-    if (r_norm < target) {
-      res.status = SolveStatus::kConverged;
-      break;
-    }
-    // Allocation probe: after the warmup iteration (k = 0), a serial-path
-    // iteration must not touch the heap — the zero-allocation contract of
-    // ROADMAP Open item 4. Tracing and history recording allocate by
-    // design, so the steady-state claim only holds with both off; the
-    // auditor attributes those allocations to this phase either way.
-    const analysis::AllocAuditScope alloc_scope("pcg.iteration",
-                                                /*steady_state=*/k > 0);
-    // Per-iteration phase spans, sampled every trace_every-th iteration;
-    // unsampled iterations suppress these and any nested spans (the SpTRSV
-    // sweeps inside m.apply) on this thread.
-    const TraceSampleScope sample(trace_iters &&
-                                  k % opt.trace_every == 0);
-    Span iter_span("iteration", "solve");
-    iter_span.arg("k", k);
-    T pw;
-    {
-      Span span("spmv", "solve");
-      spmv(a, std::span<const T>(wk.p), std::span<T>(wk.w));
-    }
-    {
-      Span span("reduce", "solve");
-      pw = dot(std::span<const T>(wk.p), std::span<const T>(wk.w));
-    }
-    if (!(pw > T{0})) {  // SPD curvature must be positive; catches NaN too
-      res.status = SolveStatus::kBreakdown;
-      break;
-    }
-    const T alpha = rz / pw;
-    {
-      Span span("axpy", "solve");
-      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
-      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r));
-    }
-    {
-      Span span("precond", "solve");
-      m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
-    }
-    T rz_next;
-    {
-      Span span("reduce", "solve");
-      rz_next = dot(std::span<const T>(wk.r), std::span<const T>(wk.z));
-    }
-    if (rz == T{0} || rz_next != rz_next) {  // NaN guard
-      res.status = SolveStatus::kBreakdown;
-      ++k;
-      break;
-    }
-    const T beta = rz_next / rz;
-    rz = rz_next;
-    {
-      Span span("axpy", "solve");
-      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
-    }
-    {
-      Span span("reduce", "solve");
-      r_norm = static_cast<double>(norm2(std::span<const T>(wk.r)));
-    }
-    if (opt.record_history) res.residual_history.push_back(r_norm);
-  }
-  if (res.status == SolveStatus::kMaxIterations && r_norm < target)
-    res.status = SolveStatus::kConverged;
-
-  res.iterations = k;
-  pcg_span.arg("iterations", k);
-  pcg_span.arg("converged", res.converged());
-  // Recompute the true residual (the recurrence can drift).
-  wk.ax.assign(n, T{0});
-  spmv(a, std::span<const T>(res.x), std::span<T>(wk.ax));
-  double true_norm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(b[i]) - static_cast<double>(wk.ax[i]);
-    true_norm += d * d;
-  }
-  res.final_residual_norm = std::sqrt(true_norm);
-  return res;
+  LocalOps<T> ops{a};
+  return detail::classic_cg(ops, b, m, opt, x0, ws != nullptr ? *ws : local);
 }
 
 /// Unpreconditioned CG.

@@ -1,65 +1,94 @@
-// Pipelined preconditioned conjugate gradient (Ghysels & Vanroose).
+// Pipelined preconditioned conjugate gradient (Ghysels & Vanroose), in the
+// merged-reduction form of the communication-reduced variants of
+// arXiv 2501.03743.
 //
-// Algebraically equivalent to classic PCG but restructured so both dot
-// products of an iteration are computed back-to-back and can overlap with
-// the SpMV — one global synchronization per iteration instead of two. On the
-// device model this halves the BLAS-1 launch/sync count; numerically the
-// extra recurrences admit slightly more rounding drift, which is why the
-// classic three-term version remains the default solver.
+// Algebraically equivalent to classic PCG but restructured so every scalar
+// an iteration needs comes out of ONE fused reduction at the bottom of the
+// previous iteration: {gamma = (r, z), ||r||^2, delta = (w, z)}, where w and
+// z already hold the values the next iteration's top reads. The
+// preconditioner apply mw = M^{-1} w runs while that reduction is in flight.
+// Over the rank policy (dist/dist_pcg.h) that is one all-reduce per
+// iteration instead of two; numerically the extra recurrences admit slightly
+// more rounding drift, which is why the classic three-term version remains
+// the default solver. The apply at the bottom of the last iteration goes
+// unused, so a solve of k iterations applies the preconditioner k + 2 times.
 //
 // Recurrences (left preconditioning, M z = r):
-//   w = A z;  gamma = (r, z);  delta = (w, z)
-//   beta = gamma / gamma_old;  alpha = gamma / (delta - beta * gamma / alpha)
-//   p <- z + beta p;  s <- w + beta s;  q <- M^{-1} s (as m = M^{-1} w...)
-// following the standard pipelined PCG formulation.
+//   beta = gamma / gamma_old;  denom = delta - beta * gamma / alpha = (p, Ap)
+//   alpha = gamma / denom
+//   p <- z + beta p;  s <- w + beta s;  q <- mw + beta q
+//   x <- x + alpha p; r <- r - alpha s; z <- z - alpha q;  w = A z
+//
+// detail::pipelined_cg is the one body, over the communication policy of
+// solver/pcg.h; pipelined_pcg() is its serial instantiation.
 #pragma once
+
+#include <array>
 
 #include "precond/preconditioner.h"
 #include "solver/pcg.h"
 
 namespace spcg {
+namespace detail {
 
-/// Pipelined PCG. Same options/result types as pcg(). `x0` is an optional
-/// initial guess: empty = start from zero (bitwise identical to the
-/// historical behavior — r0 is taken from b without an SpMV).
-template <class T>
-SolveResult<T> pipelined_pcg(const Csr<T>& a, std::span<const T> b,
-                             const Preconditioner<T>& m,
-                             const PcgOptions& opt = {},
-                             std::span<const T> x0 = {}) {
-  SPCG_CHECK(a.rows == a.cols);
-  SPCG_CHECK(static_cast<index_t>(b.size()) == a.rows);
-  SPCG_CHECK(m.rows() == a.rows);
-  const auto n = static_cast<std::size_t>(a.rows);
-  const bool warm = !x0.empty();
-  if (warm) SPCG_CHECK(static_cast<index_t>(x0.size()) == a.rows);
+/// The pipelined recurrence over policy `ops`. Failure semantics match
+/// classic_cg: the denominator is the curvature (p, Ap), so a non-positive
+/// or NaN one is a breakdown, and so is a zero or NaN rho.
+template <class T, class Ops>
+SolveResult<T> pipelined_cg(Ops& ops, std::span<const T> b,
+                            const Preconditioner<T>& m, const PcgOptions& opt,
+                            std::span<const T> x0, PcgWorkspace<T>& wk) {
+  constexpr const char* cat = Ops::kCategory;
+  Span pcg_span("pipelined_pcg", cat);
+  pcg_span.arg("rows", static_cast<std::int64_t>(b.size()));
+  pcg_span.arg("nnz", static_cast<std::int64_t>(ops.nnz()));
 
   SolveResult<T> res;
-  if (warm) {
-    res.x.assign(x0.begin(), x0.end());
-  } else {
-    res.x.assign(n, T{0});
+  start_cg(ops, b, x0, wk, res);
+  const bool trace_iters = opt.trace_every > 0 && global_trace().enabled();
+  const std::size_t n = b.size();
+  wk.z.assign(n, T{0});
+  wk.p.assign(n, T{0});
+  wk.s.assign(n, T{0});
+  wk.q.assign(n, T{0});
+  wk.mw.assign(n, T{0});
+  // mw = M^{-1} w, run while the iteration's reduction is in flight.
+  const auto apply_w = [&] {
+    Span span("precond", cat);
+    m.apply(std::span<const T>(wk.w), std::span<T>(wk.mw));
+  };
+
+  // Fused startup reduction {||b||^2, (r, z), ||r||^2, (w, z)}.
+  std::array<double, 4> red{};
+  {
+    const TraceSampleScope sample(trace_iters);
+    {
+      Span span("precond", cat);
+      m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
+    }
+    {
+      Span span("spmv", cat);
+      ops.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
+    }
+    red = {static_cast<double>(sumsq(b)),
+           static_cast<double>(
+               dot(std::span<const T>(wk.r), std::span<const T>(wk.z))),
+           static_cast<double>(sumsq(std::span<const T>(wk.r))),
+           static_cast<double>(
+               dot(std::span<const T>(wk.w), std::span<const T>(wk.z)))};
+    ops.reduce_around(std::span<double>(red), apply_w);
   }
-
-  std::vector<T> r(b.begin(), b.end());  // r0 = b - A x0 (x0 = 0: r0 = b)
-  std::vector<T> z(n), w(n), mw(n), p(n), s(n), q(n);
-  if (warm) {
-    spmv(a, std::span<const T>(res.x), std::span<T>(w));
-    for (std::size_t i = 0; i < n; ++i) r[i] -= w[i];
-    w.assign(n, T{0});
+  const double b_norm = norm_from_sumsq<T>(red[0]);
+  if (b_norm == 0.0) {
+    answer_zero_rhs(opt, res, pcg_span);
+    return res;
   }
-
-  m.apply(r, std::span<T>(z));                      // z = M^{-1} r
-  spmv(a, std::span<const T>(z), std::span<T>(w));  // w = A z
-
-  const double b_norm = static_cast<double>(norm2(std::span<const T>(b)));
   const double target =
-      opt.relative ? opt.tolerance * (b_norm > 0.0 ? b_norm : 1.0)
-                   : opt.tolerance;
-
-  T gamma = dot(std::span<const T>(r), std::span<const T>(z));
+      opt.relative ? opt.tolerance * b_norm : opt.tolerance;  // b_norm > 0
+  T gamma = static_cast<T>(red[1]);
+  double r_norm = norm_from_sumsq<T>(red[2]);
+  T delta = static_cast<T>(red[3]);
   T alpha{0}, gamma_old{0};
-  double r_norm = static_cast<double>(norm2(std::span<const T>(r)));
   if (opt.record_history) res.residual_history.push_back(r_norm);
 
   std::int32_t k = 0;
@@ -68,61 +97,82 @@ SolveResult<T> pipelined_pcg(const Csr<T>& a, std::span<const T> b,
       res.status = SolveStatus::kConverged;
       break;
     }
-    // The single fused reduction of the iteration: gamma was updated at the
-    // bottom of the loop; delta pairs with it.
-    const T delta = dot(std::span<const T>(w), std::span<const T>(z));
-    m.apply(w, std::span<T>(mw));  // m = M^{-1} w (overlaps the reduction)
-
-    T beta;
-    if (k == 0) {
-      beta = T{0};
-      alpha = gamma / delta;
-    } else {
+    // Allocation probe and trace sampling as in classic_cg.
+    const analysis::AllocAuditScope alloc_scope("pcg.iteration",
+                                                /*steady_state=*/k > 0);
+    const TraceSampleScope sample(trace_iters &&
+                                  k % opt.trace_every == 0);
+    Span iter_span("iteration", cat);
+    iter_span.arg("k", k);
+    T beta{0};
+    T denom = delta;
+    if (k > 0) {
       beta = gamma / gamma_old;
-      const T denom = delta - beta * gamma / alpha;
-      if (!(denom != T{0}) || denom != denom) {  // zero or NaN
-        res.status = SolveStatus::kBreakdown;
-        break;
-      }
-      alpha = gamma / denom;
+      denom = delta - beta * gamma / alpha;
     }
-    if (!(alpha == alpha)) {  // NaN guard
+    if (!(denom > T{0})) {  // SPD curvature must be positive; catches NaN too
       res.status = SolveStatus::kBreakdown;
       break;
     }
-
-    // Vector recurrences (all local, no reductions).
-    xpby(std::span<const T>(z), beta, std::span<T>(p));    // p = z + beta p
-    xpby(std::span<const T>(w), beta, std::span<T>(s));    // s = w + beta s
-    xpby(std::span<const T>(mw), beta, std::span<T>(q));   // q = m + beta q
-    axpy(alpha, std::span<const T>(p), std::span<T>(res.x));
-    axpy(-alpha, std::span<const T>(s), std::span<T>(r));
-    axpy(-alpha, std::span<const T>(q), std::span<T>(z));
-
-    spmv(a, std::span<const T>(z), std::span<T>(w));  // w = A z
+    alpha = gamma / denom;
+    {
+      Span span("axpy", cat);
+      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
+      xpby(std::span<const T>(wk.w), beta, std::span<T>(wk.s));
+      xpby(std::span<const T>(wk.mw), beta, std::span<T>(wk.q));
+      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
+      axpy(-alpha, std::span<const T>(wk.s), std::span<T>(wk.r));
+      axpy(-alpha, std::span<const T>(wk.q), std::span<T>(wk.z));
+    }
+    {
+      Span span("spmv", cat);
+      ops.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
+    }
+    // The iteration's single reduction: this iteration's {gamma, ||r||^2}
+    // plus the next iteration's delta.
+    {
+      Span span("reduce", cat);
+      red[0] = static_cast<double>(
+          dot(std::span<const T>(wk.r), std::span<const T>(wk.z)));
+      red[1] = static_cast<double>(sumsq(std::span<const T>(wk.r)));
+      red[2] = static_cast<double>(
+          dot(std::span<const T>(wk.w), std::span<const T>(wk.z)));
+    }
+    ops.reduce_around(std::span<double>(red.data(), 3), apply_w);
     gamma_old = gamma;
-    gamma = dot(std::span<const T>(r), std::span<const T>(z));
-    if (gamma != gamma) {
+    gamma = static_cast<T>(red[0]);
+    if (gamma_old == T{0} || gamma != gamma) {  // NaN guard
       res.status = SolveStatus::kBreakdown;
       ++k;
       break;
     }
-    r_norm = static_cast<double>(norm2(std::span<const T>(r)));
+    delta = static_cast<T>(red[2]);
+    r_norm = norm_from_sumsq<T>(red[1]);
     if (opt.record_history) res.residual_history.push_back(r_norm);
   }
-  if (res.status == SolveStatus::kMaxIterations && r_norm < target)
-    res.status = SolveStatus::kConverged;
-
-  res.iterations = k;
-  std::vector<T> ax(n);
-  spmv(a, std::span<const T>(res.x), std::span<T>(ax));
-  double true_norm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(b[i]) - static_cast<double>(ax[i]);
-    true_norm += d * d;
-  }
-  res.final_residual_norm = std::sqrt(true_norm);
+  finish_cg(ops, b, k, r_norm < target, wk, res, pcg_span);
   return res;
+}
+
+}  // namespace detail
+
+/// Pipelined PCG. Same options, result and workspace types as pcg(). `x0`
+/// is an optional initial guess: empty = start from zero (r0 is taken from
+/// b without an SpMV). `ws`: optional caller-owned scratch; null = private
+/// scratch allocated per call.
+template <class T>
+SolveResult<T> pipelined_pcg(const Csr<T>& a, std::span<const T> b,
+                             const Preconditioner<T>& m,
+                             const PcgOptions& opt = {},
+                             std::span<const T> x0 = {},
+                             PcgWorkspace<T>* ws = nullptr) {
+  SPCG_CHECK(a.rows == a.cols);
+  SPCG_CHECK(static_cast<index_t>(b.size()) == a.rows);
+  SPCG_CHECK(m.rows() == a.rows);
+  if (!x0.empty()) SPCG_CHECK(static_cast<index_t>(x0.size()) == a.rows);
+  PcgWorkspace<T> local;
+  LocalOps<T> ops{a};
+  return detail::pipelined_cg(ops, b, m, opt, x0, ws != nullptr ? *ws : local);
 }
 
 template <class T>

@@ -8,15 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/alloc_audit.h"
 #include "analysis/lint.h"
 #include "analysis/race_detector.h"
 #include "analysis/verify.h"
 #include "core/sparsify.h"
+#include "dist/dist_pcg.h"
 #include "dist/partition.h"
 #include "runtime/session.h"
+#include "solver/pipelined_cg.h"
 #include "gen/generators.h"
 #include "gen/suite.h"
 #include "precond/ilu.h"
@@ -671,25 +677,50 @@ TEST(AllocAudit, SteadyStateViolationBecomesDiagnostic) {
 TEST(AllocAudit, SerialPcgSteadyStateIsAllocationFree) {
   if (!analysis::alloc_audit_compiled())
     GTEST_SKIP() << "built without SPCG_ALLOC_AUDIT";
-  // The ROADMAP Open item 4 gate: with tracing and history off, a serial
-  // PCG iteration after warmup must not touch the heap.
+  // The ROADMAP Open item 4 gate: with tracing and history off, an
+  // iteration after warmup must not touch the heap — in the serial session,
+  // in pipelined_pcg, and in both rank bodies (in-process ranks, whose
+  // iterations run on their own threads).
   const Csr<double> a = good_matrix();
   const SolverSession<double> session(a, SpcgOptions{});
   std::vector<double> b(static_cast<std::size_t>(a.rows), 1.0);
-  analysis::AllocAudit::instance().reset();
-  analysis::AllocAudit::instance().set_enabled(true);
-  const auto r = session.solve(b);
-  analysis::AllocAudit::instance().set_enabled(false);
-  EXPECT_TRUE(r.solve.converged());
-  bool found = false;
-  for (const auto& s : analysis::AllocAudit::instance().snapshot()) {
-    if (s.phase != "pcg.iteration") continue;
-    found = true;
-    EXPECT_GE(s.steady_scopes, 2u);
-    EXPECT_EQ(s.steady_allocs, 0u)
-        << s.steady_violations << " steady iteration(s) allocated";
+  const SpcgSetup<double>& s = session.setup();
+  const IluApplier<double> m(s.factors, s.l_schedule, s.u_schedule,
+                             session.options().executor);
+  std::vector<std::pair<std::string, std::function<bool()>>> inputs{
+      {"session", [&] { return session.solve(b).solve.converged(); }},
+      {"pipelined_pcg",
+       [&] { return pipelined_pcg(a, b, m, PcgOptions{}).converged(); }}};
+  for (const index_t parts : {1, 2}) {
+    for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+      DistOptions dopt;
+      dopt.parts = parts;
+      dopt.body = body;
+      inputs.emplace_back(
+          std::string(to_string(body)) + " P=" + std::to_string(parts),
+          [&a, &b, dopt] {
+            const DistSetup<double> setup = dist_setup(a, dopt);
+            return dist_pcg_solve(b, setup, dopt).solve.converged();
+          });
+    }
   }
-  EXPECT_TRUE(found);
+  for (const auto& [name, solve] : inputs) {
+    analysis::AllocAudit::instance().reset();
+    analysis::AllocAudit::instance().set_enabled(true);
+    const bool converged = solve();
+    analysis::AllocAudit::instance().set_enabled(false);
+    EXPECT_TRUE(converged) << name;
+    bool found = false;
+    for (const auto& st : analysis::AllocAudit::instance().snapshot()) {
+      if (st.phase != "pcg.iteration") continue;
+      found = true;
+      EXPECT_GE(st.steady_scopes, 2u) << name;
+      EXPECT_EQ(st.steady_allocs, 0u)
+          << name << ": " << st.steady_violations
+          << " steady iteration(s) allocated";
+    }
+    EXPECT_TRUE(found) << name;
+  }
   analysis::AllocAudit::instance().reset();
 }
 

@@ -486,7 +486,7 @@ TEST(AutotuneTuner, NearbyMatrixWarmStartsFromTheNeighborRecord) {
   EXPECT_EQ(db->size(), 2u);
 }
 
-// --------------------------------------------------------- fill-level wrapper
+// ----------------------------------------------------------- fill-level tuner
 
 TEST(AutotuneFillLevel, TrialsAreSurfacedAndWrapperAgrees) {
   const Csr<double> a = gen_poisson2d(16, 16);
@@ -516,14 +516,6 @@ TEST(AutotuneFillLevel, TrialsAreSurfacedAndWrapperAgrees) {
   ASSERT_NE(winner, tuned.trials.end());
   for (const KCandidateTrial& t : tuned.trials)
     EXPECT_GE(t.iterations, winner->iterations);
-
-  // The deprecated session.h wrapper forwards here and agrees exactly.
-  const KSelection<double> wrapped =
-      select_best_fill_level(a, b, fast_options(), candidates);
-  EXPECT_EQ(wrapped.k, tuned.k);
-  EXPECT_EQ(wrapped.trials.size(), tuned.trials.size());
-  EXPECT_EQ(wrapped.baseline.solve.iterations,
-            tuned.baseline.solve.iterations);
 }
 
 // ------------------------------------------------------------------- service

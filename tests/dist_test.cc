@@ -19,8 +19,11 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -151,14 +154,14 @@ TEST(DistPartition, SinglePartInteriorIsBitwiseTheMatrix) {
 // ---------------------------------------------------------------------------
 // DistComm — concurrent rank harness (TSan target)
 
-/// Run `fn(comm)` on P concurrent ranks with the same abort protocol as
-/// dist_pcg_solve; returns one exception_ptr slot per rank.
+/// Run `fn(comm)` on the ranks of an explicit transport group with the same
+/// abort protocol as dist_pcg_solve; returns one exception_ptr slot per rank.
 template <class Fn>
-std::vector<std::exception_ptr> run_world(index_t parts, Fn fn) {
-  CommWorld<double> world(parts);
+std::vector<std::exception_ptr> run_group(TransportGroup& group, Fn fn) {
+  const index_t parts = group.size();
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(parts));
   auto body = [&](index_t rank) {
-    Communicator<double> comm(&world, rank);
+    Communicator<double> comm(&group.transport(rank));
     try {
       fn(comm);
     } catch (...) {
@@ -171,6 +174,14 @@ std::vector<std::exception_ptr> run_world(index_t parts, Fn fn) {
   body(0);
   for (std::thread& t : threads) t.join();
   return errors;
+}
+
+/// Run `fn(comm)` on P concurrent in-process ranks.
+template <class Fn>
+std::vector<std::exception_ptr> run_world(index_t parts, Fn fn) {
+  const std::unique_ptr<TransportGroup> group =
+      make_transport_group(parts, {}, {});
+  return run_group(*group, fn);
 }
 
 TEST(DistComm, AllreduceIsDeterministicRankOrderSum) {
@@ -283,27 +294,6 @@ TEST(DistHalo, ExchangeGathersNeighborValuesAcrossRounds) {
 
 // ---------------------------------------------------------------------------
 // TransportConformance — the same contracts against every backing
-
-/// Run `fn(comm)` on the ranks of an explicit transport group.
-template <class Fn>
-std::vector<std::exception_ptr> run_group(TransportGroup& group, Fn fn) {
-  const index_t parts = group.size();
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(parts));
-  auto body = [&](index_t rank) {
-    Communicator<double> comm(&group.transport(rank));
-    try {
-      fn(comm);
-    } catch (...) {
-      errors[static_cast<std::size_t>(rank)] = std::current_exception();
-      comm.abort();
-    }
-  };
-  std::vector<std::thread> threads;
-  for (index_t r = 1; r < parts; ++r) threads.emplace_back(body, r);
-  body(0);
-  for (std::thread& t : threads) t.join();
-  return errors;
-}
 
 class TransportConformance : public ::testing::TestWithParam<TransportKind> {
  protected:
@@ -710,31 +700,6 @@ TEST(DistSolve, SinglePartIsBitwiseEqualToSpcgSolve) {
   EXPECT_EQ(dist.solve.residual_history, serial.solve.residual_history);
 }
 
-TEST(DistSolve, SinglePartOverlappedIsBitwiseEqualToPipelinedPcg) {
-  const Csr<double> a = gen_poisson2d(20, 20);
-  const std::vector<double> b = make_rhs(a, 9);
-  SpcgOptions opt = fast_options();
-  opt.pcg.record_history = true;
-
-  SpcgSetup<double> setup = spcg_setup(a, opt);
-  const IluPreconditioner<double> m(setup.factors, setup.l_schedule,
-                                    setup.u_schedule, opt.executor);
-  const SolveResult<double> serial = pipelined_pcg(a, b, m, opt.pcg);
-
-  DistOptions dopt;
-  dopt.parts = 1;
-  dopt.options = opt;
-  dopt.overlap = true;
-  const DistSolveResult<double> dist =
-      dist_pcg_solve(b, dist_setup(a, dopt), dopt);
-
-  EXPECT_EQ(dist.solve.status, serial.status);
-  EXPECT_EQ(dist.solve.iterations, serial.iterations);
-  EXPECT_EQ(dist.solve.x, serial.x);  // bitwise
-  EXPECT_EQ(dist.solve.final_residual_norm, serial.final_residual_norm);
-  EXPECT_EQ(dist.solve.residual_history, serial.residual_history);
-}
-
 TEST(DistSolve, SinglePartCommReducedIsBitwiseEqualToPipelinedPcg) {
   const Csr<double> a = gen_poisson2d(20, 20);
   const std::vector<double> b = make_rhs(a, 6);
@@ -790,15 +755,15 @@ TEST(DistSolve, MultiPartConvergesOnPoisson) {
   ASSERT_TRUE(serial.solve.converged());
 
   for (const index_t parts : {2, 4}) {
-    for (const bool overlap : {false, true}) {
+    for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
       DistOptions dopt;
       dopt.parts = parts;
       dopt.options = opt;
-      dopt.overlap = overlap;
+      dopt.body = body;
       const DistSolveResult<double> dist =
           dist_pcg_solve(b, dist_setup(a, dopt), dopt);
       EXPECT_TRUE(dist.solve.converged())
-          << "P=" << parts << " overlap=" << overlap;
+          << "P=" << parts << " body=" << to_string(body);
       EXPECT_LT(dist.solve.final_residual_norm, 1e-6);
       // The block preconditioner is weaker than the global one; the bench's
       // acceptance bar is 1.5x on Poisson, the test margin is looser.
@@ -841,6 +806,88 @@ TEST(DistSolve, ZeroRhsAnswersDirectlyLikePcg) {
   for (const double v : dist.solve.x) EXPECT_EQ(v, 0.0);
 }
 
+/// One failure table over every CG entry point: the serial classic and
+/// pipelined solvers, the batched driver, and both rank bodies at P = 1 and
+/// P = 2. Each row expects the same status and iteration count everywhere.
+TEST(DistSolve, EveryEntryPointSharesFailureSemantics) {
+  const Csr<double> poisson = gen_poisson2d(16, 16);
+  Csr<double> negated = poisson;
+  for (double& v : negated.values) v = -v;
+  const std::vector<double> rhs = make_rhs(poisson, 3);
+  std::vector<double> nan_rhs = rhs;
+  nan_rhs[37] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> zero(rhs.size(), 0.0);
+  const std::vector<double> guess(rhs.size(), 0.5);
+
+  PcgOptions tight;
+  tight.tolerance = 1e-10;
+  PcgOptions relative = tight;
+  relative.relative = true;
+  PcgOptions unreachable;
+  unreachable.tolerance = 1e-30;
+  unreachable.max_iterations = 5;
+  struct Row {
+    const char* name;
+    const Csr<double>& a;
+    const std::vector<double>& b;
+    bool warm;  // nonzero guess for the entry points that take one
+    PcgOptions pcg;
+    SolveStatus status;
+    std::int32_t iterations;
+  };
+  const Row rows[] = {
+      {"negative-definite A", negated, rhs, false, tight,
+       SolveStatus::kBreakdown, 0},
+      {"NaN in b", poisson, nan_rhs, false, tight, SolveStatus::kBreakdown, 0},
+      {"b = 0, warm guess, relative", poisson, zero, true, relative,
+       SolveStatus::kConverged, 0},
+      {"b = 0, warm guess, absolute", poisson, zero, true, tight,
+       SolveStatus::kConverged, 0},
+      {"unreachable tolerance", poisson, rhs, false, unreachable,
+       SolveStatus::kMaxIterations, 5},
+  };
+
+  for (const Row& row : rows) {
+    SpcgOptions opt;
+    opt.pcg = row.pcg;
+    const SpcgSetup<double> setup = spcg_setup(row.a, opt);
+    const IluApplier<double> m(setup.factors, setup.l_schedule,
+                               setup.u_schedule, opt.executor);
+    const std::span<const double> b(row.b);
+    const std::span<const double> x0 =
+        row.warm ? std::span<const double>(guess) : std::span<const double>();
+    auto expect_row = [&](const SolveResult<double>& r,
+                          const std::string& entry) {
+      EXPECT_EQ(r.status, row.status) << row.name << ": " << entry;
+      EXPECT_EQ(r.iterations, row.iterations) << row.name << ": " << entry;
+      if (row.status == SolveStatus::kConverged) {
+        for (const double v : r.x) ASSERT_EQ(v, 0.0) << row.name << ": " << entry;
+      }
+    };
+    expect_row(pcg(row.a, b, m, row.pcg, x0), "pcg");
+    expect_row(pipelined_pcg(row.a, b, m, row.pcg, x0), "pipelined_pcg");
+    const std::vector<std::vector<double>> bs{row.b};
+    const std::vector<std::vector<double>> x0s{
+        row.warm ? guess : std::vector<double>{}};
+    expect_row(pcg_batched(row.a, std::span<const std::vector<double>>(bs),
+                           setup.factors, setup.l_schedule, setup.u_schedule,
+                           row.pcg,
+                           std::span<const std::vector<double>>(x0s))[0],
+               "pcg_batched");
+    for (const index_t parts : {1, 2}) {
+      for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+        DistOptions dopt;
+        dopt.parts = parts;
+        dopt.options = opt;
+        dopt.body = body;
+        expect_row(dist_pcg_solve(b, dist_setup(row.a, dopt), dopt).solve,
+                   std::string(to_string(body)) + " P=" +
+                       std::to_string(parts));
+      }
+    }
+  }
+}
+
 TEST(DistSolve, CheckedExecutorRunsConcurrentRanks) {
   // Every rank drives the race-detecting SpTRSV executor inside its own
   // thread — a TSan-visible mix of the analysis layer and the communicator.
@@ -850,11 +897,11 @@ TEST(DistSolve, CheckedExecutorRunsConcurrentRanks) {
   dopt.parts = 2;
   dopt.options = fast_options();
   dopt.options.executor = TrsvExec::kLevelScheduledChecked;
-  for (const bool overlap : {false, true}) {
-    dopt.overlap = overlap;
+  for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+    dopt.body = body;
     const DistSolveResult<double> dist =
         dist_pcg_solve(b, dist_setup(a, dopt), dopt);
-    EXPECT_TRUE(dist.solve.converged()) << "overlap=" << overlap;
+    EXPECT_TRUE(dist.solve.converged()) << "body=" << to_string(body);
   }
 }
 

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "autotune/fill_level.h"
 #include "core/spcg.h"
 #include "gen/generators.h"
 #include "runtime/runtime.h"
@@ -435,13 +436,12 @@ TEST(RuntimeSession, SelectBestFillLevelSharedCacheAndProtocol) {
   const std::vector<index_t> ks{0, 2, 5};
 
   auto cache = std::make_shared<SetupCache<double>>(8);
-  const KSelection<double> first = select_best_fill_level(a, b, opt, ks, cache);
+  const KSelection<double> first = tune_fill_level(a, b, opt, ks, cache);
   EXPECT_EQ(cache->stats().misses, ks.size());
   EXPECT_EQ(cache->stats().hits, 0u);
 
   // A repeated selection against the same cache re-runs nothing.
-  const KSelection<double> second =
-      select_best_fill_level(a, b, opt, ks, cache);
+  const KSelection<double> second = tune_fill_level(a, b, opt, ks, cache);
   EXPECT_EQ(cache->stats().misses, ks.size());
   EXPECT_EQ(cache->stats().hits, ks.size());
   EXPECT_EQ(first.k, second.k);

@@ -1,12 +1,19 @@
-// Unit + property tests for CG/PCG (Algorithm 1) and the Lanczos estimator.
+// Unit + property tests for CG/PCG (Algorithm 1) and the Lanczos estimator,
+// plus frozen references: test-local copies of the serial pcg() and
+// pipelined_pcg() loops as they stood before both became instantiations of
+// the policy-templated bodies, compared bit for bit over the whole suite.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/spcg.h"
 #include "gen/generators.h"
+#include "gen/suite.h"
 #include "precond/preconditioner.h"
 #include "solver/lanczos.h"
 #include "solver/pcg.h"
+#include "solver/pipelined_cg.h"
 #include "sparse/norms.h"
 
 namespace spcg {
@@ -171,6 +178,225 @@ TEST(Pcg, SolutionMatchesGroundTruth) {
   for (std::size_t i = 0; i < x_true.size(); ++i)
     EXPECT_NEAR(r.x[i], x_true[i], 1e-7);
 }
+
+// --- Frozen references ------------------------------------------------------
+
+/// ||b - A x|| in double, as both reference loops finish.
+double reference_true_residual(const Csr<double>& a, std::span<const double> b,
+                               const std::vector<double>& x) {
+  std::vector<double> ax(b.size());
+  spmv(a, std::span<const double>(x), std::span<double>(ax));
+  double true_norm = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const double d = b[i] - ax[i];
+    true_norm += d * d;
+  }
+  return std::sqrt(true_norm);
+}
+
+/// Test-local copy of the classic pcg() loop before the policy-templated
+/// body (spans, allocation probes and the workspace left out; they do not
+/// touch the arithmetic).
+SolveResult<double> reference_pcg(const Csr<double>& a,
+                                  std::span<const double> b,
+                                  const Preconditioner<double>& m,
+                                  const PcgOptions& opt,
+                                  std::span<const double> x0) {
+  const auto n = static_cast<std::size_t>(a.rows);
+  const bool warm = !x0.empty();
+  SolveResult<double> res;
+  if (warm) {
+    res.x.assign(x0.begin(), x0.end());
+  } else {
+    res.x.assign(n, 0.0);
+  }
+  const double b_norm = norm2(b);
+  if (b_norm == 0.0) {
+    res.x.assign(n, 0.0);
+    res.status = SolveStatus::kConverged;
+    if (opt.record_history) res.residual_history.push_back(0.0);
+    return res;
+  }
+  std::vector<double> r(b.begin(), b.end()), z(n), p(n), w(n);
+  if (warm) {
+    spmv(a, std::span<const double>(res.x), std::span<double>(w));
+    for (std::size_t i = 0; i < n; ++i) r[i] -= w[i];
+  }
+  m.apply(std::span<const double>(r), std::span<double>(z));
+  p = z;
+  double rz = dot(r, z);
+  const double target = opt.relative ? opt.tolerance * b_norm : opt.tolerance;
+  double r_norm = norm2(r);
+  if (opt.record_history) res.residual_history.push_back(r_norm);
+
+  std::int32_t k = 0;
+  for (; k < opt.max_iterations; ++k) {
+    if (r_norm < target) {
+      res.status = SolveStatus::kConverged;
+      break;
+    }
+    spmv(a, std::span<const double>(p), std::span<double>(w));
+    const double pw = dot(p, w);
+    if (!(pw > 0.0)) {
+      res.status = SolveStatus::kBreakdown;
+      break;
+    }
+    const double alpha = rz / pw;
+    axpy(alpha, std::span<const double>(p), std::span<double>(res.x));
+    axpy(-alpha, std::span<const double>(w), std::span<double>(r));
+    m.apply(std::span<const double>(r), std::span<double>(z));
+    const double rz_next = dot(r, z);
+    if (rz == 0.0 || rz_next != rz_next) {
+      res.status = SolveStatus::kBreakdown;
+      ++k;
+      break;
+    }
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    xpby(std::span<const double>(z), beta, std::span<double>(p));
+    r_norm = norm2(r);
+    if (opt.record_history) res.residual_history.push_back(r_norm);
+  }
+  if (res.status == SolveStatus::kMaxIterations && r_norm < target)
+    res.status = SolveStatus::kConverged;
+  res.iterations = k;
+  res.final_residual_norm = reference_true_residual(a, b, res.x);
+  return res;
+}
+
+/// Test-local copy of the pipelined_pcg() loop before the policy-templated
+/// body: delta = (w, z) and mw = M^{-1} w at the top of each iteration, and
+/// a breakdown only on a zero or NaN denominator.
+SolveResult<double> reference_pipelined_pcg(const Csr<double>& a,
+                                            std::span<const double> b,
+                                            const Preconditioner<double>& m,
+                                            const PcgOptions& opt,
+                                            std::span<const double> x0) {
+  const auto n = static_cast<std::size_t>(a.rows);
+  const bool warm = !x0.empty();
+  SolveResult<double> res;
+  if (warm) {
+    res.x.assign(x0.begin(), x0.end());
+  } else {
+    res.x.assign(n, 0.0);
+  }
+  std::vector<double> r(b.begin(), b.end());
+  std::vector<double> z(n), w(n), mw(n), p(n), s(n), q(n);
+  if (warm) {
+    spmv(a, std::span<const double>(res.x), std::span<double>(w));
+    for (std::size_t i = 0; i < n; ++i) r[i] -= w[i];
+    w.assign(n, 0.0);
+  }
+  m.apply(std::span<const double>(r), std::span<double>(z));
+  spmv(a, std::span<const double>(z), std::span<double>(w));
+  const double b_norm = norm2(b);
+  const double target =
+      opt.relative ? opt.tolerance * (b_norm > 0.0 ? b_norm : 1.0)
+                   : opt.tolerance;
+  double gamma = dot(r, z);
+  double alpha = 0.0, gamma_old = 0.0;
+  double r_norm = norm2(r);
+  if (opt.record_history) res.residual_history.push_back(r_norm);
+
+  std::int32_t k = 0;
+  for (; k < opt.max_iterations; ++k) {
+    if (r_norm < target) {
+      res.status = SolveStatus::kConverged;
+      break;
+    }
+    const double delta = dot(w, z);
+    m.apply(std::span<const double>(w), std::span<double>(mw));
+    double beta;
+    if (k == 0) {
+      beta = 0.0;
+      alpha = gamma / delta;
+    } else {
+      beta = gamma / gamma_old;
+      const double denom = delta - beta * gamma / alpha;
+      if (!(denom != 0.0) || denom != denom) {
+        res.status = SolveStatus::kBreakdown;
+        break;
+      }
+      alpha = gamma / denom;
+    }
+    if (!(alpha == alpha)) {
+      res.status = SolveStatus::kBreakdown;
+      break;
+    }
+    xpby(std::span<const double>(z), beta, std::span<double>(p));
+    xpby(std::span<const double>(w), beta, std::span<double>(s));
+    xpby(std::span<const double>(mw), beta, std::span<double>(q));
+    axpy(alpha, std::span<const double>(p), std::span<double>(res.x));
+    axpy(-alpha, std::span<const double>(s), std::span<double>(r));
+    axpy(-alpha, std::span<const double>(q), std::span<double>(z));
+    spmv(a, std::span<const double>(z), std::span<double>(w));
+    gamma_old = gamma;
+    gamma = dot(r, z);
+    if (gamma != gamma) {
+      res.status = SolveStatus::kBreakdown;
+      ++k;
+      break;
+    }
+    r_norm = norm2(r);
+    if (opt.record_history) res.residual_history.push_back(r_norm);
+  }
+  if (res.status == SolveStatus::kMaxIterations && r_norm < target)
+    res.status = SolveStatus::kConverged;
+  res.iterations = k;
+  res.final_residual_norm = reference_true_residual(a, b, res.x);
+  return res;
+}
+
+void expect_bitwise_equal(const SolveResult<double>& ref,
+                          const SolveResult<double>& got,
+                          const std::string& at) {
+  EXPECT_EQ(got.status, ref.status) << at;
+  EXPECT_EQ(got.iterations, ref.iterations) << at;
+  EXPECT_EQ(got.x, ref.x) << at;
+  EXPECT_EQ(got.residual_history, ref.residual_history) << at;
+  EXPECT_EQ(got.final_residual_norm, ref.final_residual_norm) << at;
+}
+
+class PcgReferenceTest : public ::testing::TestWithParam<int> {};
+
+/// Both serial entry points against their frozen loops, under the
+/// sparsified and the baseline ILU(0), cold and from a warm guess, with one
+/// workspace reused across all of a matrix's solves.
+TEST_P(PcgReferenceTest, SerialSolversMatchFrozenLoops) {
+  const GeneratedMatrix g =
+      generate_suite_matrix(static_cast<index_t>(GetParam()));
+  const std::span<const double> b(g.b);
+  PcgWorkspace<double> ws;
+  for (const bool sparsify : {true, false}) {
+    SpcgOptions opt;
+    opt.sparsify_enabled = sparsify;
+    opt.pcg.tolerance = 1e-10;
+    opt.pcg.record_history = true;
+    const SpcgSetup<double> setup = spcg_setup(g.a, opt);
+    const IluApplier<double> m(setup.factors, setup.l_schedule,
+                               setup.u_schedule, opt.executor);
+    const SolveResult<double> cold_ref =
+        reference_pcg(g.a, b, m, opt.pcg, {});
+    std::vector<double> guess = cold_ref.x;
+    for (std::size_t i = 0; i < guess.size(); ++i)
+      guess[i] *= 0.75 + 0.5 * std::sin(static_cast<double>(i));
+    for (const bool warm : {false, true}) {
+      const std::span<const double> x0 =
+          warm ? std::span<const double>(guess) : std::span<const double>();
+      const std::string at = g.spec.name +
+                             (sparsify ? " sparsified" : " baseline") +
+                             (warm ? " warm" : " cold");
+      expect_bitwise_equal(reference_pcg(g.a, b, m, opt.pcg, x0),
+                           pcg(g.a, b, m, opt.pcg, x0, &ws), "pcg " + at);
+      expect_bitwise_equal(reference_pipelined_pcg(g.a, b, m, opt.pcg, x0),
+                           pipelined_pcg(g.a, b, m, opt.pcg, x0, &ws),
+                           "pipelined_pcg " + at);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMatrices, PcgReferenceTest,
+                         ::testing::Range(0, 107));
 
 // --- Lanczos ---------------------------------------------------------------
 

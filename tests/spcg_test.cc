@@ -4,7 +4,7 @@
 #include "core/spcg.h"
 #include "core/spcg_report.h"
 #include "gen/generators.h"
-#include "runtime/session.h"
+#include "autotune/fill_level.h"
 
 namespace spcg {
 namespace {
@@ -85,8 +85,7 @@ TEST(Spcg, SelectBestFillLevelPrefersConvergenceThenIterations) {
   SpcgOptions opt;
   opt.pcg.tolerance = 1e-10;
   const std::vector<index_t> ks{0, 2, 5};
-  const KSelection<double> sel =
-      select_best_fill_level<double>(a, b, opt, ks);
+  const KSelection<double> sel = tune_fill_level<double>(a, b, opt, ks);
   EXPECT_TRUE(sel.k == 0 || sel.k == 2 || sel.k == 5);
   // The winner must not lose to any candidate on (converged, iterations).
   for (const index_t k : ks) {
