@@ -9,10 +9,10 @@
 //     trivially-destructible thread-local counters (safe during TLS
 //     teardown) before forwarding to malloc/free.
 //   * AllocAuditScope is an RAII probe wired into the PCG iteration loop,
-//     SolverSession::solve, the batched multi-RHS loop and the SolveService
-//     worker. On destruction it reports the allocation delta observed on
-//     the current thread to the process-wide AllocAudit registry, tagged
-//     with a phase name and whether the phase claims to be steady-state.
+//     SolverSession::solve and the SolveService worker. On destruction it
+//     reports the allocation delta observed on the current thread to the
+//     process-wide AllocAudit registry, tagged with a phase name and
+//     whether the phase claims to be steady-state.
 //   * The registry accumulates per-phase totals and counts steady-state
 //     violations (a steady scope that allocated). verify.h converts the
 //     violations into `alloc.steady-state` diagnostics, which is how the

@@ -1,10 +1,8 @@
 #include "autotune/tune_db.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -13,209 +11,6 @@
 namespace spcg {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON document model + recursive-descent parser. Only what the
-// tuning-DB schema needs: objects, arrays, strings, numbers, booleans and
-// null, with the standard escape set. Kept private to this translation unit
-// — the repo-wide JSON surface stays "writers emit, is_valid_json checks";
-// this is the one place that must *read* structured JSON back.
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  [[nodiscard]] const Json* get(const std::string& key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  /// Parse the whole document; false on any syntax error or trailing junk.
-  bool parse(Json* out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool literal(const char* word, std::size_t len) {
-    if (s_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  bool value(Json* out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"':
-        out->kind = Json::Kind::kString;
-        return string(&out->string);
-      case 't':
-        out->kind = Json::Kind::kBool;
-        out->boolean = true;
-        return literal("true", 4);
-      case 'f':
-        out->kind = Json::Kind::kBool;
-        out->boolean = false;
-        return literal("false", 5);
-      case 'n':
-        out->kind = Json::Kind::kNull;
-        return literal("null", 4);
-      default:
-        out->kind = Json::Kind::kNumber;
-        return number(&out->number);
-    }
-  }
-
-  bool object(Json* out) {
-    out->kind = Json::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= s_.size() || s_[pos_] != '"' || !string(&key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      skip_ws();
-      Json v;
-      if (!value(&v)) return false;
-      out->object.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array(Json* out) {
-    out->kind = Json::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      Json v;
-      if (!value(&v)) return false;
-      out->array.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool string(std::string* out) {
-    ++pos_;  // '"'
-    out->clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          // The writers here only escape control characters; decode the
-          // ASCII range and map anything else to '?' (never produced).
-          out->push_back(code < 128 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number(double* out) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return false;
-    try {
-      std::size_t used = 0;
-      *out = std::stod(s_.substr(start, pos_ - start), &used);
-      return used == pos_ - start;
-    } catch (...) {
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Schema helpers.
@@ -432,10 +227,10 @@ std::string TuneDb::to_json() const {
 }
 
 TuneDbLoad TuneDb::from_json(const std::string& text) {
-  Json doc;
-  JsonParser parser(text);
-  if (!parser.parse(&doc) || doc.kind != Json::Kind::kObject)
+  const std::optional<Json> parsed_doc = parse_json(text);
+  if (!parsed_doc || parsed_doc->kind != Json::Kind::kObject)
     return TuneDbLoad::kCorrupt;
+  const Json& doc = *parsed_doc;
   std::string schema;
   double version = 0.0;
   if (!get_string(doc, "schema", &schema) ||

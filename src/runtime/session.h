@@ -4,8 +4,8 @@
 // SolverSetup: the sparsify decision, the ILU factors and both precomputed
 // level schedules. Construction either builds the setup or fetches it from a
 // SetupCache (so concurrent sessions on the same system share one setup);
-// every subsequent solve reuses it for any number of right-hand sides,
-// individually or as a fused multi-RHS batch.
+// every subsequent solve reuses it for any number of right-hand sides, one
+// at a time or as a batch of concurrent single-RHS solves.
 //
 // Opt-in transient fast path (`allow_pattern_refresh`): when the exact cache
 // key misses but a same-pattern setup is resident (a values-only change),
@@ -19,6 +19,8 @@
 // own iteration vectors, so one session may serve many threads concurrently.
 #pragma once
 
+#include <algorithm>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,7 +31,6 @@
 #include "analysis/verify.h"
 #include "core/spcg.h"
 #include "precond/preconditioner.h"
-#include "runtime/batch.h"
 #include "runtime/fingerprint.h"
 #include "runtime/setup_cache.h"
 #include "support/timer.h"
@@ -45,16 +46,6 @@ template <class T>
 struct SessionSolveResult {
   SolveResult<T> solve;
   double solve_seconds = 0.0;
-};
-
-/// How solve_batch executes a block of right-hand sides.
-struct BatchOptions {
-  enum class Mode {
-    kFused,        // one batched PCG: SpMV + SpTRSV sweeps fused across RHS
-    kIndependent,  // per-RHS pcg() calls, optionally across threads
-  };
-  Mode mode = Mode::kFused;
-  int threads = 1;  // worker threads for kIndependent (clamped to batch size)
 };
 
 template <class T>
@@ -120,80 +111,43 @@ class SolverSession {
 
   /// Solve A x = b with the cached setup. Safe to call concurrently.
   SessionSolveResult<T> solve(std::span<const T> b) const {
-    SessionSolveResult<T> out;
-    WallTimer timer;
-    // Covers the applier construction plus the nested pcg span, so request
-    // timelines have no untraced gap before iterating.
-    Span span("session.solve", "runtime");
-    const analysis::AllocAuditScope alloc_scope("session.solve");
-    taint_check(b, "b");
-    const IluApplier<T> m(setup_->artifacts.factors,
-                          setup_->artifacts.l_schedule,
-                          setup_->artifacts.u_schedule, opt_.executor);
-    out.solve = pcg(*a_, b, m, opt_.pcg);
-    taint_check(std::span<const T>(out.solve.x), "x");
-    out.solve_seconds = timer.seconds();
-    return out;
+    return solve_with(b, opt_.executor);
   }
 
   SessionSolveResult<T> solve(const std::vector<T>& b) const {
     return solve(std::span<const T>(b));
   }
 
-  /// Solve one batch of right-hand sides over the shared setup. Results per
-  /// column match sequential solve() calls (identical arithmetic order in
-  /// the fused kernels).
+  /// Solve a block of right-hand sides: one solve per column, spread over
+  /// min(columns, hardware threads) threads. Columns sweep their factors
+  /// serially (a level-scheduled sweep per column would open one OpenMP
+  /// team per thread); the race-checking executor stays armed. Every
+  /// executor runs the same row kernel, so each column is bitwise equal to
+  /// a sequential solve(). A column's error is rethrown once every thread
+  /// has joined.
   std::vector<SessionSolveResult<T>> solve_batch(
-      std::span<const std::vector<T>> bs, BatchOptions batch = {}) const {
+      std::span<const std::vector<T>> bs) const {
+    const TrsvExec exec = opt_.executor == TrsvExec::kLevelScheduledChecked
+                              ? opt_.executor
+                              : TrsvExec::kSerial;
+    const std::size_t workers = std::min<std::size_t>(
+        bs.size(), std::max(1u, std::thread::hardware_concurrency()));
     std::vector<SessionSolveResult<T>> out(bs.size());
-    if (bs.empty()) return out;
-
-    // The fused path drives the level-scheduled multi-RHS kernels; the
-    // instrumented checked executor has no multi-RHS counterpart, so it
-    // (like an explicit request) routes through independent solves.
-    const bool fused = batch.mode == BatchOptions::Mode::kFused &&
-                       opt_.executor != TrsvExec::kLevelScheduledChecked;
-    if (fused) {
-      WallTimer timer;
-      const analysis::AllocAuditScope alloc_scope("session.batch");
-      for (const std::vector<T>& b : bs)
-        taint_check(std::span<const T>(b), "b");
-      std::vector<SolveResult<T>> solved =
-          pcg_batched(*a_, bs, setup_->artifacts.factors,
-                      setup_->artifacts.l_schedule,
-                      setup_->artifacts.u_schedule, opt_.pcg);
-      for (const SolveResult<T>& s : solved)
-        taint_check(std::span<const T>(s.x), "x");
-      const double elapsed = timer.seconds();
-      for (std::size_t c = 0; c < bs.size(); ++c) {
-        out[c].solve = std::move(solved[c]);
-        out[c].solve_seconds = elapsed;  // shared sweep: per-batch wall clock
+    std::vector<std::exception_ptr> errors(workers);
+    {
+      std::vector<std::jthread> pool;  // joins every worker on scope exit
+      pool.reserve(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&, w] {
+          try {
+            for (std::size_t c = w; c < bs.size(); c += workers)
+              out[c] = solve_with(bs[c], exec);
+          } catch (...) {
+            errors[w] = std::current_exception();
+          }
+        });
       }
-      return out;
     }
-
-    const int workers = std::max(
-        1, std::min<int>(batch.threads, static_cast<int>(bs.size())));
-    if (workers == 1) {
-      for (std::size_t c = 0; c < bs.size(); ++c) out[c] = solve(bs[c]);
-      return out;
-    }
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(workers));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          for (std::size_t c = static_cast<std::size_t>(w); c < bs.size();
-               c += static_cast<std::size_t>(workers))
-            out[c] = solve(bs[c]);
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
     for (const std::exception_ptr& e : errors)
       if (e) std::rethrow_exception(e);
     return out;
@@ -217,6 +171,23 @@ class SolverSession {
   }
 
  private:
+  SessionSolveResult<T> solve_with(std::span<const T> b, TrsvExec exec) const {
+    SessionSolveResult<T> out;
+    WallTimer timer;
+    // Covers the applier construction plus the nested pcg span, so request
+    // timelines have no untraced gap before iterating.
+    Span span("session.solve", "runtime");
+    const analysis::AllocAuditScope alloc_scope("session.solve");
+    taint_check(b, "b");
+    const IluApplier<T> m(setup_->artifacts.factors,
+                          setup_->artifacts.l_schedule,
+                          setup_->artifacts.u_schedule, exec);
+    out.solve = pcg(*a_, b, m, opt_.pcg);
+    taint_check(std::span<const T>(out.solve.x), "x");
+    out.solve_seconds = timer.seconds();
+    return out;
+  }
+
   /// Phase-boundary NaN/Inf sweep when the verify knob is armed.
   void taint_check(std::span<const T> v, const std::string& object) const {
     if (!verify_ || !verify_->taint_scan) return;

@@ -36,27 +36,6 @@ std::vector<T> spmv(const Csr<T>& a, const std::vector<T>& x) {
   return y;
 }
 
-/// Multi-RHS SpMV: ys[c] = A * xs[c] for every column c, in one pass over A.
-/// Each column's accumulation visits entries in the same order as spmv(), so
-/// per-column results are bitwise identical to the single-RHS kernel.
-template <class T>
-void spmv_multi(const Csr<T>& a, std::span<const T* const> xs,
-                std::span<T* const> ys) {
-  SPCG_CHECK(xs.size() == ys.size());
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (std::size_t c = 0; c < xs.size(); ++c) {
-      T acc{0};
-      for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-           p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-        acc += a.values[static_cast<std::size_t>(p)] *
-               xs[c][static_cast<std::size_t>(
-                   a.colind[static_cast<std::size_t>(p)])];
-      }
-      ys[c][static_cast<std::size_t>(i)] = acc;
-    }
-  }
-}
-
 /// Transpose.
 template <class T>
 Csr<T> transpose(const Csr<T>& a) {

@@ -6,8 +6,7 @@
 //   * serial forward/backward substitution (reference),
 //   * level-scheduled parallel substitution (OpenMP): rows within a
 //     wavefront run in parallel, with an implicit barrier between levels —
-//     the same execution structure as cuSPARSE's csrsv2 on the GPU — in a
-//     single- and a multi-RHS form,
+//     the same execution structure as cuSPARSE's csrsv2 on the GPU,
 //   * the race-checking executor of analysis/race_detector.h, which reads x
 //     through an instrumenting hook.
 //
@@ -109,6 +108,38 @@ void check_trsv_shape(const Csr<T>& m, std::size_t b_size,
   SPCG_CHECK(static_cast<index_t>(x_size) == m.rows);
 }
 
+/// Level-scheduled sweep: the rows of one wavefront run in parallel, and the
+/// implicit barrier closing each level's parallel region orders the levels.
+/// An exception must not escape an OpenMP region, so a rejected row is
+/// flagged into bad_row and thrown after its level completes (any one
+/// offending row suffices for the message).
+template <bool kLower, class T>
+void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
+                        std::span<const T> b, std::span<T> x) {
+  check_trsv_shape(m, b.size(), x.size());
+  SPCG_CHECK(static_cast<index_t>(sched.level_of_row.size()) == m.rows);
+  const T* const bp = b.data();
+  T* const xp = x.data();
+  index_t bad_row = -1;
+  for (index_t l = 0; l < sched.num_levels(); ++l) {
+    const index_t begin = sched.level_ptr[static_cast<std::size_t>(l)];
+    const index_t end = sched.level_ptr[static_cast<std::size_t>(l) + 1];
+#pragma omp parallel for schedule(static)
+    for (index_t s = begin; s < end; ++s) {
+      const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
+      const index_t d = trsv_diag<kLower>(m, i);
+      if (d < 0) {
+#pragma omp atomic write
+        bad_row = i;
+        continue;
+      }
+      const auto x_at = [xp](index_t j) { return xp[j]; };
+      xp[i] = trsv_row<kLower>(m, i, d, bp[i], x_at, x_at);
+    }
+    if (bad_row >= 0) throw_bad_trsv_row<kLower>(m, bad_row);
+  }
+}
+
 }  // namespace detail
 
 /// Solve L x = b, L lower triangular with stored diagonal. x may alias b.
@@ -145,54 +176,12 @@ void sptrsv_upper_serial(const Csr<T>& u, std::span<const T> b,
   }
 }
 
-namespace detail {
-
-/// Level-scheduled sweep over `ncols` right-hand sides: column c solves
-/// xs[c] from bs[c]. One level sweep serves every column, so the per-level
-/// barrier cost is paid once per wavefront instead of once per (wavefront,
-/// column). An exception must not escape an OpenMP region, so a rejected row
-/// is flagged into bad_row and thrown after its level completes (any one
-/// offending row suffices for the message).
-template <bool kLower, class T>
-void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
-                        const T* const* bs, T* const* xs, std::size_t ncols) {
-  SPCG_CHECK(m.rows == m.cols);
-  SPCG_CHECK(static_cast<index_t>(sched.level_of_row.size()) == m.rows);
-  index_t bad_row = -1;
-  for (index_t l = 0; l < sched.num_levels(); ++l) {
-    const index_t begin = sched.level_ptr[static_cast<std::size_t>(l)];
-    const index_t end = sched.level_ptr[static_cast<std::size_t>(l) + 1];
-#pragma omp parallel for schedule(static)
-    for (index_t s = begin; s < end; ++s) {
-      const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
-      const index_t d = trsv_diag<kLower>(m, i);
-      if (d < 0) {
-#pragma omp atomic write
-        bad_row = i;
-        continue;
-      }
-      for (std::size_t c = 0; c < ncols; ++c) {
-        const T* const x = xs[c];
-        const auto x_at = [x](index_t j) { return x[j]; };
-        xs[c][i] = trsv_row<kLower>(m, i, d, bs[c][i], x_at, x_at);
-      }
-    }
-    // Implicit omp barrier at the end of each level's parallel region.
-    if (bad_row >= 0) throw_bad_trsv_row<kLower>(m, bad_row);
-  }
-}
-
-}  // namespace detail
-
 /// Level-scheduled lower solve. `sched` must be level_schedule(l, kLower).
 /// x may alias b.
 template <class T>
 void sptrsv_lower_levels(const Csr<T>& l, const LevelSchedule& sched,
                          std::span<const T> b, std::span<T> x) {
-  detail::check_trsv_shape(l, b.size(), x.size());
-  const T* const bs[] = {b.data()};
-  T* const xs[] = {x.data()};
-  detail::sptrsv_level_sweep<true>(l, sched, bs, xs, 1);
+  detail::sptrsv_level_sweep<true>(l, sched, b, x);
 }
 
 /// Level-scheduled upper solve. `sched` must be level_schedule(u, kUpper).
@@ -200,31 +189,7 @@ void sptrsv_lower_levels(const Csr<T>& l, const LevelSchedule& sched,
 template <class T>
 void sptrsv_upper_levels(const Csr<T>& u, const LevelSchedule& sched,
                          std::span<const T> b, std::span<T> x) {
-  detail::check_trsv_shape(u, b.size(), x.size());
-  const T* const bs[] = {b.data()};
-  T* const xs[] = {x.data()};
-  detail::sptrsv_level_sweep<false>(u, sched, bs, xs, 1);
-}
-
-/// Multi-RHS level-scheduled lower solve: xs[c] solves L xs[c] = bs[c]. One
-/// level sweep (and its barriers) is shared across all columns. xs[c] may
-/// alias bs[c], but no xs[c] may alias a bs[c'] of another column c'.
-template <class T>
-void sptrsv_lower_levels_multi(const Csr<T>& l, const LevelSchedule& sched,
-                               std::span<const T* const> bs,
-                               std::span<T* const> xs) {
-  SPCG_CHECK(bs.size() == xs.size());
-  detail::sptrsv_level_sweep<true>(l, sched, bs.data(), xs.data(), bs.size());
-}
-
-/// Multi-RHS level-scheduled upper solve (aliasing as for the lower solve).
-template <class T>
-void sptrsv_upper_levels_multi(const Csr<T>& u, const LevelSchedule& sched,
-                               std::span<const T* const> bs,
-                               std::span<T* const> xs) {
-  SPCG_CHECK(bs.size() == xs.size());
-  detail::sptrsv_level_sweep<false>(u, sched, bs.data(), xs.data(),
-                                    bs.size());
+  detail::sptrsv_level_sweep<false>(u, sched, b, x);
 }
 
 }  // namespace spcg

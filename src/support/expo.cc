@@ -1,8 +1,9 @@
 #include "support/expo.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <system_error>
 
 namespace spcg {
 
@@ -122,145 +123,177 @@ std::string prometheus_text(std::span<const CounterSample> samples,
 }
 
 // ---------------------------------------------------------------------------
-// Minimal structural JSON scanner (RFC 8259).
+// JSON reader (RFC 8259).
 
 namespace {
 
-struct JsonScanner {
-  std::string_view text;
-  std::size_t pos = 0;
-  int depth = 0;
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : s_(text) {}
+
+  bool document(Json* out) {
+    if (!value(out, 1)) return false;
+    skip_ws();
+    return at_end();
+  }
+
+ private:
   static constexpr int kMaxDepth = 256;
 
-  [[nodiscard]] bool at_end() const { return pos >= text.size(); }
-  [[nodiscard]] char peek() const { return text[pos]; }
+  [[nodiscard]] bool at_end() const { return pos_ >= s_.size(); }
 
   void skip_ws() {
-    while (!at_end() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                         peek() == '\r'))
-      ++pos;
+    while (!at_end() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                         s_[pos_] == '\n' || s_[pos_] == '\r'))
+      ++pos_;
   }
 
   bool consume(char c) {
-    if (at_end() || peek() != c) return false;
-    ++pos;
+    if (at_end() || s_[pos_] != c) return false;
+    ++pos_;
     return true;
   }
 
-  bool literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
+  bool literal(std::string_view word) {
+    if (s_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
     return true;
   }
 
-  bool string() {
+  bool value(Json* out, int depth) {
+    if (depth > kMaxDepth) return false;
+    skip_ws();
+    if (at_end()) return false;
+    switch (s_[pos_]) {
+      case '{': return object(out, depth);
+      case '[': return array(out, depth);
+      case '"':
+        out->kind = Json::Kind::kString;
+        return string(&out->string);
+      case 't':
+        out->kind = Json::Kind::kBool;
+        out->boolean = true;
+        return literal("true");
+      case 'f':
+        out->kind = Json::Kind::kBool;
+        return literal("false");
+      case 'n': return literal("null");
+      default:
+        out->kind = Json::Kind::kNumber;
+        return number(&out->number);
+    }
+  }
+
+  bool object(Json* out, int depth) {
+    out->kind = Json::Kind::kObject;
+    ++pos_;  // '{'
+    skip_ws();
+    if (consume('}')) return true;
+    for (;;) {
+      skip_ws();
+      std::string key;
+      if (!string(&key)) return false;
+      skip_ws();
+      if (!consume(':')) return false;
+      Json v;
+      if (!value(&v, depth + 1)) return false;
+      out->object.emplace_back(std::move(key), std::move(v));
+      skip_ws();
+      if (!consume(',')) return consume('}');
+    }
+  }
+
+  bool array(Json* out, int depth) {
+    out->kind = Json::Kind::kArray;
+    ++pos_;  // '['
+    skip_ws();
+    if (consume(']')) return true;
+    for (;;) {
+      Json v;
+      if (!value(&v, depth + 1)) return false;
+      out->array.push_back(std::move(v));
+      skip_ws();
+      if (!consume(',')) return consume(']');
+    }
+  }
+
+  bool string(std::string* out) {
     if (!consume('"')) return false;
     while (!at_end()) {
-      const char c = text[pos++];
+      const char c = s_[pos_++];
       if (c == '"') return true;
       if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (at_end()) return false;
-        const char e = text[pos++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i)
-            if (at_end() || std::isxdigit(static_cast<unsigned char>(
-                                text[pos++])) == 0)
-              return false;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (at_end()) return false;
+      switch (s_[pos_++]) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          unsigned code = 0;
+          if (s_.size() - pos_ < 4) return false;
+          const auto [end, ec] =
+              std::from_chars(s_.data() + pos_, s_.data() + pos_ + 4, code, 16);
+          if (ec != std::errc() || end != s_.data() + pos_ + 4) return false;
+          pos_ += 4;
+          out->push_back(code < 128 ? static_cast<char>(code) : '?');
+          break;
         }
+        default: return false;
       }
     }
     return false;  // unterminated
   }
 
   bool digits() {
-    if (at_end() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-      return false;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-      ++pos;
-    return true;
+    const std::size_t start = pos_;
+    while (!at_end() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > start;
   }
 
-  bool number() {
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, read by from_chars.
+  bool number(double* out) {
+    const std::size_t start = pos_;
     consume('-');
-    if (consume('0')) {
-      // no leading zeros
-    } else if (!digits()) {
-      return false;
-    }
+    if (!consume('0') && !digits()) return false;
     if (consume('.') && !digits()) return false;
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
       if (!digits()) return false;
     }
-    return true;
+    const auto [end, ec] =
+        std::from_chars(s_.data() + start, s_.data() + pos_, *out);
+    return ec == std::errc() && end == s_.data() + pos_;
   }
 
-  bool value() {
-    if (++depth > kMaxDepth) return false;
-    skip_ws();
-    if (at_end()) return false;
-    bool ok = false;
-    const char c = peek();
-    if (c == '{') {
-      ++pos;
-      skip_ws();
-      if (consume('}')) {
-        ok = true;
-      } else {
-        for (;;) {
-          skip_ws();
-          if (!string()) break;
-          skip_ws();
-          if (!consume(':')) break;
-          if (!value()) break;
-          skip_ws();
-          if (consume(',')) continue;
-          ok = consume('}');
-          break;
-        }
-      }
-    } else if (c == '[') {
-      ++pos;
-      skip_ws();
-      if (consume(']')) {
-        ok = true;
-      } else {
-        for (;;) {
-          if (!value()) break;
-          skip_ws();
-          if (consume(',')) continue;
-          ok = consume(']');
-          break;
-        }
-      }
-    } else if (c == '"') {
-      ok = string();
-    } else if (c == 't') {
-      ok = literal("true");
-    } else if (c == 'f') {
-      ok = literal("false");
-    } else if (c == 'n') {
-      ok = literal("null");
-    } else {
-      ok = number();
-    }
-    --depth;
-    return ok;
-  }
+  std::string_view s_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace
 
+const Json* Json::get(std::string_view key) const {
+  for (const auto& [k, v] : object)
+    if (k == key) return &v;
+  return nullptr;
+}
+
+std::optional<Json> parse_json(std::string_view text) {
+  Json doc;
+  if (!JsonReader(text).document(&doc)) return std::nullopt;
+  return doc;
+}
+
 bool is_valid_json(std::string_view text) {
-  JsonScanner scanner{text};
-  if (!scanner.value()) return false;
-  scanner.skip_ws();
-  return scanner.at_end();
+  return parse_json(text).has_value();
 }
 
 }  // namespace spcg

@@ -11,15 +11,18 @@
 //     `<prefix>_<name> <value>` lines plus trace-derived per-phase totals as
 //     `<prefix>_phase_seconds_total{category=...,phase=...}`.
 //
-// is_valid_json is a minimal RFC 8259 scanner used as a self-check by the
-// trace tests and the regression harness; it validates structure only (no
-// DOM is built).
+// parse_json is the repo's one JSON reader: an RFC 8259 parser with a
+// nesting bound, behind the tune-DB loader and is_valid_json, the self-check
+// of the exporters above and the bench harnesses.
 #pragma once
 
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/telemetry.h"
 #include "support/trace.h"
@@ -46,8 +49,27 @@ std::string prometheus_text(std::span<const CounterSample> samples,
 /// Escape a string for embedding inside a JSON document (adds the quotes).
 std::string json_quote(std::string_view s);
 
-/// Structural JSON validity check (RFC 8259 values; no size limits beyond a
-/// nesting cap of 256). Self-check for the exporters above.
+/// One parsed JSON value; objects keep their members in document order.
+struct Json {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<Json> array;
+  std::vector<std::pair<std::string, Json>> object;
+
+  /// The first member named `key` of an object, or nullptr.
+  [[nodiscard]] const Json* get(std::string_view key) const;
+};
+
+/// Parse one RFC 8259 document: nullopt on a syntax error, trailing text,
+/// nesting deeper than 256 values or a number outside double's range
+/// (RFC 8259 §9 lets a reader limit both). A \u escape outside ASCII
+/// decodes to '?'.
+std::optional<Json> parse_json(std::string_view text);
+
+/// Whether `text` is one JSON document parse_json accepts.
 bool is_valid_json(std::string_view text);
 
 }  // namespace spcg

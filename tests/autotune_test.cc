@@ -316,6 +316,11 @@ TEST(AutotuneDb, LoadDistinguishesMissingMismatchedAndCorruptFiles) {
   EXPECT_EQ(db.from_json("{\"schema\": \"spcg-tune-db\", " + version +
                          ", \"records\": [{\"bogus\": true}]}"),
             TuneDbLoad::kCorrupt);
+  // 10^6 nested arrays: past the reader's nesting bound, not a stack
+  // overflow.
+  EXPECT_EQ(db.from_json(std::string(1'000'000, '[') +
+                         std::string(1'000'000, ']')),
+            TuneDbLoad::kCorrupt);
   EXPECT_EQ(db.size(), 1u);
 
   const std::string path = temp_path("corrupt");

@@ -807,7 +807,7 @@ TEST(DistSolve, ZeroRhsAnswersDirectlyLikePcg) {
 }
 
 /// One failure table over every CG entry point: the serial classic and
-/// pipelined solvers, the batched driver, and both rank bodies at P = 1 and
+/// pipelined solvers, a session's batch, and both rank bodies at P = 1 and
 /// P = 2. Each row expects the same status and iteration count everywhere.
 TEST(DistSolve, EveryEntryPointSharesFailureSemantics) {
   const Csr<double> poisson = gen_poisson2d(16, 16);
@@ -867,13 +867,8 @@ TEST(DistSolve, EveryEntryPointSharesFailureSemantics) {
     expect_row(pcg(row.a, b, m, row.pcg, x0), "pcg");
     expect_row(pipelined_pcg(row.a, b, m, row.pcg, x0), "pipelined_pcg");
     const std::vector<std::vector<double>> bs{row.b};
-    const std::vector<std::vector<double>> x0s{
-        row.warm ? guess : std::vector<double>{}};
-    expect_row(pcg_batched(row.a, std::span<const std::vector<double>>(bs),
-                           setup.factors, setup.l_schedule, setup.u_schedule,
-                           row.pcg,
-                           std::span<const std::vector<double>>(x0s))[0],
-               "pcg_batched");
+    expect_row(SolverSession<double>(row.a, opt).solve_batch(bs)[0].solve,
+               "SolverSession::solve_batch");
     for (const index_t parts : {1, 2}) {
       for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
         DistOptions dopt;

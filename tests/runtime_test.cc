@@ -1,6 +1,6 @@
 // Tests for the solver runtime layer (src/runtime/): fingerprints, the
 // shared LRU setup cache, setup-once/solve-many sessions with batched
-// multi-RHS execution, and the async solve service (deadlines, cancellation,
+// right-hand sides, and the async solve service (deadlines, cancellation,
 // breakdown fallback).
 //
 // Fixture naming is load-bearing: RuntimeFingerprint/RuntimeCache/
@@ -364,43 +364,44 @@ TEST(RuntimeSession, SetupReusedAcrossSolvesAndSessions) {
 
 TEST(RuntimeSession, BatchedMultiRhsMatchesSequentialSolves) {
   const Csr<double> a = gen_grid_laplacian(18, 18, 1.8, 0.3, 5);
-  SolverSession<double> session(a, fast_options());
-
   std::vector<std::vector<double>> rhs;
   for (std::uint64_t s = 1; s <= 6; ++s) rhs.push_back(make_rhs(a, s));
   rhs.push_back(std::vector<double>(static_cast<std::size_t>(a.rows), 0.0));
 
-  const std::vector<SessionSolveResult<double>> fused = session.solve_batch(
-      rhs, BatchOptions{BatchOptions::Mode::kFused, 1});
-  ASSERT_EQ(fused.size(), rhs.size());
-  for (std::size_t c = 0; c < rhs.size(); ++c) {
-    const SessionSolveResult<double> seq = session.solve(rhs[c]);
-    EXPECT_EQ(fused[c].solve.status, seq.solve.status) << "rhs " << c;
-    EXPECT_EQ(fused[c].solve.iterations, seq.solve.iterations) << "rhs " << c;
-    ASSERT_EQ(fused[c].solve.x.size(), seq.solve.x.size());
-    for (std::size_t i = 0; i < seq.solve.x.size(); ++i)
-      EXPECT_DOUBLE_EQ(fused[c].solve.x[i], seq.solve.x[i])
-          << "rhs " << c << " entry " << i;
-  }
-  // The all-zero column exits immediately with the exact answer.
-  EXPECT_TRUE(fused.back().solve.converged());
-  EXPECT_EQ(fused.back().solve.iterations, 0);
-}
+  // The reference is the serial session, so the test enters no OpenMP sweep
+  // (the fixture runs under TSan).
+  const SolverSession<double> reference(a, fast_options());
+  for (const TrsvExec exec : {TrsvExec::kSerial, TrsvExec::kLevelScheduled,
+                              TrsvExec::kLevelScheduledChecked}) {
+    SpcgOptions opt = fast_options();
+    opt.executor = exec;
+    const SolverSession<double> session(a, opt);
+    const std::vector<SessionSolveResult<double>> batch =
+        session.solve_batch(rhs);
+    ASSERT_EQ(batch.size(), rhs.size());
+    for (std::size_t c = 0; c < rhs.size(); ++c) {
+      const SessionSolveResult<double> seq = reference.solve(rhs[c]);
+      const std::string at = "executor " +
+                             std::to_string(static_cast<int>(exec)) +
+                             " rhs " + std::to_string(c);
+      EXPECT_EQ(batch[c].solve.status, seq.solve.status) << at;
+      EXPECT_EQ(batch[c].solve.iterations, seq.solve.iterations) << at;
+      EXPECT_EQ(batch[c].solve.final_residual_norm,
+                seq.solve.final_residual_norm)
+          << at;
+      ASSERT_EQ(batch[c].solve.x.size(), seq.solve.x.size());
+      for (std::size_t i = 0; i < seq.solve.x.size(); ++i)
+        EXPECT_EQ(batch[c].solve.x[i], seq.solve.x[i]) << at << " entry " << i;
+    }
+    // The all-zero column exits immediately with the exact answer.
+    EXPECT_TRUE(batch.back().solve.converged());
+    EXPECT_EQ(batch.back().solve.iterations, 0);
 
-TEST(RuntimeSession, IndependentThreadedBatchMatchesFused) {
-  const Csr<double> a = gen_poisson2d(20, 20);
-  SolverSession<double> session(a, fast_options());
-  std::vector<std::vector<double>> rhs;
-  for (std::uint64_t s = 1; s <= 5; ++s) rhs.push_back(make_rhs(a, s));
-
-  const auto fused =
-      session.solve_batch(rhs, {BatchOptions::Mode::kFused, 1});
-  const auto threaded =
-      session.solve_batch(rhs, {BatchOptions::Mode::kIndependent, 4});
-  for (std::size_t c = 0; c < rhs.size(); ++c) {
-    EXPECT_EQ(fused[c].solve.iterations, threaded[c].solve.iterations);
-    for (std::size_t i = 0; i < fused[c].solve.x.size(); ++i)
-      EXPECT_DOUBLE_EQ(fused[c].solve.x[i], threaded[c].solve.x[i]);
+    // A wrong-length column's error reaches the caller once every thread
+    // has joined.
+    std::vector<std::vector<double>> bad = rhs;
+    bad.push_back(std::vector<double>(3, 1.0));
+    EXPECT_THROW((void)session.solve_batch(bad), Error);
   }
 }
 

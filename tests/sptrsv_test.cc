@@ -195,21 +195,9 @@ std::vector<std::pair<std::string, Solve>> executors(const Csr<double>& m,
          EXPECT_TRUE(r.ok());
        }}};
   if (!threaded) return out;
-  out.insert(out.end(), {
-      {"levels",
-       [&m, &s, lower](CSpan b, MSpan x) {
-         lower ? sptrsv_lower_levels(m, s, b, x)
-               : sptrsv_upper_levels(m, s, b, x);
-       }},
-      {"levels_multi",
-       [&m, &s, lower](CSpan b, MSpan x) {
-         const double* const bs[] = {b.data()};
-         double* const xs[] = {x.data()};
-         const std::span<const double* const> b1(bs);
-         const std::span<double* const> x1(xs);
-         lower ? sptrsv_lower_levels_multi(m, s, b1, x1)
-               : sptrsv_upper_levels_multi(m, s, b1, x1);
-       }}});
+  out.emplace_back("levels", [&m, &s, lower](CSpan b, MSpan x) {
+    lower ? sptrsv_lower_levels(m, s, b, x) : sptrsv_upper_levels(m, s, b, x);
+  });
   return out;
 }
 

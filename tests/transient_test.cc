@@ -681,17 +681,6 @@ TEST(TransientSolvers, WarmStartHelpsAllSolverVariants) {
                     std::span<const double>(cold.x));
   EXPECT_LT(pipelined.iterations, cold.iterations);
   EXPECT_TRUE(pipelined.converged());
-
-  // Batched: one warm column, one cold column.
-  const std::vector<std::vector<double>> bs{b, b};
-  const std::vector<std::vector<double>> x0s{cold.x, {}};
-  const std::vector<SolveResult<double>> batch = pcg_batched(
-      a, std::span<const std::vector<double>>(bs), setup.factors,
-      setup.l_schedule, setup.u_schedule, opt.pcg,
-      std::span<const std::vector<double>>(x0s));
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_LT(batch[0].iterations, batch[1].iterations);
-  EXPECT_EQ(batch[1].iterations, cold.iterations);
 }
 
 }  // namespace
