@@ -368,7 +368,6 @@ int main(int argc, char** argv) {
   }
 
   int ok = 0, fallbacks = 0, not_ok = 0, tune_db_hits = 0;
-  double est_uncached_seconds = 0.0;    // per-request pipeline estimate
   for (auto& t : tickets) {
     const ServiceReply<double> reply = t.reply.get();
     if (reply.status == RequestStatus::kOk) {
@@ -377,8 +376,6 @@ int main(int argc, char** argv) {
       if (reply.tune_db_hit) ++tune_db_hits;
       latency_us.record(static_cast<std::uint64_t>(
           1e6 * (reply.queue_seconds + reply.solve_seconds)));
-      if (reply.setup)
-        est_uncached_seconds += reply.setup->build_seconds + reply.solve_seconds;
     } else {
       ++not_ok;
       std::cerr << "request failed: " << to_string(reply.status)
@@ -408,8 +405,6 @@ int main(int argc, char** argv) {
   std::cout << "wall clock: " << service_seconds << " s for " << ok
             << " ok / " << fallbacks << " fallback / " << not_ok
             << " not-ok\n";
-  std::cout << "estimated uncached (per-request setup + solve): "
-            << est_uncached_seconds << " s\n";
 
   if (cli.autotune) {
     std::cout << "autotune: " << service.tune_db()->size()

@@ -59,7 +59,7 @@ KSelection<T> tune_fill_level(
     trial.final_residual_norm = run.solve.final_residual_norm;
     trial.setup_seconds = setup_seconds;
     trial.solve_seconds = run.solve_seconds;
-    trial.setup_cache_hit = session.setup_cache_hit();
+    trial.setup_cache_hit = session.setup_path() == SetupPath::kHit;
     probe.arg("iterations", trial.iterations);
     probe.arg("converged", trial.converged);
     if (telemetry != nullptr) {

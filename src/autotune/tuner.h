@@ -138,7 +138,7 @@ TunedSolve<T> solve_with_config(const Csr<T>& a, std::span<const T> b,
     WallTimer setup_timer;
     SolverSession<T> session(a, to_spcg_options(config, opt.base), cache);
     out.setup_seconds = setup_timer.seconds();
-    out.setup_cache_hit = session.setup_cache_hit();
+    out.setup_cache_hit = session.setup_path() == SetupPath::kHit;
     SessionSolveResult<T> run = session.solve(b);
     out.solve = std::move(run.solve);
     out.solve_seconds = run.solve_seconds;
@@ -378,7 +378,7 @@ class Tuner {
       SolverSession<T> session(a, fp, to_spcg_options(config, opt_.base),
                                cache_);
       trial.setup_seconds = setup_timer.seconds();
-      trial.setup_cache_hit = session.setup_cache_hit();
+      trial.setup_cache_hit = session.setup_path() == SetupPath::kHit;
       trial.per_iteration_seconds = modeled_iteration_seconds(
           a, session.setup().factors, config.executor, device, host);
       const std::int32_t cap = abort_cap(trial.per_iteration_seconds);

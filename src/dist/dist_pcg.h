@@ -45,6 +45,7 @@
 #include "dist/comm.h"
 #include "dist/partition.h"
 #include "precond/preconditioner.h"
+#include "runtime/setup_cache.h"
 #include "solver/pcg.h"
 #include "solver/pipelined_cg.h"
 #include "sparse/ops.h"
@@ -96,12 +97,13 @@ struct DistOptions {
 /// the partition, every part's LocalSystem, and one SPCG setup per
 /// subdomain. Built once, reused across any number of solves — the same
 /// amortization story as SpcgSetup, one level up. Subdomain setups are held
-/// by shared_ptr so the runtime layer can alias them into its SetupCache.
+/// by shared_ptr so they can alias entries of a SetupCache.
 template <class T>
 struct DistSetup {
   Partition partition;
   std::vector<LocalSystem<T>> locals;
   std::vector<std::shared_ptr<const SpcgSetup<T>>> subdomains;
+  std::vector<SetupPath> paths;  // how dist_setup obtained each subdomain
   index_t edge_cut = 0;
   double partition_seconds = 0.0;
   double setup_seconds = 0.0;
@@ -109,10 +111,15 @@ struct DistSetup {
   [[nodiscard]] index_t parts() const { return partition.parts; }
 };
 
-/// Partition A, materialize the local systems, and run spcg_setup on every
-/// interior block (SPD: principal submatrix of SPD A).
+/// Partition A, materialize the local systems, and set up SPCG on every
+/// interior block (SPD: principal submatrix of SPD A). Without a cache each
+/// block runs spcg_setup. With one, each block is resolved through it under
+/// its own fingerprint, same-pattern refresh on: identical partitions share
+/// every setup, and a values-only change refreshes a resident donor's
+/// numbers instead of rebuilding.
 template <class T>
-DistSetup<T> dist_setup(const Csr<T>& a, const DistOptions& opt = {}) {
+DistSetup<T> dist_setup(const Csr<T>& a, const DistOptions& opt = {},
+                        SetupCache<T>* cache = nullptr) {
   DistSetup<T> s;
   WallTimer timer;
   {
@@ -126,9 +133,22 @@ DistSetup<T> dist_setup(const Csr<T>& a, const DistOptions& opt = {}) {
 
   timer.reset();
   s.subdomains.reserve(s.locals.size());
+  s.paths.reserve(s.locals.size());
   for (const LocalSystem<T>& loc : s.locals) {
-    s.subdomains.push_back(std::make_shared<SpcgSetup<T>>(
-        spcg_setup(loc.a_interior, opt.options)));
+    const Csr<T>& block = loc.a_interior;
+    if (cache == nullptr) {
+      s.subdomains.push_back(std::make_shared<SpcgSetup<T>>(
+          spcg_setup(block, opt.options)));
+      s.paths.push_back(SetupPath::kBuild);
+      continue;
+    }
+    auto [setup, path] = cache->resolve(
+        block, make_setup_key(block, opt.options), opt.options,
+        /*refresh=*/true);
+    // Alias the artifacts: the SolverSetup stays alive through the shared
+    // control block.
+    s.subdomains.emplace_back(setup, &setup->artifacts);
+    s.paths.push_back(path);
   }
   s.setup_seconds = timer.seconds();
   return s;

@@ -32,6 +32,7 @@
 
 #include "core/spcg.h"
 #include "sparse/csr.h"
+#include "support/trace.h"
 
 namespace spcg {
 
@@ -143,8 +144,12 @@ struct MatrixFingerprint {
 };
 
 /// Fingerprint a matrix: one pass over the pattern arrays, one over values.
+/// Traced as its own span: hashing is the per-request cost a cache hit
+/// cannot amortize, and a per-step cost of every transient step.
 template <class T>
 MatrixFingerprint fingerprint(const Csr<T>& a) {
+  Span span("fingerprint", "runtime");
+  span.arg("rows", static_cast<std::int64_t>(a.rows));
   MatrixFingerprint fp;
   fp.rows = a.rows;
   fp.nnz = a.nnz();

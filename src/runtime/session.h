@@ -2,17 +2,14 @@
 //
 // A session pins (matrix, setup options) to an immutable, shareable
 // SolverSetup: the sparsify decision, the ILU factors and both precomputed
-// level schedules. Construction either builds the setup or fetches it from a
-// SetupCache (so concurrent sessions on the same system share one setup);
-// every subsequent solve reuses it for any number of right-hand sides, one
-// at a time or as a batch of concurrent single-RHS solves.
+// level schedules. Construction either builds the setup or resolves it
+// through a SetupCache (so concurrent sessions on the same system share one
+// setup); every subsequent solve reuses it for any number of right-hand
+// sides, one at a time or as a batch of concurrent single-RHS solves.
 //
-// Opt-in transient fast path (`allow_pattern_refresh`): when the exact cache
-// key misses but a same-pattern setup is resident (a values-only change),
-// construction clones that donor's symbolic artifacts and refreshes the
-// numerics in place (transient/refactorize.h) instead of running a cold
-// spcg_setup. The refreshed setup stays private to the session and is never
-// inserted back into the cache.
+// `allow_pattern_refresh` lets SetupCache::resolve answer a values-only
+// change with a private, numerically refreshed clone of a same-pattern
+// entry instead of a cold spcg_setup; setup_path() says which path ran.
 //
 // Thread safety: solve() and solve_batch() are const, the ILU apply over
 // the shared immutable factors is stateless, and each solve allocates its
@@ -35,7 +32,6 @@
 #include "runtime/setup_cache.h"
 #include "support/timer.h"
 #include "support/trace.h"
-#include "transient/refactorize.h"
 
 namespace spcg {
 
@@ -52,14 +48,12 @@ template <class T>
 class SolverSession {
  public:
   /// Share ownership of the matrix (the usual service path).
-  /// `allow_pattern_refresh` arms the same-pattern numeric-refresh fast path
-  /// described above.
+  /// `allow_pattern_refresh` arms the same-pattern refresh described above.
   SolverSession(std::shared_ptr<const Csr<T>> a, SpcgOptions opt,
                 std::shared_ptr<SetupCache<T>> cache = nullptr,
                 bool allow_pattern_refresh = false)
-      : a_(std::move(a)), opt_(std::move(opt)), cache_(std::move(cache)),
-        allow_pattern_refresh_(allow_pattern_refresh) {
-    init(fingerprint_traced());
+      : a_(std::move(a)), opt_(std::move(opt)) {
+    init(fingerprint(*a_), cache.get(), allow_pattern_refresh);
   }
 
   /// Borrow a caller-owned matrix (must outlive the session).
@@ -75,25 +69,17 @@ class SolverSession {
   SolverSession(const Csr<T>& a, const MatrixFingerprint& fp, SpcgOptions opt,
                 std::shared_ptr<SetupCache<T>> cache = nullptr)
       : a_(std::shared_ptr<const Csr<T>>(&a, [](const Csr<T>*) {})),
-        opt_(std::move(opt)), cache_(std::move(cache)) {
-    init(fp);
+        opt_(std::move(opt)) {
+    init(fp, cache.get(), /*refresh=*/false);
   }
 
-  [[nodiscard]] const Csr<T>& matrix() const { return *a_; }
   [[nodiscard]] const SpcgOptions& options() const { return opt_; }
   [[nodiscard]] const SpcgSetup<T>& setup() const { return setup_->artifacts; }
   [[nodiscard]] std::shared_ptr<const SolverSetup<T>> shared_setup() const {
     return setup_;
   }
-  [[nodiscard]] const SetupKey& key() const { return setup_->key; }
-  /// Whether construction found the setup in the cache (false when built,
-  /// or when the session has no cache).
-  [[nodiscard]] bool setup_cache_hit() const { return cache_hit_; }
-  /// Whether construction took the same-pattern fast path: symbolic
-  /// artifacts cloned from a resident donor, numerics refreshed in place.
-  [[nodiscard]] bool setup_pattern_refreshed() const {
-    return pattern_refreshed_;
-  }
+  /// How construction obtained the setup (kBuild without a cache).
+  [[nodiscard]] SetupPath setup_path() const { return path_; }
 
   /// Debug verification knob: verifies the shared setup artifacts end to
   /// end immediately (throwing spcg::Error with the report when any
@@ -197,60 +183,24 @@ class SolverSession {
       throw Error("taint scan failed on " + object + ":\n" + d.to_string(4));
   }
 
-  /// Hashing the matrix is the only per-session cost a cache hit cannot
-  /// amortize; give it its own span so request timelines show it.
-  MatrixFingerprint fingerprint_traced() const {
-    Span span("fingerprint", "runtime");
-    span.arg("rows", static_cast<std::int64_t>(a_->rows));
-    return fingerprint(*a_);
-  }
-
-  void init(const MatrixFingerprint& fp) {
+  void init(const MatrixFingerprint& fp, SetupCache<T>* cache, bool refresh) {
     const SetupKey key = make_setup_key(fp, opt_);
-    if (cache_) {
-      if (allow_pattern_refresh_) {
-        if (auto exact = cache_->lookup(key)) {
-          cache_hit_ = true;
-          setup_ = std::move(exact);
-          return;
-        }
-        if (auto donor = cache_->lookup_same_pattern(key)) {
-          // Values-only change: clone the donor's artifacts and refresh the
-          // numerics. Private to this session — never re-inserted into the
-          // cache (lookup_same_pattern contract).
-          Span span("setup.pattern_refresh", "runtime");
-          WallTimer timer;
-          auto refreshed = std::make_shared<SolverSetup<T>>();
-          refreshed->key = key;
-          refreshed->artifacts = donor->artifacts;
-          NumericRefreshWorkspace ws =
-              build_numeric_refresh(refreshed->artifacts, *a_);
-          refresh_setup_numerics(refreshed->artifacts, *a_, opt_, ws);
-          refreshed->build_seconds = timer.seconds();
-          pattern_refreshed_ = true;
-          setup_ = std::move(refreshed);
-          return;
-        }
-      }
-      setup_ = cache_->get_or_build(
-          key, [&] { return spcg_setup(*a_, opt_); }, &cache_hit_);
-    } else {
-      auto built = std::make_shared<SolverSetup<T>>();
-      built->key = key;
-      WallTimer timer;
-      built->artifacts = spcg_setup(*a_, opt_);
-      built->build_seconds = timer.seconds();
-      setup_ = std::move(built);
+    if (cache) {
+      auto [setup, path] = cache->resolve(*a_, key, opt_, refresh);
+      setup_ = std::move(setup);
+      path_ = path;
+      return;
     }
+    auto built = std::make_shared<SolverSetup<T>>();
+    built->key = key;
+    built->artifacts = spcg_setup(*a_, opt_);
+    setup_ = std::move(built);
   }
 
   std::shared_ptr<const Csr<T>> a_;
   SpcgOptions opt_;
-  std::shared_ptr<SetupCache<T>> cache_;
   std::shared_ptr<const SolverSetup<T>> setup_;
-  bool cache_hit_ = false;
-  bool allow_pattern_refresh_ = false;
-  bool pattern_refreshed_ = false;
+  SetupPath path_ = SetupPath::kBuild;
   std::optional<analysis::VerifyOptions> verify_;
 };
 

@@ -14,6 +14,11 @@
 // Eviction drops the least-recently-used entry; in-flight users keep their
 // setups alive through the shared_ptr, so eviction never invalidates a
 // running solve.
+//
+// resolve() is the one way sessions obtain a setup: the exact entry, else
+// (when the caller allows it) a private clone of a same-pattern entry with
+// its numbers refreshed, else get_or_build. It reports which of the three
+// happened as one SetupPath.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +34,8 @@
 #include "core/spcg.h"
 #include "runtime/fingerprint.h"
 #include "support/telemetry.h"
-#include "support/timer.h"
 #include "support/trace.h"
+#include "transient/refactorize.h"
 
 namespace spcg {
 
@@ -39,7 +44,13 @@ template <class T>
 struct SolverSetup {
   SetupKey key;
   SpcgSetup<T> artifacts;
-  double build_seconds = 0.0;  // wall-clock spent building this entry
+};
+
+/// How a session obtained its setup.
+enum class SetupPath {
+  kHit,      // the exact entry was resident (or being built by another)
+  kRefresh,  // private clone of a same-pattern entry, numbers refreshed
+  kBuild,    // built by this call
 };
 
 /// Counter snapshot of one cache.
@@ -117,12 +128,9 @@ class SetupCache {
     if (build_here) {
       try {
         Span build_span("setup_cache.build", "runtime");
-        WallTimer timer;
         auto setup = std::make_shared<SolverSetup<T>>();
         setup->key = key;
         setup->artifacts = build();
-        setup->build_seconds = timer.seconds();
-        build_span.arg("build_seconds", setup->build_seconds);
         promise.set_value(std::move(setup));
       } catch (...) {
         promise.set_exception(std::current_exception());
@@ -143,10 +151,60 @@ class SetupCache {
     return future.get();
   }
 
+  /// A setup and how it was obtained.
+  struct Resolved {
+    SetupPtr setup;
+    SetupPath path = SetupPath::kBuild;
+  };
+
+  /// The setup for `a` under `key` (= make_setup_key(a, opt)) and how it
+  /// was obtained. With `refresh` set: the exact entry (kHit), else a clone
+  /// of the newest same-pattern entry with its numbers refreshed against `a`
+  /// (kRefresh), else get_or_build. The clone is private to the caller and
+  /// never inserted: it reuses the donor's sparsification pattern decision,
+  /// which a cold spcg_setup on the new values need not make. With
+  /// `refresh` off this is exactly one get_or_build call (kHit or kBuild).
+  Resolved resolve(const Csr<T>& a, const SetupKey& key,
+                   const SpcgOptions& opt, bool refresh) {
+    if (refresh) {
+      if (SetupPtr exact = lookup(key))
+        return {std::move(exact), SetupPath::kHit};
+      if (SetupPtr donor = lookup_same_pattern(key)) {
+        Span span("setup.pattern_refresh", "runtime");
+        auto fresh = std::make_shared<SolverSetup<T>>();
+        fresh->key = key;
+        fresh->artifacts = donor->artifacts;
+        NumericRefreshWorkspace ws =
+            build_numeric_refresh(fresh->artifacts, a);
+        refresh_setup_numerics(fresh->artifacts, a, opt, ws);
+        return {std::move(fresh), SetupPath::kRefresh};
+      }
+    }
+    bool hit = false;
+    SetupPtr setup =
+        get_or_build(key, [&] { return spcg_setup(a, opt); }, &hit);
+    return {std::move(setup), hit ? SetupPath::kHit : SetupPath::kBuild};
+  }
+
+  [[nodiscard]] SetupCacheStats stats() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return {hits_.value(), misses_.value(), evictions_.value(),
+            partial_hits_.value(), map_.size()};
+  }
+
+  /// Drop every entry (in-flight users keep theirs via shared_ptr).
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
+    lru_.clear();
+    pattern_index_.clear();
+  }
+
+ private:
   /// Peek: the resident setup for exactly `key`, or null. A hit counts
-  /// toward hits_ and touches the LRU; a miss counts nothing (callers that
-  /// fall through to get_or_build or lookup_same_pattern account for the
-  /// outcome there). Blocks if the entry is still building.
+  /// toward hits_ and touches the LRU; a miss counts nothing (resolve()
+  /// falls through and accounts for the outcome there). Blocks if the entry
+  /// is still building.
   SetupPtr lookup(const SetupKey& key) {
     std::shared_future<SetupPtr> future;
     {
@@ -164,14 +222,12 @@ class SetupCache {
     }
   }
 
-  /// The values-only fast path: a resident setup whose pattern + options
-  /// match `key` but whose values_hash differs (the exact key is skipped —
-  /// use lookup() first for exact hits). Returns the most recently inserted
-  /// such entry, counting a partial hit; null when no same-pattern entry is
-  /// resident. The returned setup's *symbolic* artifacts (ILU pattern,
-  /// schedules, sparsify pattern decision) are valid for `key`'s matrix; its
-  /// numerics are stale — callers refresh them (transient/refactorize.h)
-  /// and must NOT insert the refreshed clone back into the cache.
+  /// The refresh donor: a resident setup whose pattern + options match
+  /// `key` but whose values_hash differs (the exact key is skipped).
+  /// Returns the most recently inserted such entry, counting a partial hit;
+  /// null when none is resident. Its *symbolic* artifacts (ILU pattern,
+  /// schedules, sparsify pattern decision) are valid for `key`'s matrix;
+  /// its numerics are stale.
   SetupPtr lookup_same_pattern(const SetupKey& key) {
     std::shared_future<SetupPtr> future;
     {
@@ -195,23 +251,6 @@ class SetupCache {
     }
   }
 
-  [[nodiscard]] SetupCacheStats stats() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return {hits_.value(), misses_.value(), evictions_.value(),
-            partial_hits_.value(), map_.size()};
-  }
-
-  /// Drop every entry (in-flight users keep theirs via shared_ptr).
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    pattern_index_.clear();
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
   struct Entry {
     std::shared_future<SetupPtr> future;
     typename std::list<SetupKey>::iterator lru_it;
@@ -237,7 +276,7 @@ class SetupCache {
   std::list<SetupKey> lru_;  // front = most recently used
   std::unordered_map<SetupKey, Entry, SetupKeyHash> map_;
   /// Secondary index: pattern+options -> resident keys, insertion-ordered
-  /// (back = newest). Serves lookup_same_pattern for the transient fast path.
+  /// (back = newest). Serves lookup_same_pattern for resolve()'s refresh.
   std::unordered_map<SetupPatternKey, std::vector<SetupKey>,
                      SetupPatternKeyHash>
       pattern_index_;

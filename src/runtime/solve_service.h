@@ -1,8 +1,9 @@
 // SolveService — asynchronous solver-as-a-service front end.
 //
 // A fixed worker pool drains a FIFO of solve requests. Each request is
-// answered through a SolverSession backed by the service-wide SetupCache, so
-// repeated traffic against the same systems pays the setup phase once.
+// answered through a SolverSession backed by the service-wide SetupCache (a
+// distributed request through dist_setup over the same cache), so repeated
+// traffic against the same systems pays the setup phase once.
 // Callers get a future plus a cancellation handle; requests carry optional
 // deadlines (checked when a worker picks the request up and again between
 // the primary attempt and the fallback — a running PCG is never interrupted
@@ -14,6 +15,7 @@
 // boosting forced on) and reports the fallback and its reason in the reply.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -31,7 +33,7 @@
 #include "analysis/alloc_audit.h"
 #include "autotune/tuner.h"
 #include "core/spcg.h"
-#include "runtime/dist_session.h"
+#include "dist/dist_pcg.h"
 #include "runtime/session.h"
 #include "runtime/setup_cache.h"
 #include "support/error.h"
@@ -51,7 +53,7 @@ struct ServiceRequest {
   /// kDeadlineExpired instead of being solved.
   std::optional<std::chrono::steady_clock::duration> deadline;
   /// Solve distributed over this many thread-ranks (1 = the serial session).
-  /// Subdomain setups flow through the same service-wide SetupCache.
+  /// Subdomain setups resolve through the same service-wide SetupCache.
   index_t parts = 1;
   PartitionOptions partition;  // partitioning strategy when parts > 1
   DistBody body = DistBody::kClassic;  // distributed body when parts > 1
@@ -234,9 +236,8 @@ class SolveService {
     return cache_;
   }
 
-  /// The service-wide tuner and its tuning database (persisted by the CLI
-  /// between runs; shared so external code can pre-load or save it).
-  [[nodiscard]] const Tuner<T>& tuner() const { return tuner_; }
+  /// The service-wide tuner's tuning database (persisted by the CLI between
+  /// runs; shared so external code can pre-load or save it).
   [[nodiscard]] const std::shared_ptr<TuneDb>& tune_db() const {
     return tuner_.db();
   }
@@ -308,10 +309,10 @@ class SolveService {
       return reply;
     }
 
-    // Primary attempt with the requested options. parts > 1 routes through
-    // the distributed session (per-subdomain setups share the same cache);
-    // its degradation path is the serial baseline below, so a bad partition
-    // or a non-converging Schwarz preconditioner still gets an answer.
+    // Primary attempt with the requested options. parts > 1 solves
+    // distributed (per-subdomain setups share the same cache); its
+    // degradation path is the serial baseline below, so a bad partition or
+    // a non-converging Schwarz preconditioner still gets an answer.
     const bool distributed = job.request.parts > 1;
     try {
       if (distributed) {
@@ -321,11 +322,19 @@ class SolveService {
         dopt.options = job.request.options;
         dopt.body = job.request.body;
         dopt.transport = job.request.transport;
-        DistSolverSession<T> session(job.request.a, dopt, cache_, &telemetry_);
-        DistSolveResult<T> run = session.solve(job.request.b);
-        reply.setup_cache_hit =
-            session.subdomain_cache_hits() == session.parts();
-        reply.setup_pattern_refreshed = session.subdomain_partial_hits() > 0;
+        const DistSetup<T> setup =
+            dist_setup(*job.request.a, dopt, cache_.get());
+        const auto hits = static_cast<std::uint64_t>(
+            std::ranges::count(setup.paths, SetupPath::kHit));
+        const auto refreshes = static_cast<std::uint64_t>(
+            std::ranges::count(setup.paths, SetupPath::kRefresh));
+        telemetry_.counter("dist.setup.cache_hits").add(hits);
+        telemetry_.counter("dist.setup.partial_hits").add(refreshes);
+        DistSolveResult<T> run = dist_pcg_solve(
+            std::span<const T>(job.request.b), setup, dopt);
+        record_dist_solve(run);
+        reply.setup_cache_hit = hits == setup.paths.size();
+        reply.setup_pattern_refreshed = refreshes > 0;
         reply.solve_seconds = run.solve_seconds;
         if (run.solve.converged()) {
           reply.status = RequestStatus::kOk;
@@ -349,7 +358,7 @@ class SolveService {
               job.request.a, to_spcg_options(tuned.config, job.request.options),
               cache_);
           SessionSolveResult<T> run = session.solve(job.request.b);
-          reply.setup_cache_hit = session.setup_cache_hit();
+          reply.setup_cache_hit = session.setup_path() == SetupPath::kHit;
           reply.setup = session.shared_setup();
           reply.solve_seconds = run.solve_seconds;
           if (run.solve.converged()) {
@@ -375,8 +384,9 @@ class SolveService {
         SolverSession<T> session(job.request.a, job.request.options, cache_,
                                  /*allow_pattern_refresh=*/true);
         SessionSolveResult<T> run = session.solve(job.request.b);
-        reply.setup_cache_hit = session.setup_cache_hit();
-        reply.setup_pattern_refreshed = session.setup_pattern_refreshed();
+        reply.setup_cache_hit = session.setup_path() == SetupPath::kHit;
+        reply.setup_pattern_refreshed =
+            session.setup_path() == SetupPath::kRefresh;
         reply.setup = session.shared_setup();
         reply.solve_seconds = run.solve_seconds;
         if (run.solve.converged() || !job.request.options.sparsify_enabled) {
@@ -421,7 +431,7 @@ class SolveService {
       reply.status = RequestStatus::kOk;
       reply.used_fallback = true;
       reply.solve = std::move(run.solve);
-      reply.setup_cache_hit = session.setup_cache_hit();
+      reply.setup_cache_hit = session.setup_path() == SetupPath::kHit;
       reply.setup = session.shared_setup();
       reply.solve_seconds = run.solve_seconds;
     } catch (const std::exception& e) {
@@ -430,6 +440,25 @@ class SolveService {
       failed_.add();
     }
     return reply;
+  }
+
+  /// Per-solve communication counters of a distributed request.
+  void record_dist_solve(const DistSolveResult<T>& run) {
+    telemetry_.counter("dist.solves").add();
+    telemetry_.counter("dist.iterations")
+        .add(static_cast<std::uint64_t>(run.solve.iterations));
+    telemetry_.counter("dist.allreduces").add(run.stats.allreduces);
+    telemetry_.counter("dist.halo_exchanges").add(run.stats.halo_exchanges);
+    telemetry_.histogram("dist.halo_bytes").record(run.stats.halo_bytes);
+    // Transport cost: the slowest rank's blocked time and what overlap hid.
+    telemetry_.histogram("dist.comm.wait_us")
+        .record(static_cast<std::uint64_t>(run.stats.max_wait_seconds * 1e6));
+    telemetry_.histogram("dist.comm.overlap_hidden_us")
+        .record(static_cast<std::uint64_t>(run.stats.overlap_hidden_seconds *
+                                           1e6));
+    telemetry_.max_gauge("dist.overlap_pct")
+        .update(static_cast<std::uint64_t>(run.stats.overlap_efficiency *
+                                           100.0));
   }
 
   std::shared_ptr<SetupCache<T>> cache_;

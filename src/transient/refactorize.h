@@ -31,6 +31,7 @@
 #include "core/spcg.h"
 #include "precond/ilu.h"
 #include "sparse/csr.h"
+#include "support/trace.h"
 
 namespace spcg {
 
@@ -116,6 +117,7 @@ template <class T>
 void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
                             const SpcgOptions& opt,
                             NumericRefreshWorkspace& ws) {
+  Span span("refactorize", "setup");
   SPCG_CHECK_MSG(a_new.rows == ws.expected_rows &&
                      a_new.nnz() == ws.expected_nnz,
                  "refresh workspace was built for a different pattern");

@@ -5,13 +5,13 @@
 // whose matrices usually share one sparsity pattern and drift only in
 // values. TransientSession exploits exactly that structure:
 //
-//   * Setup reuse by invalidation granularity. The first step builds (or
-//     adopts from a SetupCache) a full SpcgSetup. A values-only matrix
-//     update (same `pattern_hash`, new `values_hash`) triggers only
-//     refresh_setup_numerics() — the numeric ILU elimination into the
-//     retained symbolic structure; level schedules, wavefront inspection
-//     and the sparsification pattern decision are reused verbatim. Only a
-//     pattern change pays a full symbolic rebuild.
+//   * Setup reuse by invalidation granularity. The first step builds a
+//     full SpcgSetup. A values-only matrix update (same `pattern_hash`,
+//     new `values_hash`) triggers only refresh_setup_numerics() — the
+//     numeric ILU elimination into the retained symbolic structure; level
+//     schedules, wavefront inspection and the sparsification pattern
+//     decision are reused verbatim. Only a pattern change pays a full
+//     symbolic rebuild.
 //   * Warm starts: each step seeds PCG with the A_t-norm-optimal guess in
 //     the span of the last few solutions (transient/warm_start.h): the
 //     previous solution plus a ring of up to kWarmStartHistory solution
@@ -28,12 +28,9 @@
 //     The "transient.step" AllocAuditScope enforces this under
 //     SPCG_ALLOC_AUDIT.
 //
-// Cache interaction: an exact-fingerprint cache hit is adopted by *copy*
-// (the session mutates its setup in place, cached entries are immutable); a
-// same-pattern entry is adopted the same way and refreshed. Refreshed
-// clones are never inserted back into the cache — a refresh reuses the
-// donor's pattern decision, which is not necessarily what a cold
-// spcg_setup on the new values would have chosen.
+// The session owns its setup and refreshes it in place, so it builds its
+// own instead of sharing one: the runtime layer's cached setups are
+// immutable.
 #pragma once
 
 #include <algorithm>
@@ -50,7 +47,6 @@
 #include "core/spcg.h"
 #include "precond/preconditioner.h"
 #include "runtime/fingerprint.h"
-#include "runtime/setup_cache.h"
 #include "solver/pcg.h"
 #include "sparse/csr.h"
 #include "sparse/norms.h"
@@ -98,8 +94,6 @@ struct TransientStats {
   std::int64_t warm_steps = 0;
   std::int64_t projected_steps = 0;        // warm steps with warm_basis > 1
   std::int64_t total_iterations = 0;
-  std::int64_t cache_hits = 0;             // exact-key setups adopted
-  std::int64_t cache_partial_adoptions = 0;  // same-pattern setups adopted
   double refactorize_seconds = 0.0;        // rebuild + refresh time
   double solve_seconds = 0.0;
 };
@@ -110,9 +104,8 @@ struct TransientStats {
 template <class T>
 class TransientSession {
  public:
-  TransientSession(std::shared_ptr<const Csr<T>> a, TransientOptions opt,
-                   std::shared_ptr<SetupCache<T>> cache = nullptr)
-      : a_(std::move(a)), opt_(std::move(opt)), cache_(std::move(cache)) {
+  TransientSession(std::shared_ptr<const Csr<T>> a, TransientOptions opt)
+      : a_(std::move(a)), opt_(std::move(opt)) {
     SPCG_CHECK(a_ != nullptr);
     SPCG_CHECK(a_->rows == a_->cols);
     fp_ = fingerprint(*a_);
@@ -121,11 +114,10 @@ class TransientSession {
   /// Borrow a caller-owned matrix (must outlive the session / the next
   /// update_matrix). Useful when the stepping loop mutates one Csr in place
   /// and re-presents it each step.
-  TransientSession(const Csr<T>& a, TransientOptions opt,
-                   std::shared_ptr<SetupCache<T>> cache = nullptr)
+  TransientSession(const Csr<T>& a, TransientOptions opt)
       : TransientSession(
             std::shared_ptr<const Csr<T>>(&a, [](const Csr<T>*) {}),
-            std::move(opt), std::move(cache)) {}
+            std::move(opt)) {}
 
   /// Present the matrix for the next step(s). Fingerprints it and classifies
   /// the change: identical (no-op), values-only (numeric refresh on the next
@@ -145,10 +137,6 @@ class TransientSession {
     fp_ = fp;
     if (same_pattern && ready_) {
       dirty_values_ = true;
-      // Telemetry: a values-only change is a *partial hit* of the retained
-      // setup — surface it on the shared cache so operators can tell the
-      // fast path from cold misses (ISSUE satellite: cache.partial_hit).
-      if (cache_) cache_->lookup_same_pattern(make_setup_key(fp_, opt_.base));
     } else {
       dirty_pattern_ = true;
       x_.clear();  // a different pattern means a different unknown layout
@@ -270,9 +258,6 @@ class TransientSession {
   [[nodiscard]] const std::vector<T>& solution() const { return x_; }
   [[nodiscard]] const TransientStepStats& last_step() const { return last_; }
   [[nodiscard]] const TransientStats& stats() const { return stats_; }
-  [[nodiscard]] const MatrixFingerprint& current_fingerprint() const {
-    return fp_;
-  }
 
   /// The live setup (built on first step; SPCG_CHECKs before that). Numeric
   /// artifacts reflect the current matrix; a SparsifyDecision's indicator/
@@ -284,36 +269,12 @@ class TransientSession {
   }
 
  private:
-  /// Full (re)build: adopt a setup from the cache when possible, else build
-  /// cold; then bind everything the steady loop needs.
+  /// Full (re)build: a cold setup, then everything the steady loop needs.
   void rebuild() {
     WallTimer timer;
     Span span("transient.rebuild", "transient");
-    bool adopted = false;
-    if (cache_) {
-      const SetupKey key = make_setup_key(fp_, opt_.base);
-      if (auto exact = cache_->lookup(key)) {
-        setup_ = exact->artifacts;  // copy: the session mutates in place
-        ws_ = build_numeric_refresh(setup_, *a_);
-        stats_.cache_hits += 1;
-        adopted = true;
-      } else if (auto donor = cache_->lookup_same_pattern(key)) {
-        // Same pattern + options, different values: adopt the symbolic
-        // structure and refresh the numerics. NOT inserted back into the
-        // cache (see file header).
-        setup_ = donor->artifacts;
-        ws_ = build_numeric_refresh(setup_, *a_);
-        refresh_setup_numerics(setup_, *a_, opt_.base, ws_);
-        stats_.cache_partial_adoptions += 1;
-        adopted = true;
-      } else {
-        setup_ = cache_->get_or_build(*a_, opt_.base)->artifacts;
-        ws_ = build_numeric_refresh(setup_, *a_);
-      }
-    } else {
-      setup_ = spcg_setup(*a_, opt_.base);
-      ws_ = build_numeric_refresh(setup_, *a_);
-    }
+    setup_ = spcg_setup(*a_, opt_.base);
+    ws_ = build_numeric_refresh(setup_, *a_);
     applier_.emplace(setup_.factors, setup_.l_schedule, setup_.u_schedule,
                      opt_.base.executor);
     // Pre-size the donor so even the structural step's pcg() gets a warm
@@ -331,12 +292,10 @@ class TransientSession {
     last_.symbolic_rebuild = true;
     last_.refactorize_seconds = timer.seconds();
     stats_.symbolic_rebuilds += 1;
-    span.arg("adopted", adopted);
   }
 
   std::shared_ptr<const Csr<T>> a_;
   TransientOptions opt_;
-  std::shared_ptr<SetupCache<T>> cache_;
   MatrixFingerprint fp_;
 
   SpcgSetup<T> setup_;            // private mutable clone

@@ -38,6 +38,7 @@
 #include "sparse/csr.h"
 #include "sparse/norms.h"
 #include "sparse/ops.h"
+#include "support/trace.h"
 
 namespace spcg {
 
@@ -63,6 +64,7 @@ std::int32_t project_warm_start(const Csr<T>& a, std::span<const T> b,
                                 std::span<const std::span<const T>> dirs,
                                 std::span<T> x0, std::vector<T>& r,
                                 std::vector<T>& av) {
+  Span span("warm_start", "transient");
   constexpr std::size_t kMax = kWarmStartHistory;
   const std::size_t m = dirs.size();
   SPCG_CHECK(m <= kMax);

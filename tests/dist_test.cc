@@ -904,24 +904,26 @@ TEST(DistSolve, CheckedExecutorRunsConcurrentRanks) {
 // DistSession — runtime integration
 
 TEST(DistSession, CacheSharesSubdomainSetupsAcrossSessions) {
-  const auto a = std::make_shared<const Csr<double>>(gen_poisson2d(16, 16));
-  const std::vector<double> b = make_rhs(*a, 1);
+  const Csr<double> a = gen_poisson2d(16, 16);
+  const std::vector<double> b = make_rhs(a, 1);
   DistOptions opt;
   opt.parts = 3;
   opt.options = fast_options();
-  auto cache = std::make_shared<SetupCache<double>>(16);
+  SetupCache<double> cache(16);
 
-  const DistSolverSession<double> first(a, opt, cache);
-  EXPECT_EQ(first.subdomain_cache_hits(), 0);
-  const DistSolverSession<double> second(a, opt, cache);
-  EXPECT_EQ(second.subdomain_cache_hits(), 3);
+  const DistSetup<double> first = dist_setup(a, opt, &cache);
+  EXPECT_EQ(first.paths, std::vector<SetupPath>(3, SetupPath::kBuild));
+  const DistSetup<double> second = dist_setup(a, opt, &cache);
+  EXPECT_EQ(second.paths, std::vector<SetupPath>(3, SetupPath::kHit));
+  for (std::size_t p = 0; p < 3; ++p)
+    EXPECT_EQ(first.subdomains[p].get(), second.subdomains[p].get());
 
-  const DistSolveResult<double> run = second.solve(b);
+  const DistSolveResult<double> run = dist_pcg_solve(b, second, opt);
   EXPECT_TRUE(run.solve.converged());
 }
 
 TEST(DistSession, SamePatternValuesChangeTakesPartialHitFastPath) {
-  // Second session solves the same pattern with scaled values: every
+  // The second setup partitions the same pattern with scaled values: every
   // subdomain setup should come from the same-pattern refresh path, not a
   // cold rebuild (and not an exact hit — the values differ).
   const Csr<double> base = gen_poisson2d(16, 16);
@@ -931,38 +933,40 @@ TEST(DistSession, SamePatternValuesChangeTakesPartialHitFastPath) {
   DistOptions opt;
   opt.parts = 3;
   opt.options = fast_options();
-  auto cache = std::make_shared<SetupCache<double>>(16);
+  SetupCache<double> cache(16);
 
-  const DistSolverSession<double> first(base, opt, cache);
-  EXPECT_EQ(first.subdomain_cache_hits(), 0);
-  EXPECT_EQ(first.subdomain_partial_hits(), 0);
-
-  const DistSolverSession<double> second(scaled, opt, cache);
-  EXPECT_EQ(second.subdomain_cache_hits(), 0);
-  EXPECT_EQ(second.subdomain_partial_hits(), 3);
+  const DistSetup<double> first = dist_setup(base, opt, &cache);
+  EXPECT_EQ(first.paths, std::vector<SetupPath>(3, SetupPath::kBuild));
+  const DistSetup<double> second = dist_setup(scaled, opt, &cache);
+  EXPECT_EQ(second.paths, std::vector<SetupPath>(3, SetupPath::kRefresh));
 
   const std::vector<double> b = make_rhs(scaled, 4);
-  const DistSolveResult<double> run = second.solve(b);
+  const DistSolveResult<double> run = dist_pcg_solve(b, second, opt);
   EXPECT_TRUE(run.solve.converged());
 }
 
 TEST(DistSession, TelemetryRecordsCommunicationCounters) {
-  const Csr<double> a = gen_poisson2d(12, 12);
-  const std::vector<double> b = make_rhs(a, 8);
-  DistOptions opt;
-  opt.parts = 2;
-  opt.options = fast_options();
-  TelemetryRegistry telemetry;
-  const DistSolverSession<double> session(a, opt, nullptr, &telemetry);
-  const DistSolveResult<double> run = session.solve(b);
-  ASSERT_TRUE(run.solve.converged());
+  const auto a = std::make_shared<const Csr<double>>(gen_poisson2d(12, 12));
+  SolveService<double> service({1, 8});
+  ServiceRequest<double> req;
+  req.a = a;
+  req.b = make_rhs(*a, 8);
+  req.options = fast_options();
+  req.parts = 2;  // classic body
+  const ServiceReply<double> reply = service.submit(std::move(req)).reply.get();
+  ASSERT_EQ(reply.status, RequestStatus::kOk);
+  ASSERT_FALSE(reply.used_fallback);
 
-  EXPECT_EQ(telemetry.counter("dist.solves").value(), 1u);
-  EXPECT_EQ(telemetry.counter("dist.allreduces").value(),
-            run.stats.allreduces);
-  EXPECT_EQ(telemetry.histogram("dist.halo_bytes").count(), 1u);
-  EXPECT_EQ(telemetry.histogram("dist.halo_bytes").max(),
-            run.stats.halo_bytes);
+  const std::vector<CounterSample> samples = service.telemetry_snapshot();
+  auto value_of = [&](const std::string& name) -> std::int64_t {
+    for (const CounterSample& s : samples)
+      if (s.name == name) return static_cast<std::int64_t>(s.value);
+    return -1;
+  };
+  const std::int64_t k = reply.solve.iterations;
+  EXPECT_EQ(value_of("dist.solves"), 1);
+  EXPECT_EQ(value_of("dist.allreduces"), 2 * k + 3);
+  EXPECT_EQ(value_of("dist.halo_bytes.count"), 1);
 }
 
 TEST(DistSession, ServiceRoutesDistributedRequests) {
@@ -988,22 +992,6 @@ TEST(DistSession, ServiceRoutesDistributedRequests) {
       service.submit(make_request()).reply.get();
   ASSERT_EQ(second.status, RequestStatus::kOk);
   EXPECT_TRUE(second.setup_cache_hit);
-}
-
-TEST(DistSession, SolveMatchesStandaloneDistPcg) {
-  const Csr<double> a = gen_poisson2d(14, 14);
-  const std::vector<double> b = make_rhs(a, 6);
-  DistOptions opt;
-  opt.parts = 2;
-  opt.options = fast_options();
-  const DistSolverSession<double> session(a, opt);
-  const DistSolveResult<double> via_session = session.solve(b);
-  const DistSolveResult<double> direct =
-      dist_pcg_solve(b, dist_setup(a, opt), opt);
-  // Deterministic end to end: same partition, same subdomain setups, same
-  // rank-order reductions.
-  EXPECT_EQ(via_session.solve.x, direct.solve.x);
-  EXPECT_EQ(via_session.solve.iterations, direct.solve.iterations);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the solver runtime layer (src/runtime/): fingerprints, the
-// shared LRU setup cache, setup-once/solve-many sessions with batched
-// right-hand sides, and the async solve service (deadlines, cancellation,
-// breakdown fallback).
+// shared LRU setup cache and its resolver, setup-once/solve-many sessions
+// with batched right-hand sides, and the async solve service (deadlines,
+// cancellation, breakdown fallback, same-pattern refresh).
 //
 // Fixture naming is load-bearing: RuntimeFingerprint/RuntimeCache/
 // RuntimeSession/RuntimeService run under the TSan CI job (they exercise the
@@ -29,6 +29,13 @@ SpcgOptions fast_options() {
   SpcgOptions opt;
   opt.pcg.tolerance = 1e-10;
   return opt;
+}
+
+template <class V>
+bool same_bits(const std::vector<V>& x, const std::vector<V>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(V)) == 0);
 }
 
 // ---------------------------------------------------------------- fingerprint
@@ -258,30 +265,40 @@ TEST(RuntimeCache, SamePatternLookupServesPartialHits) {
   SetupCache<double> cache(4);
   const auto donor = cache.get_or_build(a, opt);
 
-  // Exact lookup: peek without building; a miss stays a nullptr.
-  const SetupKey exact = make_setup_key(a, opt);
-  EXPECT_EQ(cache.lookup(exact).get(), donor.get());
-  const SetupKey wanted = make_setup_key(perturbed, opt);
-  EXPECT_EQ(cache.lookup(wanted), nullptr);
+  // The exact key resolves to the resident entry itself.
+  const auto exact = cache.resolve(a, make_setup_key(a, opt), opt, true);
+  EXPECT_EQ(exact.path, SetupPath::kHit);
+  EXPECT_EQ(exact.setup.get(), donor.get());
 
-  // Same pattern + options, different values: the secondary index answers.
-  const auto partial = cache.lookup_same_pattern(wanted);
-  ASSERT_NE(partial, nullptr);
-  EXPECT_EQ(partial.get(), donor.get());
+  // Same pattern + options, different values: the secondary index answers
+  // with the donor, served as a clone with its numbers refreshed.
+  const SetupKey wanted = make_setup_key(perturbed, opt);
+  const auto partial = cache.resolve(perturbed, wanted, opt, true);
+  ASSERT_EQ(partial.path, SetupPath::kRefresh);
+  EXPECT_NE(partial.setup.get(), donor.get());
+  EXPECT_EQ(partial.setup->key, wanted);
+  EXPECT_EQ(partial.setup->artifacts.factors.u.colind,
+            donor->artifacts.factors.u.colind);
+  EXPECT_NE(partial.setup->artifacts.factors.u.values,
+            donor->artifacts.factors.u.values);
 
   const SetupCacheStats stats = cache.stats();
   EXPECT_EQ(stats.partial_hits, 1u);
-  EXPECT_EQ(stats.hits, 1u);  // the exact lookup() above
+  EXPECT_EQ(stats.hits, 1u);    // the exact resolve above
+  EXPECT_EQ(stats.misses, 1u);  // the donor's build; the refresh counts none
+  EXPECT_EQ(stats.entries, 1u);  // the refreshed clone is not inserted
 }
 
 TEST(RuntimeCache, SamePatternLookupSkipsTheExactKey) {
-  // With only the exact entry resident, a same-pattern probe for that very
-  // key must return nothing: lookup() already owns the exact-hit path.
+  // With only the exact entry resident, resolving that very key is a hit:
+  // an exact key is never served as a refresh of itself.
   const Csr<double> a = gen_poisson2d(10, 10);
   const SpcgOptions opt = fast_options();
   SetupCache<double> cache(4);
-  cache.get_or_build(a, opt);
-  EXPECT_EQ(cache.lookup_same_pattern(make_setup_key(a, opt)), nullptr);
+  const auto donor = cache.get_or_build(a, opt);
+  const auto resolved = cache.resolve(a, make_setup_key(a, opt), opt, true);
+  EXPECT_EQ(resolved.path, SetupPath::kHit);
+  EXPECT_EQ(resolved.setup.get(), donor.get());
   EXPECT_EQ(cache.stats().partial_hits, 0u);
 }
 
@@ -292,26 +309,28 @@ TEST(RuntimeCache, SamePatternLookupRespectsOptionsAndEviction) {
   const SpcgOptions opt = fast_options();
 
   SetupCache<double> cache(1);
+  auto resolve_perturbed = [&](const SpcgOptions& o) {
+    return cache.resolve(perturbed, make_setup_key(perturbed, o), o, true)
+        .path;
+  };
   cache.get_or_build(a, opt);
 
   // Different setup-relevant options -> different pattern bucket.
   SpcgOptions iluk = opt;
   iluk.preconditioner = PrecondKind::kIluK;
   iluk.fill_level = 2;
-  EXPECT_EQ(cache.lookup_same_pattern(make_setup_key(perturbed, iluk)),
-            nullptr);
+  EXPECT_EQ(resolve_perturbed(iluk), SetupPath::kBuild);
 
   // Evicting the donor must also drop it from the pattern index.
+  cache.get_or_build(a, opt);
   cache.get_or_build(gen_poisson2d(11, 11), opt);  // capacity 1: evicts a
-  EXPECT_EQ(cache.lookup_same_pattern(make_setup_key(perturbed, opt)),
-            nullptr);
-  EXPECT_EQ(cache.stats().partial_hits, 0u);
+  EXPECT_EQ(resolve_perturbed(opt), SetupPath::kBuild);
 
   // clear() resets the index as well.
   cache.get_or_build(a, opt);
   cache.clear();
-  EXPECT_EQ(cache.lookup_same_pattern(make_setup_key(perturbed, opt)),
-            nullptr);
+  EXPECT_EQ(resolve_perturbed(opt), SetupPath::kBuild);
+  EXPECT_EQ(cache.stats().partial_hits, 0u);
 }
 
 // -------------------------------------------------------------------- session
@@ -350,9 +369,9 @@ TEST(RuntimeSession, SetupReusedAcrossSolvesAndSessions) {
   const Csr<double> a = gen_poisson2d(16, 16);
   auto cache = std::make_shared<SetupCache<double>>(4);
   SolverSession<double> first(a, fast_options(), cache);
-  EXPECT_FALSE(first.setup_cache_hit());
+  EXPECT_EQ(first.setup_path(), SetupPath::kBuild);
   SolverSession<double> second(a, fast_options(), cache);
-  EXPECT_TRUE(second.setup_cache_hit());
+  EXPECT_EQ(second.setup_path(), SetupPath::kHit);
   EXPECT_EQ(first.shared_setup().get(), second.shared_setup().get());
 
   const std::vector<double> b1 = make_rhs(a, 1);
@@ -492,6 +511,55 @@ TEST(RuntimeService, ConcurrentRequestsShareSetups) {
   EXPECT_EQ(stats.cache.misses, 2u);  // one setup per distinct matrix
   EXPECT_EQ(stats.cache.hits, static_cast<std::uint64_t>(kRequests) - 2);
   EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(RuntimeService, SamePatternRequestRefreshesDonorBitwise) {
+  // One sparsify ratio and uniformly scaled off-diagonals keep Algorithm 2's
+  // pattern decision, so a refresh of the first request's setup must equal a
+  // cold setup on the second matrix bit for bit. Shrinking the off-diagonals
+  // keeps the matrix diagonally dominant, so both requests converge.
+  SpcgOptions opt = fast_options();
+  opt.sparsify.ratios = {10.0};
+  const Csr<double> base = gen_varcoef2d(16, 16, 1.5, 11);
+  Csr<double> scaled = base;
+  for (index_t i = 0; i < scaled.rows; ++i)
+    for (index_t k = scaled.rowptr[static_cast<std::size_t>(i)];
+         k < scaled.rowptr[static_cast<std::size_t>(i) + 1]; ++k)
+      if (scaled.colind[static_cast<std::size_t>(k)] != i)
+        scaled.values[static_cast<std::size_t>(k)] *= 0.8;
+  const std::vector<double> b = make_rhs(scaled, 5);
+
+  SolveService<double> service({/*workers=*/1, /*cache_capacity=*/4});
+  auto request = [&](const Csr<double>& a) {
+    ServiceRequest<double> req;
+    req.a = std::make_shared<const Csr<double>>(a);
+    req.b = b;
+    req.options = opt;
+    return service.submit(std::move(req)).reply.get();
+  };
+  const ServiceReply<double> donor = request(base);
+  ASSERT_EQ(donor.status, RequestStatus::kOk);
+  EXPECT_FALSE(donor.setup_pattern_refreshed);
+  const ServiceReply<double> refreshed = request(scaled);
+  ASSERT_EQ(refreshed.status, RequestStatus::kOk);
+  ASSERT_FALSE(refreshed.used_fallback) << refreshed.fallback_reason;
+  EXPECT_TRUE(refreshed.setup_pattern_refreshed);
+  EXPECT_FALSE(refreshed.setup_cache_hit);
+  const SetupCacheStats stats = service.stats().cache;
+  EXPECT_EQ(stats.partial_hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);  // the refreshed clone is not inserted
+
+  const SolverSession<double> cold(scaled, opt);
+  const SpcgSetup<double>& got = refreshed.setup->artifacts;
+  EXPECT_TRUE(same_bits(got.factorization.lu.values,
+                        cold.setup().factorization.lu.values));
+  EXPECT_TRUE(same_bits(got.factors.l.values, cold.setup().factors.l.values));
+  EXPECT_TRUE(same_bits(got.factors.u.values, cold.setup().factors.u.values));
+  EXPECT_TRUE(same_bits(refreshed.solve.x, cold.solve(b).solve.x));
+
+  // Refresh off: the same cache has no exact entry, so the setup is built.
+  const SolverSession<double> off(scaled, opt, service.cache());
+  EXPECT_EQ(off.setup_path(), SetupPath::kBuild);
 }
 
 TEST(RuntimeService, DeadlineExpiryIsReportedNotSolved) {

@@ -2,6 +2,7 @@
 // sampling suppression, the Chrome trace / Prometheus exporters, and the
 // ISSUE-4 acceptance criterion that recorded spans account for >= 95% of the
 // wall clock inside every solve request served by a traced SolveService.
+// The last test checks the spans one transient step records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,10 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "gen/generators.h"
 #include "gen/suite.h"
 #include "runtime/runtime.h"
 #include "support/expo.h"
 #include "support/trace.h"
+#include "transient/transient.h"
 
 namespace spcg {
 namespace {
@@ -261,6 +264,46 @@ TEST(Trace, ServiceExecuteSpansAreCoveredByChildSpans) {
         << " only covered " << coverage << " of " << e.duration_ns << " ns";
   }
   EXPECT_EQ(executes, 8);
+}
+
+// A transient step's values-only refresh and warm-start projection each get
+// a span inside that step, and every matrix hash gets a fingerprint span.
+TEST(Trace, TransientStepTracesRefreshWarmStartAndFingerprints) {
+  SpcgOptions opt;
+  opt.pcg.tolerance = 1e-10;
+  Csr<double> a = gen_varcoef2d(16, 16, 1.5, 7);
+  const std::vector<double> b = make_rhs(a, 1);
+
+  global_trace().clear();
+  global_trace().set_enabled(true);
+  {
+    TransientSession<double> session(a, TransientOptions{opt, {}, true});
+    session.step(b);  // cold: full build, no previous solution
+    for (double& v : a.values) v *= 1.01;
+    session.update_matrix(a);  // values-only change
+    session.step(b);           // refresh + warm start
+  }
+  const std::vector<TraceEvent> events = global_trace().drain();
+  global_trace().set_enabled(false);
+
+  std::vector<const TraceEvent*> steps;
+  for (const TraceEvent& e : events)
+    if (e.name == "transient.step") steps.push_back(&e);
+  ASSERT_EQ(steps.size(), 2u);
+  auto count = [&](const std::string& name, const TraceEvent* within) {
+    return std::count_if(
+        events.begin(), events.end(), [&](const TraceEvent& e) {
+          return e.name == name &&
+                 (within == nullptr ||
+                  (e.tid == within->tid && e.start_ns >= within->start_ns &&
+                   e.end_ns() <= within->end_ns()));
+        });
+  };
+  EXPECT_EQ(count("refactorize", nullptr), 1);
+  EXPECT_EQ(count("refactorize", steps[1]), 1);
+  EXPECT_EQ(count("warm_start", nullptr), 1);
+  EXPECT_EQ(count("warm_start", steps[1]), 1);
+  EXPECT_EQ(count("fingerprint", nullptr), 2);  // construction + update
 }
 
 }  // namespace

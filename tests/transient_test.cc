@@ -1,7 +1,7 @@
 // Tests for the transient-solve subsystem (src/transient/): the values-only
 // numeric refactorization fast path, TransientSession step classification,
-// projected warm starts, step policies, cache adoption, and the
-// zero-allocation steady-step guarantee.
+// projected warm starts, step policies, and the zero-allocation steady-step
+// guarantee.
 //
 // Fixture naming is load-bearing: TransientVerify runs under the CI verify
 // job (`ctest -R 'AllocAudit|Verify'`) alongside the spcg-verify corpus
@@ -19,7 +19,6 @@
 #include "analysis/verify.h"
 #include "core/spcg.h"
 #include "gen/generators.h"
-#include "runtime/runtime.h"
 #include "solver/pipelined_cg.h"
 #include "support/rng.h"
 #include "transient/refactorize.h"
@@ -532,44 +531,6 @@ TEST(TransientWarmStart, WarmStartOffIsBitwiseColdPcg) {
     EXPECT_TRUE(bitwise_equal(session.solution(), ref.x)) << "step " << t;
   }
   EXPECT_EQ(session.stats().warm_steps, 0);
-}
-
-// -------------------------------------------------------------------- cache
-
-TEST(TransientSession, AdoptsExactCacheHit) {
-  const SpcgOptions opt = transient_options();
-  const Csr<double> a = gen_varcoef2d(16, 16, 1.5, 19);
-  auto cache = std::make_shared<SetupCache<double>>(4);
-  cache->get_or_build(a, opt);  // pre-warm
-
-  TransientSession<double> session(a, TransientOptions{opt, StepPolicy{}, true},
-                                   cache);
-  session.step(make_rhs(a, 6));
-  EXPECT_EQ(session.stats().cache_hits, 1);
-  EXPECT_EQ(session.stats().cache_partial_adoptions, 0);
-  EXPECT_EQ(cache->stats().hits, 1u);
-}
-
-TEST(TransientSession, AdoptsSamePatternEntryAndRefreshes) {
-  const SpcgOptions opt = transient_options();
-  const Csr<double> a1 = gen_varcoef2d(16, 16, 1.5, 23);
-  const Csr<double> a2 = scale_offdiag(a1, 1.5);
-  auto cache = std::make_shared<SetupCache<double>>(4);
-  cache->get_or_build(a1, opt);  // donor: same pattern, different values
-
-  TransientSession<double> session(
-      a2, TransientOptions{opt, StepPolicy{}, true}, cache);
-  session.step(make_rhs(a2, 7));
-  EXPECT_EQ(session.stats().cache_hits, 0);
-  EXPECT_EQ(session.stats().cache_partial_adoptions, 1);
-  EXPECT_GE(cache->stats().partial_hits, 1u);
-  // Adopted-and-refreshed setups are NOT inserted back into the cache.
-  EXPECT_EQ(cache->stats().entries, 1u);
-
-  // The refreshed adoption must still match a cold setup on a2 bitwise.
-  const SpcgSetup<double> cold = spcg_setup(a2, opt);
-  EXPECT_TRUE(bitwise_equal(session.setup().factorization.lu.values,
-                            cold.factorization.lu.values));
 }
 
 // -------------------------------------------------------------- alloc audit
