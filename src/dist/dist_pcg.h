@@ -198,9 +198,12 @@ T dist_dot_reference(std::span<const T> x, std::span<const T> y,
 
 namespace detail {
 
-/// y += B * h: accumulate the boundary block against the gathered halo.
-template <class T>
-void spmv_add(const Csr<T>& bnd, std::span<const T> h, std::span<T> y) {
+/// y += B * h: accumulate the boundary block against the gathered halo,
+/// handing each finished row to `row_done(i, y_i)`; the hook is taken and
+/// returned by value, as in spmv_rows (sparse/ops.h).
+template <class T, class RowDone>
+RowDone spmv_add(const Csr<T>& bnd, std::span<const T> h, std::span<T> y,
+                 RowDone row_done) {
   for (index_t i = 0; i < bnd.rows; ++i) {
     T acc = y[static_cast<std::size_t>(i)];
     for (index_t p = bnd.rowptr[static_cast<std::size_t>(i)];
@@ -209,14 +212,17 @@ void spmv_add(const Csr<T>& bnd, std::span<const T> h, std::span<T> y) {
              h[static_cast<std::size_t>(bnd.colind[static_cast<std::size_t>(p)])];
     }
     y[static_cast<std::size_t>(i)] = acc;
+    row_done(i, acc);
   }
+  return row_done;
 }
 
 /// Rank communication policy (the seam solver/pcg.h describes). The matvec
 /// publishes this rank's slice and runs the interior SpMV while the halo is
-/// in flight, then adds the boundary block against the gathered halo. The
-/// reductions are the deterministic all-reduce; reduce_around runs its work
-/// between reduce_begin and reduce_end.
+/// in flight, then adds the boundary block against the gathered halo; that
+/// boundary pass finishes every owned row in order, so matvec_dot takes its
+/// (x, y) partial there. The reductions are the deterministic all-reduce;
+/// reduce_around runs its work between reduce_begin and reduce_end.
 template <class T>
 struct RankOps {
   static constexpr const char* kCategory = "dist";
@@ -229,13 +235,23 @@ struct RankOps {
   }
 
   void matvec(std::span<const T> x, std::span<T> y) {
+    matvec_rows(x, y, [](index_t, T) {});
+  }
+
+  T matvec_dot(std::span<const T> x, std::span<T> y) {
+    return matvec_rows(x, y, DotRows<T>{x}).xy;
+  }
+
+  template <class RowDone>
+  RowDone matvec_rows(std::span<const T> x, std::span<T> y,
+                      RowDone row_done) {
     auto h = comm.exchange_begin(x);
     WallTimer timer;
     spmv(local.a_interior, x, y);
     comm.note_overlap_compute(timer.seconds());
     Span span("halo_exchange", kCategory);
     comm.exchange_end(h, local, std::span<T>(halo));
-    spmv_add(local.a_boundary, std::span<const T>(halo), y);
+    return spmv_add(local.a_boundary, std::span<const T>(halo), y, row_done);
   }
 
   void reduce(std::span<double> partials) {

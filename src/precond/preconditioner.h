@@ -9,6 +9,7 @@
 #include "analysis/race_detector.h"
 #include "precond/ilu.h"
 #include "sparse/csr.h"
+#include "sparse/norms.h"
 #include "sparse/ops.h"
 #include "sptrsv/sptrsv.h"
 #include "support/trace.h"
@@ -22,6 +23,21 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(std::span<const T> r, std::span<T> z) const = 0;
+
+  /// The middle of a classic CG iteration (Algorithm 1, up to line 13):
+  /// x += alpha p, r -= alpha w, z = M^{-1} r; returns ||r||^2 of the
+  /// updated r. p, w, x, r and z must be distinct. This body is the unfused
+  /// sequence axpy, axpy, apply, sumsq; an override may fuse the passes but
+  /// must keep every bit of x, r, z and the result.
+  virtual T update_and_apply(T alpha, std::span<const T> p,
+                             std::span<const T> w, std::span<T> x,
+                             std::span<T> r, std::span<T> z) const {
+    axpy(alpha, p, x);
+    axpy(-alpha, w, r);
+    apply(std::span<const T>(r), z);
+    return sumsq(std::span<const T>(r));
+  }
+
   /// Rows of the system this preconditioner was built for.
   [[nodiscard]] virtual index_t rows() const = 0;
 };
@@ -110,6 +126,48 @@ void ilu_apply(const TriangularFactors<T>& f, const LevelSchedule& l_sched,
   }
 }
 
+/// Row i's right-hand side in the fused forward sweep below: the CG updates
+/// x_i += alpha p_i and r_i += (-alpha) w_i, with axpy's arithmetic, then
+/// r_i^2 added to rr in row order, as sumsq() adds it. Returns the new r_i.
+template <class T>
+struct CgUpdateRow {
+  T alpha;
+  std::span<const T> p, w;
+  std::span<T> x, r;
+  T rr{0};
+
+  T operator()(index_t i) {
+    const auto s = static_cast<std::size_t>(i);
+    x[s] += alpha * p[s];
+    const T ri = r[s] + -alpha * w[s];
+    r[s] = ri;
+    rr += ri * ri;
+    return ri;
+  }
+};
+
+/// Preconditioner::update_and_apply for ILU under TrsvExec::kSerial, in one
+/// forward pass instead of four: row i updates x_i and r_i, adds r_i^2 to
+/// ||r||^2 and solves L row i from the new r_i; U then solves z in place.
+/// Every entry sees the operations of axpy, axpy, ilu_apply and sumsq in
+/// their order, so the result is bitwise the unfused sequence's.
+template <class T>
+T ilu_update_and_apply_serial(const TriangularFactors<T>& f, T alpha,
+                              std::span<const T> p, std::span<const T> w,
+                              std::span<T> x, std::span<T> r,
+                              std::span<T> z) {
+  check_trsv_shape(f.l, r.size(), z.size());
+  SPCG_CHECK(p.size() == r.size() && w.size() == r.size() &&
+             x.size() == r.size());
+  Span lower_span("sptrsv_lower", "solve");
+  const T rr =
+      sptrsv_lower_sweep(f.l, CgUpdateRow<T>{alpha, p, w, x, r}, z).rr;
+  lower_span.finish();
+  Span span("sptrsv_upper", "solve");
+  sptrsv_upper_serial(f.u, std::span<const T>(z.data(), z.size()), z);
+  return rr;
+}
+
 }  // namespace detail
 
 /// Non-owning ILU apply engine over factors and schedules that live
@@ -127,6 +185,15 @@ class IluApplier final : public Preconditioner<T> {
 
   void apply(std::span<const T> r, std::span<T> z) const override {
     detail::ilu_apply(*factors_, *l_sched_, *u_sched_, exec_, r, z);
+  }
+
+  T update_and_apply(T alpha, std::span<const T> p, std::span<const T> w,
+                     std::span<T> x, std::span<T> r,
+                     std::span<T> z) const override {
+    if (exec_ != TrsvExec::kSerial)
+      return Preconditioner<T>::update_and_apply(alpha, p, w, x, r, z);
+    return detail::ilu_update_and_apply_serial(*factors_, alpha, p, w, x, r,
+                                               z);
   }
 
   [[nodiscard]] index_t rows() const override { return factors_->l.rows; }
@@ -159,6 +226,15 @@ class IluPreconditioner final : public Preconditioner<T> {
 
   void apply(std::span<const T> r, std::span<T> z) const override {
     detail::ilu_apply(factors_, l_sched_, u_sched_, exec_, r, z);
+  }
+
+  T update_and_apply(T alpha, std::span<const T> p, std::span<const T> w,
+                     std::span<T> x, std::span<T> r,
+                     std::span<T> z) const override {
+    if (exec_ != TrsvExec::kSerial)
+      return Preconditioner<T>::update_and_apply(alpha, p, w, x, r, z);
+    return detail::ilu_update_and_apply_serial(factors_, alpha, p, w, x, r,
+                                               z);
   }
 
   [[nodiscard]] index_t rows() const override { return factors_.l.rows; }

@@ -64,13 +64,15 @@ class SolverSession {
                       std::move(opt), std::move(cache),
                       allow_pattern_refresh) {}
 
-  /// Borrow with a precomputed fingerprint, so callers probing several
-  /// option sets against one matrix (tune_fill_level) hash it once.
+  /// Borrow with a precomputed fingerprint, so callers that build several
+  /// sessions over one matrix (tune_fill_level, SolveService's primary and
+  /// fallback attempts) hash it once.
   SolverSession(const Csr<T>& a, const MatrixFingerprint& fp, SpcgOptions opt,
-                std::shared_ptr<SetupCache<T>> cache = nullptr)
+                std::shared_ptr<SetupCache<T>> cache = nullptr,
+                bool allow_pattern_refresh = false)
       : a_(std::shared_ptr<const Csr<T>>(&a, [](const Csr<T>*) {})),
         opt_(std::move(opt)) {
-    init(fp, cache.get(), /*refresh=*/false);
+    init(fp, cache.get(), allow_pattern_refresh);
   }
 
   [[nodiscard]] const SpcgOptions& options() const { return opt_; }

@@ -93,6 +93,71 @@ class SetupCache {
                         const std::function<SpcgSetup<T>()>& build,
                         bool* was_hit = nullptr) {
     Span lookup_span("setup_cache.lookup", "runtime");
+    return find_or_build(key, build, was_hit, lookup_span);
+  }
+
+  /// A setup and how it was obtained.
+  struct Resolved {
+    SetupPtr setup;
+    SetupPath path = SetupPath::kBuild;
+  };
+
+  /// The setup for `a` under `key` (= make_setup_key(a, opt)) and how it
+  /// was obtained. With `refresh` set: the exact entry (kHit), else a clone
+  /// of the newest same-pattern entry with its numbers refreshed against `a`
+  /// (kRefresh), else get_or_build. The clone is private to the caller and
+  /// never inserted: it reuses the donor's sparsification pattern decision,
+  /// which a cold spcg_setup on the new values need not make. With
+  /// `refresh` off this is exactly one get_or_build call (kHit or kBuild).
+  /// Every call records one "setup_cache.lookup" span, its `hit` arg true
+  /// exactly for kHit.
+  Resolved resolve(const Csr<T>& a, const SetupKey& key,
+                   const SpcgOptions& opt, bool refresh) {
+    Span lookup_span("setup_cache.lookup", "runtime");
+    if (refresh) {
+      if (SetupPtr exact = lookup(key)) {
+        lookup_span.arg("hit", true);
+        return {std::move(exact), SetupPath::kHit};
+      }
+      if (SetupPtr donor = lookup_same_pattern(key)) {
+        lookup_span.arg("hit", false);
+        lookup_span.finish();
+        Span span("setup.pattern_refresh", "runtime");
+        auto fresh = std::make_shared<SolverSetup<T>>();
+        fresh->key = key;
+        fresh->artifacts = donor->artifacts;
+        NumericRefreshWorkspace ws =
+            build_numeric_refresh(fresh->artifacts, a);
+        refresh_setup_numerics(fresh->artifacts, a, opt, ws);
+        return {std::move(fresh), SetupPath::kRefresh};
+      }
+    }
+    bool hit = false;
+    SetupPtr setup = find_or_build(
+        key, [&] { return spcg_setup(a, opt); }, &hit, lookup_span);
+    return {std::move(setup), hit ? SetupPath::kHit : SetupPath::kBuild};
+  }
+
+  [[nodiscard]] SetupCacheStats stats() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return {hits_.value(), misses_.value(), evictions_.value(),
+            partial_hits_.value(), map_.size()};
+  }
+
+  /// Drop every entry (in-flight users keep theirs via shared_ptr).
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
+    lru_.clear();
+    pattern_index_.clear();
+  }
+
+ private:
+  /// get_or_build under a caller-opened lookup span, which it finishes with
+  /// the `hit` arg once the map has answered.
+  SetupPtr find_or_build(const SetupKey& key,
+                         const std::function<SpcgSetup<T>()>& build,
+                         bool* was_hit, Span& lookup_span) {
     std::promise<SetupPtr> promise;
     std::shared_future<SetupPtr> future;
     std::uint64_t my_generation = 0;
@@ -151,56 +216,6 @@ class SetupCache {
     return future.get();
   }
 
-  /// A setup and how it was obtained.
-  struct Resolved {
-    SetupPtr setup;
-    SetupPath path = SetupPath::kBuild;
-  };
-
-  /// The setup for `a` under `key` (= make_setup_key(a, opt)) and how it
-  /// was obtained. With `refresh` set: the exact entry (kHit), else a clone
-  /// of the newest same-pattern entry with its numbers refreshed against `a`
-  /// (kRefresh), else get_or_build. The clone is private to the caller and
-  /// never inserted: it reuses the donor's sparsification pattern decision,
-  /// which a cold spcg_setup on the new values need not make. With
-  /// `refresh` off this is exactly one get_or_build call (kHit or kBuild).
-  Resolved resolve(const Csr<T>& a, const SetupKey& key,
-                   const SpcgOptions& opt, bool refresh) {
-    if (refresh) {
-      if (SetupPtr exact = lookup(key))
-        return {std::move(exact), SetupPath::kHit};
-      if (SetupPtr donor = lookup_same_pattern(key)) {
-        Span span("setup.pattern_refresh", "runtime");
-        auto fresh = std::make_shared<SolverSetup<T>>();
-        fresh->key = key;
-        fresh->artifacts = donor->artifacts;
-        NumericRefreshWorkspace ws =
-            build_numeric_refresh(fresh->artifacts, a);
-        refresh_setup_numerics(fresh->artifacts, a, opt, ws);
-        return {std::move(fresh), SetupPath::kRefresh};
-      }
-    }
-    bool hit = false;
-    SetupPtr setup =
-        get_or_build(key, [&] { return spcg_setup(a, opt); }, &hit);
-    return {std::move(setup), hit ? SetupPath::kHit : SetupPath::kBuild};
-  }
-
-  [[nodiscard]] SetupCacheStats stats() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return {hits_.value(), misses_.value(), evictions_.value(),
-            partial_hits_.value(), map_.size()};
-  }
-
-  /// Drop every entry (in-flight users keep theirs via shared_ptr).
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    pattern_index_.clear();
-  }
-
- private:
   /// Peek: the resident setup for exactly `key`, or null. A hit counts
   /// toward hits_ and touches the LRU; a miss counts nothing (resolve()
   /// falls through and accounts for the outcome there). Blocks if the entry

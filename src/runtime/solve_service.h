@@ -314,6 +314,16 @@ class SolveService {
     // degradation path is the serial baseline below, so a bad partition or
     // a non-converging Schwarz preconditioner still gets an answer.
     const bool distributed = job.request.parts > 1;
+    const Csr<T>& a = *job.request.a;
+    // The matrix is hashed at most once per request: the tuner and every
+    // session below (primary, tuned winner, fallback) key on this one
+    // fingerprint. A distributed request hashes only its subdomain blocks,
+    // unless it falls back.
+    std::optional<MatrixFingerprint> fp;
+    const auto matrix_fp = [&]() -> const MatrixFingerprint& {
+      if (!fp) fp = fingerprint(a);
+      return *fp;
+    };
     try {
       if (distributed) {
         DistOptions dopt;
@@ -322,8 +332,7 @@ class SolveService {
         dopt.options = job.request.options;
         dopt.body = job.request.body;
         dopt.transport = job.request.transport;
-        const DistSetup<T> setup =
-            dist_setup(*job.request.a, dopt, cache_.get());
+        const DistSetup<T> setup = dist_setup(a, dopt, cache_.get());
         const auto hits = static_cast<std::uint64_t>(
             std::ranges::count(setup.paths, SetupPath::kHit));
         const auto refreshes = static_cast<std::uint64_t>(
@@ -348,15 +357,15 @@ class SolveService {
         // Tuned path: ask the tuner for this matrix's configuration (an
         // exact DB hit answers with zero measured trials), then execute the
         // winner. The caller's options contribute the solve-phase knobs.
-        const TuneOutcome tuned = tuner_.tune(*job.request.a);
+        const TuneOutcome tuned = tuner_.tune(a, matrix_fp());
         reply.autotuned = true;
         reply.tuned_config = config_id(tuned.config);
         reply.tune_db_hit = tuned.db_hit;
         autotuned_.add();
         if (session_compatible(tuned.config)) {
           SolverSession<T> session(
-              job.request.a, to_spcg_options(tuned.config, job.request.options),
-              cache_);
+              a, matrix_fp(),
+              to_spcg_options(tuned.config, job.request.options), cache_);
           SessionSolveResult<T> run = session.solve(job.request.b);
           reply.setup_cache_hit = session.setup_path() == SetupPath::kHit;
           reply.setup = session.shared_setup();
@@ -368,7 +377,7 @@ class SolveService {
           }
         } else {
           TunedSolve<T> run = solve_with_config(
-              *job.request.a, std::span<const T>(job.request.b), tuned.config,
+              a, std::span<const T>(job.request.b), tuned.config,
               tuner_.options(), cache_);
           reply.setup_cache_hit = run.setup_cache_hit;
           reply.solve_seconds = run.solve_seconds;
@@ -381,7 +390,7 @@ class SolveService {
         reply.fallback_reason = std::string("tuned config ") +
                                 reply.tuned_config + " did not converge";
       } else {
-        SolverSession<T> session(job.request.a, job.request.options, cache_,
+        SolverSession<T> session(a, matrix_fp(), job.request.options, cache_,
                                  /*allow_pattern_refresh=*/true);
         SessionSolveResult<T> run = session.solve(job.request.b);
         reply.setup_cache_hit = session.setup_path() == SetupPath::kHit;
@@ -426,7 +435,7 @@ class SolveService {
       SpcgOptions baseline = job.request.options;
       baseline.sparsify_enabled = false;
       baseline.ilu.boost_zero_pivots = true;
-      SolverSession<T> session(job.request.a, baseline, cache_);
+      SolverSession<T> session(a, matrix_fp(), baseline, cache_);
       SessionSolveResult<T> run = session.solve(job.request.b);
       reply.status = RequestStatus::kOk;
       reply.used_fallback = true;

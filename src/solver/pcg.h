@@ -8,6 +8,8 @@
 // The recurrence is written once, as detail::classic_cg, against a small
 // compile-time communication policy `Ops`:
 //   * ops.matvec(x, y)          y = A x over the rows this caller owns;
+//   * ops.matvec_dot(x, y)      the same, returning this caller's partial of
+//                               (x, y) taken in the matvec's row loop;
 //   * ops.reduce(v)             sum the partials in v over every owner;
 //   * ops.reduce_around(v, f)   the same reduction, with f() run while it
 //                               is in flight;
@@ -105,6 +107,9 @@ struct LocalOps {
 
   [[nodiscard]] index_t nnz() const { return a.nnz(); }
   void matvec(std::span<const T> x, std::span<T> y) const { spmv(a, x, y); }
+  T matvec_dot(std::span<const T> x, std::span<T> y) const {
+    return spmv_dot(a, x, y);
+  }
   void reduce(std::span<double> /*partials*/) const {}
   template <class Work>
   void reduce_around(std::span<double> /*partials*/, Work&& work) const {
@@ -180,7 +185,12 @@ void finish_cg(Ops& ops, std::span<const T> b, std::int32_t k,
 }
 
 /// The classic PCG recurrence over policy `ops`: two reductions per
-/// iteration, the curvature (p, Ap), then {(r, z), ||r||^2} fused.
+/// iteration, the curvature (p, Ap), then {(r, z), ||r||^2} fused. Each
+/// partial is folded into a pass that already streams its vectors: (p, Ap)
+/// into the matvec, the x and r updates and ||r||^2 into the
+/// preconditioner's update_and_apply (under the serial ILU, its forward
+/// sweep). Only (r, z) and the p update, which need the finished z, run as
+/// passes of their own.
 template <class T, class Ops>
 SolveResult<T> classic_cg(Ops& ops, std::span<const T> b,
                           const Preconditioner<T>& m, const PcgOptions& opt,
@@ -235,19 +245,18 @@ SolveResult<T> classic_cg(Ops& ops, std::span<const T> b,
                                                 /*steady_state=*/k > 0);
     // Per-iteration phase spans, sampled every trace_every-th iteration;
     // unsampled iterations suppress these and any nested spans (the SpTRSV
-    // sweeps inside m.apply) on this thread.
+    // sweeps inside the preconditioner) on this thread.
     const TraceSampleScope sample(trace_iters &&
                                   k % opt.trace_every == 0);
     Span iter_span("iteration", cat);
     iter_span.arg("k", k);
     {
       Span span("spmv", cat);
-      ops.matvec(std::span<const T>(wk.p), std::span<T>(wk.w));
+      red[0] = static_cast<double>(
+          ops.matvec_dot(std::span<const T>(wk.p), std::span<T>(wk.w)));
     }
     {
       Span span("reduce", cat);
-      red[0] = static_cast<double>(
-          dot(std::span<const T>(wk.p), std::span<const T>(wk.w)));
       ops.reduce(std::span<double>(red.data(), 1));
     }
     const T pw = static_cast<T>(red[0]);
@@ -256,20 +265,16 @@ SolveResult<T> classic_cg(Ops& ops, std::span<const T> b,
       break;
     }
     const T alpha = rz / pw;
-    {
-      Span span("axpy", cat);
-      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
-      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r));
-    }
-    {
-      Span span("precond", cat);
-      m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
-    }
+    Span precond_span("precond", cat);
+    const T rr = m.update_and_apply(
+        alpha, std::span<const T>(wk.p), std::span<const T>(wk.w),
+        std::span<T>(res.x), std::span<T>(wk.r), std::span<T>(wk.z));
+    precond_span.finish();
     {
       Span span("reduce", cat);
       red = {static_cast<double>(
                  dot(std::span<const T>(wk.r), std::span<const T>(wk.z))),
-             static_cast<double>(sumsq(std::span<const T>(wk.r)))};
+             static_cast<double>(rr)};
       ops.reduce(std::span<double>(red));
     }
     const T rz_next = static_cast<T>(red[0]);

@@ -68,14 +68,13 @@ SolveResult<T> pipelined_cg(Ops& ops, std::span<const T> b,
     }
     {
       Span span("spmv", cat);
-      ops.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
+      red[3] = static_cast<double>(
+          ops.matvec_dot(std::span<const T>(wk.z), std::span<T>(wk.w)));
     }
-    red = {static_cast<double>(sumsq(b)),
-           static_cast<double>(
-               dot(std::span<const T>(wk.r), std::span<const T>(wk.z))),
-           static_cast<double>(sumsq(std::span<const T>(wk.r))),
-           static_cast<double>(
-               dot(std::span<const T>(wk.w), std::span<const T>(wk.z)))};
+    red[0] = static_cast<double>(sumsq(b));
+    red[1] = static_cast<double>(
+        dot(std::span<const T>(wk.r), std::span<const T>(wk.z)));
+    red[2] = static_cast<double>(sumsq(std::span<const T>(wk.r)));
     ops.reduce_around(std::span<double>(red), apply_w);
   }
   const double b_norm = norm_from_sumsq<T>(red[0]);
@@ -124,19 +123,18 @@ SolveResult<T> pipelined_cg(Ops& ops, std::span<const T> b,
       axpy(-alpha, std::span<const T>(wk.s), std::span<T>(wk.r));
       axpy(-alpha, std::span<const T>(wk.q), std::span<T>(wk.z));
     }
+    // The iteration's single reduction: this iteration's {gamma, ||r||^2}
+    // plus the next iteration's delta = (z, Az), taken in the matvec.
     {
       Span span("spmv", cat);
-      ops.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
+      red[2] = static_cast<double>(
+          ops.matvec_dot(std::span<const T>(wk.z), std::span<T>(wk.w)));
     }
-    // The iteration's single reduction: this iteration's {gamma, ||r||^2}
-    // plus the next iteration's delta.
     {
       Span span("reduce", cat);
       red[0] = static_cast<double>(
           dot(std::span<const T>(wk.r), std::span<const T>(wk.z)));
       red[1] = static_cast<double>(sumsq(std::span<const T>(wk.r)));
-      red[2] = static_cast<double>(
-          dot(std::span<const T>(wk.w), std::span<const T>(wk.z)));
     }
     ops.reduce_around(std::span<double>(red.data(), 3), apply_w);
     gamma_old = gamma;

@@ -1,6 +1,7 @@
-// Structural and numerical operations on CSR matrices: SpMV, transpose,
-// triangular extraction, addition/subtraction, symmetry checks, diagonal
-// access. All templates, header-only.
+// Structural and numerical operations on CSR matrices: SpMV (plain and with
+// the (x, Ax) dot fused into its row loop), transpose, triangular
+// extraction, addition/subtraction, symmetry checks, diagonal access. All
+// templates, header-only.
 #pragma once
 
 #include <cmath>
@@ -12,9 +13,16 @@
 
 namespace spcg {
 
-/// y = A * x.
-template <class T>
-void spmv(const Csr<T>& a, std::span<const T> x, std::span<T> y) {
+namespace detail {
+
+/// The SpMV row loop, written once: y = A * x, handing each finished row to
+/// `row_done(i, y_i)` (spmv passes a no-op, spmv_dot a DotRows). The hook is
+/// taken and returned by value, like std::for_each's, so an accumulator it
+/// carries is a local of this loop and stays in a register; one reached
+/// through a reference would be reloaded and stored back on every row.
+template <class T, class RowDone>
+RowDone spmv_rows(const Csr<T>& a, std::span<const T> x, std::span<T> y,
+                  RowDone row_done) {
   SPCG_CHECK(static_cast<index_t>(x.size()) == a.cols);
   SPCG_CHECK(static_cast<index_t>(y.size()) == a.rows);
   for (index_t i = 0; i < a.rows; ++i) {
@@ -25,7 +33,37 @@ void spmv(const Csr<T>& a, std::span<const T> x, std::span<T> y) {
              x[static_cast<std::size_t>(a.colind[static_cast<std::size_t>(p)])];
     }
     y[static_cast<std::size_t>(i)] = acc;
+    row_done(i, acc);
   }
+  return row_done;
+}
+
+/// Row hook accumulating (x, y) = sum of x_i y_i in row order: the products
+/// and order of dot(x, y), so the sum is bitwise dot's.
+template <class T>
+struct DotRows {
+  std::span<const T> x;
+  T xy{0};
+
+  void operator()(index_t i, T yi) {
+    xy += x[static_cast<std::size_t>(i)] * yi;
+  }
+};
+
+}  // namespace detail
+
+/// y = A * x.
+template <class T>
+void spmv(const Csr<T>& a, std::span<const T> x, std::span<T> y) {
+  detail::spmv_rows(a, x, y, [](index_t, T) {});
+}
+
+/// y = A * x, returning (x, y) taken in the same row loop: bitwise
+/// dot(x, y). A is square; x and y must not alias.
+template <class T>
+T spmv_dot(const Csr<T>& a, std::span<const T> x, std::span<T> y) {
+  SPCG_CHECK(a.rows == a.cols);
+  return detail::spmv_rows(a, x, y, detail::DotRows<T>{x}).xy;
 }
 
 /// Convenience overload returning a fresh vector.

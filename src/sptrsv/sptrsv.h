@@ -71,13 +71,15 @@ template <bool kLower, class T>
 }
 
 /// The arithmetic of row i of a triangular solve, shared by every executor:
-/// `acc` minus the row's off-diagonal products, divided by the diagonal at
-/// d = trsv_diag(m, i). Products are subtracted in stored column order.
-/// `x_at(j)` reads solved entry j; `x_near(j)` reads the row's nearest
+/// `acc` minus the row's off-diagonal products, times the reciprocal of the
+/// diagonal at d = trsv_diag(m, i). Products are subtracted in stored column
+/// order. `x_at(j)` reads solved entry j; `x_near(j)` reads the row's nearest
 /// dependence (the off-diagonal next to the diagonal: last in an L row,
 /// first in a U row), which the serial sweeps serve from a register when it
-/// is the adjacent row. The division is skipped when the diagonal is exactly
-/// 1 — every row of ILU's L — since x / 1 == x in IEEE-754.
+/// is the adjacent row. The reciprocal depends only on the factor, so its
+/// division runs off the row-to-row dependence chain, which is left with a
+/// multiply and the subtractions. It is skipped when the diagonal is exactly
+/// 1 — every row of ILU's L — since x * 1 == x in IEEE-754.
 template <bool kLower, class T, class Read, class ReadNear>
 inline T trsv_row(const Csr<T>& m, index_t i, index_t d, T acc, Read x_at,
                   ReadNear x_near) {
@@ -97,7 +99,7 @@ inline T trsv_row(const Csr<T>& m, index_t i, index_t d, T acc, Read x_at,
     }
   }
   const T diag = val[d];
-  return diag == T{1} ? acc : acc / diag;
+  return diag == T{1} ? acc : acc * (T{1} / diag);
 }
 
 template <class T>
@@ -140,6 +142,27 @@ void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
   }
 }
 
+/// The serial forward sweep, written once: row i's right-hand side is
+/// `rhs(i)`, called once per row in ascending order before x[i] is written.
+/// sptrsv_lower_serial reads b[i]; the fused ILU apply of
+/// precond/preconditioner.h also updates the CG iterate and residual there.
+/// `rhs` is taken and returned by value, like std::for_each's function
+/// object, so state it accumulates stays in registers across the sweep.
+template <class T, class Rhs>
+Rhs sptrsv_lower_sweep(const Csr<T>& l, Rhs rhs, std::span<T> x) {
+  const auto x_at = [x](index_t j) { return x[static_cast<std::size_t>(j)]; };
+  T prev{};  // x[i - 1], kept in a register for row i
+  for (index_t i = 0; i < l.rows; ++i) {
+    const index_t d = trsv_diag<true>(l, i);
+    if (d < 0) throw_bad_trsv_row<true>(l, i);
+    prev = trsv_row<true>(
+        l, i, d, rhs(i), x_at,
+        [&](index_t j) { return j == i - 1 ? prev : x_at(j); });
+    x[static_cast<std::size_t>(i)] = prev;
+  }
+  return rhs;
+}
+
 }  // namespace detail
 
 /// Solve L x = b, L lower triangular with stored diagonal. x may alias b.
@@ -147,16 +170,8 @@ template <class T>
 void sptrsv_lower_serial(const Csr<T>& l, std::span<const T> b,
                          std::span<T> x) {
   detail::check_trsv_shape(l, b.size(), x.size());
-  const auto x_at = [x](index_t j) { return x[static_cast<std::size_t>(j)]; };
-  T prev{};  // x[i - 1], kept in a register for row i
-  for (index_t i = 0; i < l.rows; ++i) {
-    const index_t d = detail::trsv_diag<true>(l, i);
-    if (d < 0) detail::throw_bad_trsv_row<true>(l, i);
-    prev = detail::trsv_row<true>(
-        l, i, d, b[static_cast<std::size_t>(i)], x_at,
-        [&](index_t j) { return j == i - 1 ? prev : x_at(j); });
-    x[static_cast<std::size_t>(i)] = prev;
-  }
+  detail::sptrsv_lower_sweep(
+      l, [b](index_t i) { return b[static_cast<std::size_t>(i)]; }, x);
 }
 
 /// Solve U x = b, U upper triangular with stored diagonal. x may alias b.

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "gen/generators.h"
 #include "runtime/runtime.h"
 #include "support/timer.h"
+#include "support/trace.h"
 
 namespace spcg {
 namespace {
@@ -300,6 +302,36 @@ TEST(RuntimeCache, SamePatternLookupSkipsTheExactKey) {
   EXPECT_EQ(resolved.path, SetupPath::kHit);
   EXPECT_EQ(resolved.setup.get(), donor.get());
   EXPECT_EQ(cache.stats().partial_hits, 0u);
+}
+
+TEST(RuntimeCache, ResolveRecordsOneLookupSpanOnEveryPath) {
+  const Csr<double> a = gen_poisson2d(10, 10);
+  Csr<double> perturbed = a;
+  for (double& v : perturbed.values) v *= 1.25;
+  const SpcgOptions opt = fast_options();
+  const SetupKey key = make_setup_key(a, opt);
+  const SetupKey perturbed_key = make_setup_key(perturbed, opt);
+  SetupCache<double> cache(4);
+
+  global_trace().clear();
+  global_trace().set_enabled(true);
+  const SetupPath build = cache.resolve(a, key, opt, true).path;
+  const SetupPath hit = cache.resolve(a, key, opt, true).path;
+  const SetupPath refresh =
+      cache.resolve(perturbed, perturbed_key, opt, true).path;
+  global_trace().set_enabled(false);
+  const std::vector<TraceEvent> events = global_trace().drain();
+
+  EXPECT_EQ(build, SetupPath::kBuild);
+  EXPECT_EQ(hit, SetupPath::kHit);
+  EXPECT_EQ(refresh, SetupPath::kRefresh);
+  std::vector<std::string> lookups;  // each lookup span's `hit` arg
+  for (const TraceEvent& e : events) {
+    if (e.name != "setup_cache.lookup") continue;
+    for (const TraceArg& arg : e.args)
+      if (arg.key == "hit") lookups.push_back(arg.value);
+  }
+  EXPECT_EQ(lookups, (std::vector<std::string>{"false", "true", "false"}));
 }
 
 TEST(RuntimeCache, SamePatternLookupRespectsOptionsAndEviction) {

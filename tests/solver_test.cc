@@ -398,6 +398,79 @@ TEST_P(PcgReferenceTest, SerialSolversMatchFrozenLoops) {
 INSTANTIATE_TEST_SUITE_P(AllMatrices, PcgReferenceTest,
                          ::testing::Range(0, 107));
 
+/// Test-local ILU apply as it stood before the row kernel multiplied by the
+/// diagonal's reciprocal: both sweeps serial, every row divided by its
+/// diagonal (ILU's unit L rows divide by 1, which is exact). pcg() runs it
+/// through the base-class update_and_apply.
+class DividingIlu final : public Preconditioner<double> {
+ public:
+  explicit DividingIlu(const TriangularFactors<double>& f) : f_(f) {}
+
+  void apply(std::span<const double> r, std::span<double> z) const override {
+    const index_t n = f_.l.rows;
+    for (index_t i = 0; i < n; ++i)
+      z[static_cast<std::size_t>(i)] =
+          row(f_.l, i, r[static_cast<std::size_t>(i)], z);
+    for (index_t i = n - 1; i >= 0; --i)
+      z[static_cast<std::size_t>(i)] =
+          row(f_.u, i, z[static_cast<std::size_t>(i)], z);
+  }
+
+  [[nodiscard]] index_t rows() const override { return f_.l.rows; }
+
+ private:
+  /// acc minus row i's off-diagonal products in stored column order, divided
+  /// by the diagonal.
+  static double row(const Csr<double>& m, index_t i, double acc,
+                    std::span<const double> x) {
+    double diag = 0.0;
+    const auto cols = m.row_cols(i);
+    const auto vals = m.row_vals(i);
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      if (cols[p] == i)
+        diag = vals[p];
+      else
+        acc -= vals[p] * x[static_cast<std::size_t>(cols[p])];
+    }
+    return acc / diag;
+  }
+
+  const TriangularFactors<double>& f_;
+};
+
+class PcgReciprocalTest : public ::testing::TestWithParam<int> {};
+
+/// The one declared bit change of the fused iteration: every triangular row
+/// multiplies by its diagonal's reciprocal instead of dividing. Against the
+/// dividing apply, each suite solve under the sparsified and the baseline
+/// ILU(0) keeps its status, moves by at most three iterations, and both
+/// true residuals stay under the tolerance.
+TEST_P(PcgReciprocalTest, ReciprocalSweepKeepsEverySuiteSolve) {
+  const GeneratedMatrix g =
+      generate_suite_matrix(static_cast<index_t>(GetParam()));
+  const std::span<const double> b(g.b);
+  for (const bool sparsify : {true, false}) {
+    SpcgOptions opt;
+    opt.sparsify_enabled = sparsify;
+    opt.pcg.tolerance = 1e-10;
+    const SpcgSetup<double> setup = spcg_setup(g.a, opt);
+    const IluApplier<double> m(setup.factors, setup.l_schedule,
+                               setup.u_schedule, opt.executor);
+    const SolveResult<double> got = pcg(g.a, b, m, opt.pcg);
+    const SolveResult<double> ref =
+        pcg(g.a, b, DividingIlu(setup.factors), opt.pcg);
+    const std::string at =
+        g.spec.name + (sparsify ? " sparsified" : " baseline");
+    EXPECT_EQ(got.status, ref.status) << at;
+    EXPECT_LE(std::abs(got.iterations - ref.iterations), 3) << at;
+    EXPECT_LT(got.final_residual_norm, opt.pcg.tolerance) << at;
+    EXPECT_LT(ref.final_residual_norm, opt.pcg.tolerance) << at;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMatrices, PcgReciprocalTest,
+                         ::testing::Range(0, 107));
+
 // --- Lanczos ---------------------------------------------------------------
 
 TEST(Lanczos, DiagonalMatrixEigenvalues) {

@@ -140,7 +140,9 @@ TEST(Sptrsv, SolveAgainstFullLuRecoversInput) {
 
 /// Test-local copy of the serial kernels before the structural row kernel:
 /// every entry is tested against the diagonal, the diagonal is found by that
-/// test, and every row divides.
+/// test, and every row multiplies by the diagonal's reciprocal (the row
+/// kernel's one declared change from dividing; on ILU's unit L both forms
+/// return acc unchanged).
 template <bool kLower>
 std::vector<double> reference_solve(const Csr<double>& m,
                                     const std::vector<double>& b) {
@@ -159,7 +161,7 @@ std::vector<double> reference_solve(const Csr<double>& m,
       else if (j == i)
         diag = m.values[static_cast<std::size_t>(p)];
     }
-    x[static_cast<std::size_t>(i)] = acc / diag;
+    x[static_cast<std::size_t>(i)] = acc * (1.0 / diag);
   }
   return x;
 }
@@ -291,6 +293,58 @@ TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
     std::vector<double> rz = r;
     m.apply(std::span<const double>(rz), std::span<double>(rz));
     EXPECT_TRUE(same_bits(z_ref, rz)) << static_cast<int>(exec) << " in place";
+  }
+}
+
+// The serial ILU's update_and_apply runs one fused forward pass (x and r
+// updates, ||r||^2 and the L solve); the level executors run the base-class
+// sequence axpy, axpy, apply, sumsq. Every output must agree bit for bit.
+TEST(SptrsvIdentity, FusedSerialUpdateAndApplyMatchesUnfusedSequence) {
+  struct Step {
+    std::vector<double> x, r, z;
+    double rr = 0.0;
+  };
+  for (const Csr<double>& a :
+       {gen_grid_laplacian(14, 14, 1.5, 0.4, 3),
+        gen_mesh_laplacian(12, 12, 0.3, 0.05, 8),
+        gen_banded(150, 6, 0.4, false, 2)}) {
+    const auto n = static_cast<std::size_t>(a.rows);
+    std::vector<double> p(n), w(n), x0(n), r0(n);
+    Rng rng(n);
+    for (std::vector<double>* v : {&p, &w, &x0, &r0})
+      for (double& e : *v) e = rng.uniform(-1.0, 1.0);
+    const double alpha = 0.37;
+    for (const int level : {0, 2}) {
+      const TriangularFactors<double> f =
+          split_lu(level == 0 ? ilu0(a) : iluk(a, level));
+      const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
+      const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
+      const auto step = [&](TrsvExec exec, bool base_class) {
+        const IluApplier<double> m(f, ls, us, exec);
+        Step s{x0, r0, std::vector<double>(n), 0.0};
+        const std::span<const double> ps(p), ws(w);
+        const std::span<double> xs(s.x), rs(s.r), zs(s.z);
+        s.rr = base_class ? m.Preconditioner<double>::update_and_apply(
+                                alpha, ps, ws, xs, rs, zs)
+                          : m.update_and_apply(alpha, ps, ws, xs, rs, zs);
+        return s;
+      };
+      const Step fused = step(TrsvExec::kSerial, /*base_class=*/false);
+      for (const auto& [name, unfused] :
+           {std::pair{"serial unfused", step(TrsvExec::kSerial, true)},
+            std::pair{"levels", step(TrsvExec::kLevelScheduled, false)},
+            std::pair{"checked",
+                      step(TrsvExec::kLevelScheduledChecked, false)}}) {
+        const std::string at = "n=" + std::to_string(n) + " ILU(" +
+                               std::to_string(level) + ") " + name;
+        EXPECT_TRUE(same_bits(fused.x, unfused.x)) << at;
+        EXPECT_TRUE(same_bits(fused.r, unfused.r)) << at;
+        EXPECT_TRUE(same_bits(fused.z, unfused.z)) << at;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.rr),
+                  std::bit_cast<std::uint64_t>(unfused.rr))
+            << at;
+      }
+    }
   }
 }
 

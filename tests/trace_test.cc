@@ -220,6 +220,19 @@ double child_coverage(const TraceEvent& parent,
                    static_cast<double>(parent.duration_ns);
 }
 
+/// Events named `name` on `within`'s thread and inside its interval; every
+/// such event when `within` is null.
+std::ptrdiff_t count_within(const std::vector<TraceEvent>& events,
+                            const std::string& name,
+                            const TraceEvent* within) {
+  return std::count_if(events.begin(), events.end(), [&](const TraceEvent& e) {
+    return e.name == name &&
+           (within == nullptr ||
+            (e.tid == within->tid && e.start_ns >= within->start_ns &&
+             e.end_ns() <= within->end_ns()));
+  });
+}
+
 // ISSUE-4 acceptance: replay requests through a traced SolveService and
 // require the recorded child spans (fingerprint, cache lookup, pcg and its
 // nested phases) to cover >= 95% of each request's execute span.
@@ -262,8 +275,52 @@ TEST(Trace, ServiceExecuteSpansAreCoveredByChildSpans) {
     EXPECT_GE(coverage, 0.95)
         << "request " << arg_value(e, "id") << " on tid " << e.tid
         << " only covered " << coverage << " of " << e.duration_ns << " ns";
+    // Every request shows its fingerprint -> setup_cache.lookup step, hit
+    // or miss, and hashes its matrix once.
+    EXPECT_EQ(count_within(events, "fingerprint", &e), 1)
+        << "request " << arg_value(e, "id");
+    EXPECT_EQ(count_within(events, "setup_cache.lookup", &e), 1)
+        << "request " << arg_value(e, "id");
   }
   EXPECT_EQ(executes, 8);
+}
+
+// An autotuned request on a warm tune DB hashes its matrix once: the tuner's
+// DB lookup and the session that runs the winner share one fingerprint.
+TEST(Trace, AutotunedRequestHashesItsMatrixOnce) {
+  const auto a = std::make_shared<const Csr<double>>(gen_poisson2d(16, 16));
+  SolveService<double>::Options sopt;
+  sopt.workers = 1;
+  sopt.tuner.base.pcg.tolerance = 1e-10;
+  sopt.tuner.measure_top = 4;
+  std::vector<TraceEvent> events;
+  {
+    SolveService<double> service(sopt);
+    const auto solve = [&] {
+      ServiceRequest<double> req;
+      req.a = a;
+      req.b = make_rhs(*a, 1);
+      req.options.pcg.tolerance = 1e-10;
+      req.autotune = true;
+      return service.submit(std::move(req)).reply.get();
+    };
+    ASSERT_EQ(solve().status, RequestStatus::kOk);  // tunes, fills the DB
+
+    global_trace().clear();
+    global_trace().set_enabled(true);
+    const ServiceReply<double> warm = solve();
+    global_trace().set_enabled(false);
+    ASSERT_EQ(warm.status, RequestStatus::kOk);
+    EXPECT_TRUE(warm.tune_db_hit);
+    events = global_trace().drain();
+  }
+  int executes = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name != "execute") continue;
+    ++executes;
+    EXPECT_EQ(count_within(events, "fingerprint", &e), 1);
+  }
+  EXPECT_EQ(executes, 1);
 }
 
 // A transient step's values-only refresh and warm-start projection each get
@@ -291,13 +348,7 @@ TEST(Trace, TransientStepTracesRefreshWarmStartAndFingerprints) {
     if (e.name == "transient.step") steps.push_back(&e);
   ASSERT_EQ(steps.size(), 2u);
   auto count = [&](const std::string& name, const TraceEvent* within) {
-    return std::count_if(
-        events.begin(), events.end(), [&](const TraceEvent& e) {
-          return e.name == name &&
-                 (within == nullptr ||
-                  (e.tid == within->tid && e.start_ns >= within->start_ns &&
-                   e.end_ns() <= within->end_ns()));
-        });
+    return count_within(events, name, within);
   };
   EXPECT_EQ(count("refactorize", nullptr), 1);
   EXPECT_EQ(count("refactorize", steps[1]), 1);
