@@ -40,9 +40,9 @@ Row evaluate(const Csr<double>& a, const std::vector<double>& b,
   row.wf_base = rb.wavefronts_factor;
   row.wf_spcg = rs.wavefronts_factor;
   row.t_base =
-      model.pcg_iteration(pcg_iteration_shape(a, rb.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(a, rb.factors)).seconds;
   row.t_spcg =
-      model.pcg_iteration(pcg_iteration_shape(a, rs.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(a, rs.factors)).seconds;
   row.it_base = rb.solve.iterations;
   row.it_spcg = rs.solve.iterations;
   return row;

@@ -43,7 +43,7 @@ void BM_SptrsvSerial(benchmark::State& state) {
   std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0);
   std::vector<double> x(b.size());
   for (auto _ : state) {
-    sptrsv_lower_serial(f.l, std::span<const double>(b), std::span<double>(x));
+    sptrsv_lower_serial(f, std::span<const double>(b), std::span<double>(x));
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * f.l.nnz());
@@ -56,7 +56,7 @@ void BM_SptrsvLevelScheduled(benchmark::State& state) {
   std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0);
   std::vector<double> x(b.size());
   for (auto _ : state) {
-    sptrsv_lower_levels(f.l, sched, std::span<const double>(b),
+    sptrsv_lower_levels(f, sched, std::span<const double>(b),
                         std::span<double>(x));
     benchmark::DoNotOptimize(x.data());
   }

@@ -46,7 +46,7 @@ struct ConfigRun {
   double setup_seconds = 0.0;   // sparsify + factorization (summed repeats)
   double solve_seconds = 0.0;   // PCG wall clock (summed repeats)
   std::vector<PhaseTotal> phases;
-  // Zero-allocation trajectory (ROADMAP Open item 4): steady-state PCG
+  // Zero-allocation trajectory (DESIGN.md §6.4): steady-state PCG
   // iteration allocations measured by one extra untraced solve under the
   // allocation auditor. All zero when hooks are not compiled.
   std::uint64_t steady_iterations = 0;

@@ -36,18 +36,18 @@ int main() {
 
     const CostModel host(device_host_cpu(), 4);
     const double tb =
-        model.pcg_iteration(pcg_iteration_shape(a, base.factorization.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(a, base.factors)).seconds;
     const double ts =
-        model.pcg_iteration(pcg_iteration_shape(a, spcg.factorization.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(a, spcg.factors)).seconds;
     const double fb = model
                           .ilu0_factorization(
-                              trisolve_structure(base.factorization.lu,
+                              trisolve_structure(base.factors.l,
                                                  Triangle::kLower),
                               base.factorization.elimination_ops)
                           .seconds;
     const double fs = model
                           .ilu0_factorization(
-                              trisolve_structure(spcg.factorization.lu,
+                              trisolve_structure(spcg.factors.l,
                                                  Triangle::kLower),
                               spcg.factorization.elimination_ops)
                           .seconds;

@@ -33,9 +33,9 @@ int main() {
     const SpcgResult<double> spcg = spcg_solve(a, b, opt);
 
     const double tb =
-        model.pcg_iteration(pcg_iteration_shape(a, base.factorization.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(a, base.factors)).seconds;
     const double ts =
-        model.pcg_iteration(pcg_iteration_shape(a, spcg.factorization.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(a, spcg.factors)).seconds;
     const double per_iter = tb / ts;
     std::string e2e = "n/a";
     if (base.solve.converged() && spcg.solve.converged()) {

@@ -39,9 +39,9 @@ int main() {
   //    time on an A100 for both preconditioners.
   const CostModel model(device_a100(), /*value_bytes=*/4);
   const double t_base =
-      model.pcg_iteration(pcg_iteration_shape(a, base.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(a, base.factors)).seconds;
   const double t_spcg =
-      model.pcg_iteration(pcg_iteration_shape(a, spcg.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(a, spcg.factors)).seconds;
   std::cout << "modeled A100 per-iteration: baseline " << t_base * 1e6
             << " us, SPCG " << t_spcg * 1e6 << " us (speedup "
             << t_base / t_spcg << "x)\n";

@@ -133,12 +133,10 @@ void lint_factor(const Csr<double>& a, const Options& opt, Tally& tally) {
   tally.take("factor(" + opt.factor + ")", analysis::analyze_ilu(fact, lopt));
 
   const TriangularFactors<double> f = split_lu(fact);
-  tally.take("L", analysis::analyze_triangular(f.l, Triangle::kLower,
-                                               /*expect_unit_diag=*/true,
-                                               lopt, "L"));
-  tally.take("U", analysis::analyze_triangular(f.u, Triangle::kUpper,
-                                               /*expect_unit_diag=*/false,
-                                               lopt, "U"));
+  tally.take("L",
+             analysis::analyze_triangular(f.l, Triangle::kLower, lopt, "L"));
+  tally.take("U",
+             analysis::analyze_triangular(f.u, Triangle::kUpper, lopt, "U"));
 
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
@@ -155,9 +153,9 @@ void lint_factor(const Csr<double>& a, const Options& opt, Tally& tally) {
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
     std::vector<double> x(b.size()), y(b.size());
     const analysis::RaceReport rl = analysis::sptrsv_lower_levels_checked(
-        f.l, ls, std::span<const double>(b), std::span<double>(y));
+        f, ls, std::span<const double>(b), std::span<double>(y));
     const analysis::RaceReport ru = analysis::sptrsv_upper_levels_checked(
-        f.u, us, std::span<const double>(y), std::span<double>(x));
+        f, us, std::span<const double>(y), std::span<double>(x));
     tally.take("race(L) [" + std::to_string(rl.reads) + " reads, " +
                    std::to_string(rl.writes) + " writes, " +
                    std::to_string(rl.levels) + " levels]",

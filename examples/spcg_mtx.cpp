@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
 
       const CostModel model(device_a100(), 4);
       const double tb =
-          model.pcg_iteration(pcg_iteration_shape(a, rb.factorization.lu)).seconds;
+          model.pcg_iteration(pcg_iteration_shape(a, rb.factors)).seconds;
       const double ts =
-          model.pcg_iteration(pcg_iteration_shape(a, rs.factorization.lu)).seconds;
+          model.pcg_iteration(pcg_iteration_shape(a, rs.factors)).seconds;
       std::cout << "modeled A100 per-iteration speedup: " << tb / ts << "x\n";
     }
   } catch (const Error& e) {

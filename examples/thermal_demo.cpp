@@ -42,12 +42,12 @@ int main() {
   auto report = [&](const char* name, const SpcgResult<double>& r,
                     double sparsify_s) {
     const double it =
-        dev.pcg_iteration(pcg_iteration_shape(a, r.factorization.lu)).seconds;
+        dev.pcg_iteration(pcg_iteration_shape(a, r.factors)).seconds;
     const double fact = host.iluk_factorization_host(
                                 r.factorization.elimination_ops,
-                                r.factorization.lu.nnz())
+                                r.factor_nnz)
                             .seconds;
-    std::cout << name << ": factor nnz " << r.factorization.lu.nnz()
+    std::cout << name << ": factor nnz " << r.factor_nnz
               << " (fill " << r.factorization.fill_nnz << "), factor wavefronts "
               << r.wavefronts_factor << ", iterations "
               << r.solve.iterations << (r.solve.converged() ? "" : " (DNF)")

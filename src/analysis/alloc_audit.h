@@ -1,7 +1,7 @@
 // Hot-path allocation auditor — pillar 3 of the analysis layer.
 //
-// ROADMAP Open item 4 gates the fused backend on "zero heap allocations per
-// iteration in steady state". This header provides the tooling to *measure*
+// DESIGN.md §6.4 states the contract "zero heap allocations per iteration
+// in steady state". This header provides the tooling to *measure*
 // that property instead of assuming it:
 //
 //   * When the library is built with -DSPCG_ALLOC_AUDIT=ON, alloc_audit.cc

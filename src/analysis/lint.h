@@ -5,8 +5,8 @@
 //     in-bounds indices, nnz accounting, NaN/Inf value scans;
 //   * symmetry and SPD heuristics (positive diagonal, diagonal dominance)
 //     for matrices headed into CG;
-//   * triangular factors: triangularity, diagonal presence/nonzero,
-//     unit-diagonal convention for L;
+//   * triangular factors: a strictly lower L, an upper U with a stored,
+//     nonzero diagonal;
 //   * combined ILU factors (IluResult): diag_pos integrity, pivot health;
 //   * sparsification splits: Â + S must partition A and keep its diagonal.
 //
@@ -53,7 +53,6 @@ inline constexpr const char* kRuleSpdDominance = "spd.dominance";
 inline constexpr const char* kRuleTriStructure = "tri.structure";
 inline constexpr const char* kRuleTriDiagPresent = "tri.diag.present";
 inline constexpr const char* kRuleTriDiagNonzero = "tri.diag.nonzero";
-inline constexpr const char* kRuleTriDiagUnit = "tri.diag.unit";
 inline constexpr const char* kRuleIluDiagPos = "ilu.diagpos";
 inline constexpr const char* kRuleIluPivotNonzero = "ilu.pivot.nonzero";
 inline constexpr const char* kRuleSparsifyShape = "sparsify.shape";
@@ -330,11 +329,12 @@ Diagnostics analyze(const Coo<T>& a, const LintOptions& opt = {},
 
 // --- triangular factors -----------------------------------------------------
 
-/// Lint a split triangular factor (split_lu() convention: L unit-lower with
-/// stored diagonal, U upper with stored diagonal).
+/// Lint one triangle of TriangularFactors (sptrsv/sptrsv.h), the format the
+/// SpTRSV executors read: kLower checks a strictly lower L whose unit
+/// diagonal is implicit, kUpper an upper U that stores a nonzero diagonal in
+/// every row.
 template <class T>
 Diagnostics analyze_triangular(const Csr<T>& f, Triangle tri,
-                               bool expect_unit_diag = false,
                                const LintOptions& opt = {},
                                const std::string& object = "factor") {
   Diagnostics out = analyze(f, opt, object);
@@ -345,30 +345,26 @@ Diagnostics analyze_triangular(const Csr<T>& f, Triangle tri,
               detail::fmt(f.rows) + "x" + detail::fmt(f.cols));
     return out;
   }
+  const bool lower = tri == Triangle::kLower;
   for (index_t i = 0; i < f.rows; ++i) {
     const auto cols_i = f.row_cols(i);
     const auto vals_i = f.row_vals(i);
     bool has_diag = false;
     for (std::size_t p = 0; p < cols_i.size(); ++p) {
       const index_t j = cols_i[p];
-      const bool outside =
-          (tri == Triangle::kLower) ? (j > i) : (j < i);
-      if (outside)
+      if (lower ? j >= i : j < i)
         rep.error(kRuleTriStructure,
-                  "entry on the wrong side of the diagonal", i, j);
-      if (j == i) {
+                  lower ? "entry on or above the diagonal of a strictly "
+                          "lower L (its unit diagonal is implicit)"
+                        : "entry below the diagonal of U",
+                  i, j);
+      if (!lower && j == i) {
         has_diag = true;
-        const double d = static_cast<double>(vals_i[p]);
-        if (d == 0.0)
+        if (vals_i[p] == T{0})
           rep.error(kRuleTriDiagNonzero, "zero diagonal", i, i);
-        else if (expect_unit_diag && d != 1.0)
-          rep.warning(kRuleTriDiagUnit,
-                      "diagonal " + detail::fmt(d) +
-                          " violates the unit-L convention",
-                      i, i);
       }
     }
-    if (!has_diag)
+    if (!lower && !has_diag)
       rep.error(kRuleTriDiagPresent, "row has no stored diagonal", i, i);
   }
   return out;

@@ -20,8 +20,9 @@
 //     semantics exactly (all rows of a level are IN FLIGHT at once, so a
 //     same-level read races regardless of intra-level order) while running
 //     deterministically on one thread. It runs the executors' own row kernel
-//     (sptrsv.h) with an instrumenting read hook, so its solution is bitwise
-//     that of the other executors, and it rejects the same malformed rows.
+//     (sptrsv.h) with an instrumenting read hook over the same validated
+//     TriangularFactors, so its solution is bitwise that of the other
+//     executors.
 //
 // The instrumented executor is wired into the executor abstraction as
 // TrsvExec::kLevelScheduledChecked (precond/preconditioner.h), so any test
@@ -208,8 +209,6 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
     }
     for (index_t s = begin; s < end; ++s) {
       const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
-      const index_t d = spcg::detail::trsv_diag<kLowerTri>(m, i);
-      if (d < 0) spcg::detail::throw_bad_trsv_row<kLowerTri>(m, i);
       // The executors' row kernel, with every dependence read checked
       // against the write sets.
       const auto x_at = [&](index_t j) {
@@ -222,7 +221,8 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
         return x[static_cast<std::size_t>(j)];
       };
       x[static_cast<std::size_t>(i)] = spcg::detail::trsv_row<kLowerTri>(
-          m, i, d, b[static_cast<std::size_t>(i)], x_at, x_at);
+          m.rowptr.data(), m.colind.data(), m.values.data(), i,
+          b[static_cast<std::size_t>(i)], x_at, x_at);
       ++report.writes;
     }
   }
@@ -234,18 +234,18 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
 /// Instrumented lower solve: same result as sptrsv_lower_levels() on a valid
 /// schedule, plus a RaceReport of every concurrent-overlap or stale read.
 template <class T>
-RaceReport sptrsv_lower_levels_checked(const Csr<T>& l,
+RaceReport sptrsv_lower_levels_checked(const TriangularFactors<T>& f,
                                        const LevelSchedule& sched,
                                        std::span<const T> b, std::span<T> x) {
-  return detail::sptrsv_level_checked_impl<T, true>(l, sched, b, x);
+  return detail::sptrsv_level_checked_impl<T, true>(f.l, sched, b, x);
 }
 
 /// Instrumented upper solve (see sptrsv_lower_levels_checked).
 template <class T>
-RaceReport sptrsv_upper_levels_checked(const Csr<T>& u,
+RaceReport sptrsv_upper_levels_checked(const TriangularFactors<T>& f,
                                        const LevelSchedule& sched,
                                        std::span<const T> b, std::span<T> x) {
-  return detail::sptrsv_level_checked_impl<T, false>(u, sched, b, x);
+  return detail::sptrsv_level_checked_impl<T, false>(f.u, sched, b, x);
 }
 
 }  // namespace spcg::analysis

@@ -5,11 +5,11 @@
 // finished SpcgSetup and over the distributed-layer artifacts:
 //
 //   * verify_setup()  — sparsification split partitions A with the drop
-//     ratio inside configured bounds; ILU factor finite with nonzero
-//     pivots; factor pattern contained in the level-K fill closure of the
-//     preconditioner input; split L/U triangular with sound diagonals; both
-//     level schedules topologically valid, race-free, covering every row
-//     exactly once (via race_detector.h).
+//     ratio inside configured bounds; L strictly lower and U upper with a
+//     nonzero diagonal, both finite; factor pattern contained in the
+//     level-K fill closure of the preconditioner input; both level
+//     schedules topologically valid, race-free, covering every row exactly
+//     once (via race_detector.h).
 //   * verify_partition() / verify_local_systems() — non-throwing versions
 //     of the dist-layer invariants: every row owned exactly once, halo maps
 //     complete with no spurious entries, gather edges filling every halo
@@ -112,12 +112,37 @@ void check_pattern_subset(const Csr<T>& factor, const Csr<char>& closure,
   }
 }
 
+/// Â of the split A = Â + S: A's entries that `s` does not store, by one
+/// merge walk per row (both column-sorted, `s` as tall as A). An entry of S
+/// outside A's pattern is skipped here; analyze_sparsify() reports it.
+template <class T>
+Csr<T> kept_entries(const Csr<T>& a, const Csr<T>& s) {
+  Csr<T> out(a.rows, a.cols);
+  out.colind.reserve(a.colind.size());
+  out.values.reserve(a.values.size());
+  for (index_t i = 0; i < a.rows; ++i) {
+    const auto sc = s.row_cols(i);
+    std::size_t ps = 0;
+    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
+         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = a.colind[static_cast<std::size_t>(p)];
+      while (ps < sc.size() && sc[ps] < j) ++ps;
+      if (ps < sc.size() && sc[ps] == j) continue;
+      out.colind.push_back(j);
+      out.values.push_back(a.values[static_cast<std::size_t>(p)]);
+    }
+    out.rowptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<index_t>(out.colind.size());
+  }
+  return out;
+}
+
 }  // namespace detail
 
 /// End-to-end verification of a finished setup against its input matrix and
 /// the options that produced it. Covers the sparsification split (partition
-/// + drop-ratio bounds), the combined ILU factor (structure, pivots, fill
-/// closure), the split triangular factors and both level schedules.
+/// + drop-ratio bounds), the triangular factors (structure, U's diagonal,
+/// fill closure, finiteness) and both level schedules.
 template <class T>
 Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
                          const SpcgOptions& opt,
@@ -126,8 +151,10 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
   LintOptions lint = vopt.lint;
   lint.max_per_rule = vopt.max_per_rule;
 
-  // Phase 1 artifacts: the sparsification split.
+  // Phase 1 artifacts: the sparsification split. A setup keeps S only, so Â
+  // is rebuilt as A minus S (when S is sound enough to walk).
   const Csr<T>* precond_input = &a;
+  Csr<T> a_hat;
   if (opt.sparsify_enabled) {
     detail::Reporter rep(out, "split", vopt.max_per_rule);
     if (!s.decision.has_value()) {
@@ -135,7 +162,11 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
                 "sparsify enabled but the setup has no decision");
       return out;
     }
-    out.merge(analyze_sparsify(a, s.decision->chosen, lint));
+    SparsifySplit<T> split = s.decision->chosen;
+    if (split.a_hat.rows == 0 && split.s.rows == a.rows &&
+        analyze(split.s, lint).ok())
+      split.a_hat = detail::kept_entries(a, split.s);
+    out.merge(analyze_sparsify(a, split, lint));
     const double nnz_a = static_cast<double>(a.nnz());
     const double ratio =
         nnz_a == 0.0
@@ -146,16 +177,19 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
                 "drop ratio " + detail::fmt(ratio) + " outside [" +
                     detail::fmt(vopt.min_drop_ratio) + ", " +
                     detail::fmt(vopt.max_drop_ratio) + "]");
-    precond_input = &s.decision->chosen.a_hat;
+    a_hat = std::move(split.a_hat);
+    precond_input = &a_hat;
   } else if (s.decision.has_value()) {
     detail::Reporter rep(out, "split", vopt.max_per_rule);
     rep.warning(kRuleVerifySetup,
                 "sparsify disabled but the setup carries a decision");
   }
 
-  // Phase 2 artifacts: the combined factor and its fill closure.
-  out.merge(analyze_ilu(s.factorization, lint, "LU"));
-  if (vopt.check_closure && precond_input->rows == s.factorization.lu.rows) {
+  // Phase 2 artifacts: the factors, their fill closure and schedules.
+  out.merge(analyze_triangular(s.factors.l, Triangle::kLower, lint, "L"));
+  out.merge(analyze_triangular(s.factors.u, Triangle::kUpper, lint, "U"));
+  if (vopt.check_closure && precond_input->rows == s.factors.u.rows &&
+      s.factors.l.rows == s.factors.u.rows) {
     detail::Reporter rep(out, "LU", vopt.max_per_rule);
     // ILU(0) factorizes on A's own pattern, i.e. closure level 0. The
     // numeric row cap can only *shrink* the pattern, so the uncapped
@@ -163,22 +197,20 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
     const index_t k =
         opt.preconditioner == PrecondKind::kIlu0 ? 0 : opt.fill_level;
     const IlukSymbolic closure = iluk_symbolic(*precond_input, k);
-    detail::check_pattern_subset(s.factorization.lu, closure.pattern, rep);
+    detail::check_pattern_subset(s.factors.l, closure.pattern, rep);
+    detail::check_pattern_subset(s.factors.u, closure.pattern, rep);
   }
-
-  // Split factors and their schedules.
-  out.merge(analyze_triangular(s.factors.l, Triangle::kLower,
-                               /*expect_unit_diag=*/true, lint, "L"));
-  out.merge(analyze_triangular(s.factors.u, Triangle::kUpper,
-                               /*expect_unit_diag=*/false, lint, "U"));
   out.merge(verify_level_schedule(s.factors.l, s.l_schedule, Triangle::kLower,
                                   "schedule(L)", vopt.max_per_rule));
   out.merge(verify_level_schedule(s.factors.u, s.u_schedule, Triangle::kUpper,
                                   "schedule(U)", vopt.max_per_rule));
 
-  if (vopt.taint_scan)
-    out.merge(taint_scan(std::span<const T>(s.factorization.lu.values), "LU",
+  if (vopt.taint_scan) {
+    out.merge(taint_scan(std::span<const T>(s.factors.l.values), "L",
                          vopt.max_per_rule));
+    out.merge(taint_scan(std::span<const T>(s.factors.u.values), "U",
+                         vopt.max_per_rule));
+  }
   return out;
 }
 
@@ -213,7 +245,7 @@ void check_bitwise_equal(const std::vector<V>& got, const std::vector<V>& want,
 /// The transient fast path's equivalence contract: a numeric-only
 /// refactorization (transient/refactorize.h) into a setup's retained
 /// symbolic structure must reproduce a cold spcg_setup on the same matrix
-/// *bitwise* — identical factor values, diagonal positions and split L/U.
+/// *bitwise* — identical L and U values, S values and breakdown flag.
 ///
 /// Procedure: build a cold setup, clone it, scrub every numeric artifact of
 /// the clone to NaN (so agreement cannot come from the copy), refresh the
@@ -229,34 +261,20 @@ Diagnostics verify_numeric_refactorize(const Csr<T>& a, const SpcgOptions& opt,
   const SpcgSetup<T> cold = spcg_setup(a, opt);
   SpcgSetup<T> warm = cold;  // symbolic donor; numerics scrubbed below
   const T scrub = std::numeric_limits<T>::quiet_NaN();
-  std::fill(warm.factorization.lu.values.begin(),
-            warm.factorization.lu.values.end(), scrub);
   std::fill(warm.factors.l.values.begin(), warm.factors.l.values.end(), scrub);
   std::fill(warm.factors.u.values.begin(), warm.factors.u.values.end(), scrub);
-  std::fill(warm.factorization.diag_pos.begin(),
-            warm.factorization.diag_pos.end(), index_t{-1});
-  if (warm.decision.has_value()) {
-    std::fill(warm.decision->chosen.a_hat.values.begin(),
-              warm.decision->chosen.a_hat.values.end(), scrub);
+  if (warm.decision.has_value())
     std::fill(warm.decision->chosen.s.values.begin(),
               warm.decision->chosen.s.values.end(), scrub);
-  }
 
   NumericRefreshWorkspace ws = build_numeric_refresh(warm, a);
   refresh_setup_numerics(warm, a, opt, ws);
 
-  detail::check_bitwise_equal(warm.factorization.lu.values,
-                              cold.factorization.lu.values, "LU values", rep);
-  detail::check_bitwise_equal(warm.factorization.diag_pos,
-                              cold.factorization.diag_pos, "diag_pos", rep);
   detail::check_bitwise_equal(warm.factors.l.values, cold.factors.l.values,
                               "L values", rep);
   detail::check_bitwise_equal(warm.factors.u.values, cold.factors.u.values,
                               "U values", rep);
   if (warm.decision.has_value() && cold.decision.has_value()) {
-    detail::check_bitwise_equal(warm.decision->chosen.a_hat.values,
-                                cold.decision->chosen.a_hat.values,
-                                "a_hat values", rep);
     detail::check_bitwise_equal(warm.decision->chosen.s.values,
                                 cold.decision->chosen.s.values, "S values",
                                 rep);

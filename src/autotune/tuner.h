@@ -331,13 +331,8 @@ class Tuner {
                                    const TriangularFactors<T>& factors,
                                    TrsvExec exec, const CostModel& device,
                                    const CostModel& host) const {
-    PcgIterationShape shape;
-    shape.n = a.rows;
-    shape.a_nnz = a.nnz();
-    shape.lower = trisolve_structure(factors.l, Triangle::kLower);
-    shape.upper = trisolve_structure(factors.u, Triangle::kUpper);
     const CostModel& model = exec == TrsvExec::kSerial ? host : device;
-    return model.pcg_iteration(shape).seconds;
+    return model.pcg_iteration(pcg_iteration_shape(a, factors)).seconds;
   }
 
   /// Wavefront-free (SAI / block-Jacobi) per-iteration model: SpMV with A,

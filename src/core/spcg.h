@@ -52,7 +52,8 @@ struct SpcgResult {
   std::optional<SparsifyDecision<T>> decision;
 
   // Preconditioner structure.
-  IluResult<T> factorization;    // combined LU on Â (or A for baseline)
+  IluResult<T> factorization;    // counts only (see SpcgSetup)
+  TriangularFactors<T> factors;  // M = L U on Â (or A for the baseline)
   index_t factor_nnz = 0;
   index_t wavefronts_factor = 0;   // level count of the factor's L pattern
   index_t matrix_wavefronts = 0;   // level count of the (possibly
@@ -68,17 +69,25 @@ struct SpcgResult {
 };
 
 /// Everything spcg_solve computes before it sees a right-hand side: the
-/// sparsification decision, the incomplete factors, their triangular split
-/// and both level schedules. Building it once and solving many times is the
-/// paper's amortization story; the runtime layer (src/runtime/) caches and
-/// shares these across solves. The schedules here are the only ones built —
+/// sparsification decision, the incomplete factors and both level
+/// schedules. Building it once and solving many times is the paper's
+/// amortization story; the runtime layer (src/runtime/) caches and shares
+/// these across solves. The schedules here are the only ones built —
 /// wavefronts_factor is read off the lower schedule instead of a second
 /// inspector pass, and the preconditioner adopts them as-is.
+///
+/// Each factor value is stored once, in `factors`. spcg_setup leaves
+/// `factorization.lu`, `factorization.diag_pos` and `decision->chosen.a_hat`
+/// empty: Â is needed only to build the factor, and S stays as the record
+/// of what Algorithm 2 dropped. Those three members remain only because the
+/// benchmark's traced setup (perfbench/spcg_perfbench.cc, which re-composes
+/// spcg_setup from ilu0/iluk and split_lu) assigns them; nothing in the
+/// library reads them.
 template <class T>
 struct SpcgSetup {
   std::optional<SparsifyDecision<T>> decision;  // empty for the baseline
-  IluResult<T> factorization;      // combined LU on Â (or A for baseline)
-  TriangularFactors<T> factors;    // split L/U of the factorization
+  IluResult<T> factorization;      // the elimination's counts (see above)
+  TriangularFactors<T> factors;    // M = L U on Â (or A for the baseline)
   LevelSchedule l_schedule;        // level_schedule(factors.l, kLower)
   LevelSchedule u_schedule;        // level_schedule(factors.u, kUpper)
   index_t factor_nnz = 0;
@@ -114,22 +123,22 @@ SpcgSetup<T> spcg_setup(const Csr<T>& a, const SpcgOptions& opt = {}) {
   s.matrix_wavefronts = opt.sparsify_enabled ? s.decision->wavefronts_chosen
                                              : count_wavefronts(a);
 
-  // Phase 2: incomplete factorization of the (sparsified) matrix, split into
-  // triangular factors with their level schedules built exactly once.
+  // Phase 2: incomplete factorization of the (sparsified) matrix straight
+  // into triangular factors, with their level schedules built exactly once.
   timer.reset();
   {
     Span span("factorize", "setup");
     span.arg("kind", to_string(opt.preconditioner));
-    s.factorization =
-        opt.preconditioner == PrecondKind::kIlu0
-            ? ilu0(*precond_input, opt.ilu)
-            : iluk(*precond_input, opt.fill_level, opt.ilu, opt.max_row_fill);
-    s.factor_nnz = s.factorization.lu.nnz();
+    s.factors = opt.preconditioner == PrecondKind::kIlu0
+                    ? ilu0_factors(*precond_input, opt.ilu, s.factorization)
+                    : iluk_factors(*precond_input, opt.fill_level, opt.ilu,
+                                   opt.max_row_fill, s.factorization);
+    s.factor_nnz = s.factors.l.nnz() + s.factors.u.nnz();
     span.arg("factor_nnz", static_cast<std::int64_t>(s.factor_nnz));
+    if (s.decision.has_value()) s.decision->chosen.a_hat = Csr<T>{};
   }
   {
     Span span("inspect", "setup");
-    s.factors = split_lu(s.factorization);
     s.l_schedule = level_schedule(s.factors.l, Triangle::kLower);
     s.u_schedule = level_schedule(s.factors.u, Triangle::kUpper);
     s.wavefronts_factor = s.l_schedule.num_levels();
@@ -153,12 +162,13 @@ SpcgResult<T> spcg_solve(const Csr<T>& a, std::span<const T> b,
   res.sparsify_seconds = setup.sparsify_seconds;
   res.factorization_seconds = setup.factorization_seconds;
 
+  res.factors = std::move(setup.factors);
+
   // Phase 3: PCG on the ORIGINAL system with the sparsified preconditioner,
-  // adopting the schedules the setup already built.
+  // over the schedules the setup already built.
   WallTimer timer;
-  IluPreconditioner<T> m(std::move(setup.factors),
-                         std::move(setup.l_schedule),
-                         std::move(setup.u_schedule), opt.executor);
+  const IluApplier<T> m(res.factors, setup.l_schedule, setup.u_schedule,
+                        opt.executor);
   res.solve = pcg(a, b, m, opt.pcg);
   res.solve_seconds = timer.seconds();
   return res;

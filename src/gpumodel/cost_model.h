@@ -17,6 +17,7 @@
 
 #include "gpumodel/device.h"
 #include "sparse/csr.h"
+#include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
 
 namespace spcg {
@@ -49,7 +50,7 @@ struct OpCost {
 /// Level-schedule shape of a triangular solve, decoupled from values.
 struct TriSolveStructure {
   index_t n = 0;
-  index_t nnz = 0;                       // triangle nnz incl. diagonal
+  index_t nnz = 0;  // triangle nnz incl. the diagonal, stored or implicit
   std::vector<index_t> rows_per_level;
   std::vector<index_t> nnz_per_level;
 
@@ -59,7 +60,9 @@ struct TriSolveStructure {
 };
 
 /// Extract the structure for the `tri` triangle of `m` (which may be a full
-/// combined LU factor; entries outside the triangle are ignored).
+/// combined LU factor; entries outside the triangle are ignored). Every row
+/// counts its diagonal (level_nnz), so L of TriangularFactors, whose unit
+/// diagonal is implicit, models like the lower part of a combined factor.
 template <class T>
 TriSolveStructure trisolve_structure(const Csr<T>& m, Triangle tri) {
   const LevelSchedule sched = level_schedule(m, tri);
@@ -83,13 +86,28 @@ struct PcgIterationShape {
 };
 
 template <class T>
-PcgIterationShape pcg_iteration_shape(const Csr<T>& a, const Csr<T>& lu) {
+PcgIterationShape pcg_iteration_shape(const Csr<T>& a, const Csr<T>& lower,
+                                      const Csr<T>& upper) {
   PcgIterationShape s;
   s.n = a.rows;
   s.a_nnz = a.nnz();
-  s.lower = trisolve_structure(lu, Triangle::kLower);
-  s.upper = trisolve_structure(lu, Triangle::kUpper);
+  s.lower = trisolve_structure(lower, Triangle::kLower);
+  s.upper = trisolve_structure(upper, Triangle::kUpper);
   return s;
+}
+
+/// The shape over a combined factor `lu`.
+template <class T>
+PcgIterationShape pcg_iteration_shape(const Csr<T>& a, const Csr<T>& lu) {
+  return pcg_iteration_shape(a, lu, lu);
+}
+
+/// The shape over triangular factors: equal to the shape over the combined
+/// factor they were split from.
+template <class T>
+PcgIterationShape pcg_iteration_shape(const Csr<T>& a,
+                                      const TriangularFactors<T>& f) {
+  return pcg_iteration_shape(a, f.l, f.u);
 }
 
 /// Theoretical FLOPs of one PCG iteration (paper §4.1: computed for the

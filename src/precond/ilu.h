@@ -9,8 +9,17 @@
 //     directly.
 //
 // The numeric phase is the classic IKJ row elimination restricted to the
-// pattern, producing a combined factor: strict lower part holds L (unit
-// diagonal implicit), diagonal + upper part hold U.
+// pattern, run straight on TriangularFactors (sptrsv/sptrsv.h): row i's
+// strict lower part is L's row i, its diagonal and upper part U's row i, and
+// every pivot heads a U row. It checks each pivot as it writes it, so the
+// factor it leaves is valid by construction. A cold build places A's values
+// into a fresh pattern and eliminates; a numeric refresh
+// (transient/refactorize.h) gathers new values into the same pattern through
+// a precomputed map and runs the same elimination.
+//
+// ilu0() and iluk() return the combined layout (IluResult), joined from the
+// triangular factors, for callers that read one CSR; split_lu() turns a
+// combined factor (ILUT's, for one) into TriangularFactors.
 #pragma once
 
 #include <algorithm>
@@ -18,10 +27,13 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sparse/csr.h"
 #include "sparse/ops.h"
+#include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
 
 namespace spcg {
@@ -30,18 +42,22 @@ namespace spcg {
 struct IluOptions {
   /// When a pivot's magnitude falls below `pivot_floor * ||row||_inf`, it is
   /// replaced by that floor (signed). Set boost_zero_pivots=false to throw
-  /// instead — useful in tests that must detect breakdown.
+  /// instead — useful in tests that must detect breakdown. A pivot that is
+  /// exactly zero (possible only with pivot_floor = 0) always throws.
   bool boost_zero_pivots = true;
   double pivot_floor = 1e-12;
 };
 
-/// Result of a factorization: combined LU in one CSR plus the diagonal
-/// positions (pointing at U's diagonal inside `lu`).
+/// A factorization in the combined layout: the strict lower part holds L
+/// (unit diagonal implicit), the diagonal and upper part hold U, and
+/// `diag_pos` points at U's diagonal in each row. ilu0(), iluk() and ilut()
+/// return it. A setup (core/spcg.h) keeps only the counts below and leaves
+/// `lu` and `diag_pos` empty: its factor lives once, as TriangularFactors.
 template <class T>
 struct IluResult {
   Csr<T> lu;                      // combined factor, same shape as pattern
   std::vector<index_t> diag_pos;  // position of (i,i) in lu for each row
-  index_t fill_nnz = 0;           // nnz(lu) - nnz(A): fill introduced (ILU(K))
+  index_t fill_nnz = 0;           // nnz(L) + nnz(U) - nnz(A): fill (ILU(K))
   bool breakdown = false;         // a pivot was boosted during elimination
   /// Inner-loop update count of the elimination (one multiply-add per unit);
   /// feeds the factorization cost models.
@@ -50,61 +66,60 @@ struct IluResult {
 
 namespace detail {
 
-/// Numeric ILU on the (already sorted, diagonal-present) pattern in `lu`.
-/// `lu.values` must hold A's values at A's positions and 0 at fill positions.
+/// Numeric ILU in place on `f`, whose values must hold A's values at A's
+/// positions and 0 at fill positions; records breakdown and
+/// elimination_ops into `info`.
 ///
 /// Each row is eliminated in the dense work row `work` (size n, indexed by
-/// column; its contents on entry do not matter): the row's values are
-/// scattered in, every update of each pivot row's U-part is applied
+/// column; its contents on entry do not matter): L's and U's row i are
+/// scattered in, every update of each pivot row's U part is applied
 /// unconditionally, and the pattern positions are gathered back. An update
 /// to a column outside the pattern lands in a slot that nothing reads, so
 /// every stored value goes through exactly the operations, in the same
-/// order, of an elimination restricted to the pattern. The refactorize path
-/// passes a preallocated row so a numeric-only refresh never allocates.
+/// order, of an elimination restricted to the pattern. Every pivot is
+/// checked as it is written: below the floor it is boosted (breakdown) or,
+/// with boosting off, rejected; exactly zero it is rejected either way, so
+/// no later row divides by it and no sweep reads it.
 template <class T>
-void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
-                          const IluOptions& opt, bool& breakdown,
-                          std::uint64_t& elimination_ops, std::span<T> work) {
-  const index_t n = lu.rows;
+void ilu_eliminate(TriangularFactors<T>& f, const IluOptions& opt,
+                   IluResult<T>& info, std::span<T> work) {
+  const index_t n = f.u.rows;
   SPCG_CHECK(static_cast<index_t>(work.size()) == n);
-  diag_pos.assign(static_cast<std::size_t>(n), -1);
-  const index_t* rowptr = lu.rowptr.data();
-  const index_t* col = lu.colind.data();
-  T* val = lu.values.data();
-  T* row = work.data();
+  const index_t* const lp = f.l.rowptr.data();
+  const index_t* const lc = f.l.colind.data();
+  T* const lv = f.l.values.data();
+  const index_t* const up = f.u.rowptr.data();
+  const index_t* const uc = f.u.colind.data();
+  T* const uv = f.u.values.data();
+  T* const row = work.data();
+  bool breakdown = false;
+  std::uint64_t ops = 0;
 
   for (index_t i = 0; i < n; ++i) {
-    const index_t row_begin = rowptr[i];
-    const index_t row_end = rowptr[i + 1];
     T row_norm{0};
-    for (index_t p = row_begin; p < row_end; ++p) {
-      row[col[p]] = val[p];
-      row_norm = std::max(row_norm, std::abs(val[p]));
+    for (index_t p = lp[i]; p < lp[i + 1]; ++p) {
+      row[lc[p]] = lv[p];
+      row_norm = std::max(row_norm, std::abs(lv[p]));
+    }
+    for (index_t p = up[i]; p < up[i + 1]; ++p) {
+      row[uc[p]] = uv[p];
+      row_norm = std::max(row_norm, std::abs(uv[p]));
     }
 
-    // Eliminate using previous rows k < i present in this row's pattern
-    // (columns are sorted, so the L-part is a prefix).
-    index_t p = row_begin;
-    for (; p < row_end && col[p] < i; ++p) {
-      const index_t k = col[p];
-      const index_t dk = diag_pos[static_cast<std::size_t>(k)];
-      const T pivot = val[dk];
-      SPCG_CHECK_MSG(pivot != T{0},
-                     "zero pivot in row " << k << " while eliminating row "
-                                          << i);
-      const T lik = row[k] / pivot;
+    // Eliminate with the rows k < i of L's row i, in column order; row k's
+    // pivot heads U's row k, and its U part follows the pivot.
+    for (index_t p = lp[i]; p < lp[i + 1]; ++p) {
+      const index_t k = lc[p];
+      const index_t dk = up[k];
+      const T lik = row[k] / uv[dk];
       row[k] = lik;
-      // Subtract lik * (U-part of row k) from row i.
-      const index_t k_end = rowptr[k + 1];
-      elimination_ops += static_cast<std::uint64_t>(k_end - (dk + 1)) + 1;
-      for (index_t q = dk + 1; q < k_end; ++q) row[col[q]] -= lik * val[q];
+      ops += static_cast<std::uint64_t>(up[k + 1] - (dk + 1)) + 1;
+      for (index_t q = dk + 1; q < up[k + 1]; ++q) row[uc[q]] -= lik * uv[q];
     }
-    SPCG_CHECK_MSG(p < row_end && col[p] == i,
-                   "pattern row " << i << " has no diagonal entry");
-    diag_pos[static_cast<std::size_t>(i)] = p;
-    for (index_t q = row_begin; q < row_end; ++q) val[q] = row[col[q]];
+    for (index_t p = lp[i]; p < lp[i + 1]; ++p) lv[p] = row[lc[p]];
+    for (index_t p = up[i]; p < up[i + 1]; ++p) uv[p] = row[uc[p]];
 
-    T& pivot = val[p];
+    T& pivot = uv[up[i]];
     const T floor = static_cast<T>(opt.pivot_floor) *
                     std::max(row_norm, T{1});
     if (std::abs(pivot) < floor) {
@@ -114,58 +129,183 @@ void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
       pivot = (pivot < T{0} ? -floor : floor);
       breakdown = true;
     }
+    SPCG_CHECK_MSG(pivot != T{0}, "zero pivot at row " << i);
   }
+  info.breakdown = breakdown;
+  info.elimination_ops = ops;
 }
 
-/// Allocating convenience overload: owns the work row itself.
-template <class T>
-void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
-                          const IluOptions& opt, bool& breakdown,
-                          std::uint64_t& elimination_ops) {
-  std::vector<T> work(static_cast<std::size_t>(lu.rows));
-  ilu_numeric_in_place(lu, diag_pos, opt, breakdown, elimination_ops,
-                       std::span<T>(work));
+/// Split `m` (column-sorted rows, combined layout) at the diagonal: row i's
+/// columns below i become L's row i and the rest U's. Values are copied when
+/// `m` holds T; a structural pattern (Csr<char>) gives zero values.
+template <class T, class V>
+std::pair<Csr<T>, Csr<T>> split_at_diagonal(const Csr<V>& m) {
+  SPCG_CHECK_MSG(m.rows == m.cols &&
+                     m.rowptr.size() == static_cast<std::size_t>(m.rows) + 1 &&
+                     m.rowptr.front() == 0 &&
+                     static_cast<std::size_t>(m.rowptr.back()) ==
+                         m.colind.size() &&
+                     m.values.size() == m.colind.size(),
+                 "split_at_diagonal: malformed " << m.rows << "x" << m.cols
+                                                 << " factor");
+  Csr<T> l(m.rows, m.cols), u(m.rows, m.cols);
+  std::vector<index_t> lower(static_cast<std::size_t>(m.rows));
+  for (index_t i = 0; i < m.rows; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    SPCG_CHECK_MSG(m.rowptr[row] <= m.rowptr[row + 1],
+                   "split_at_diagonal: decreasing rowptr at row " << i);
+    const auto cols_i = m.row_cols(i);
+    lower[row] = static_cast<index_t>(
+        std::lower_bound(cols_i.begin(), cols_i.end(), i) - cols_i.begin());
+    l.rowptr[row + 1] = l.rowptr[row] + lower[row];
+    u.rowptr[row + 1] = u.rowptr[row] +
+                        static_cast<index_t>(cols_i.size()) - lower[row];
+  }
+  l.colind.resize(static_cast<std::size_t>(l.nnz()));
+  l.values.resize(static_cast<std::size_t>(l.nnz()));
+  u.colind.resize(static_cast<std::size_t>(u.nnz()));
+  u.values.resize(static_cast<std::size_t>(u.nnz()));
+  for (index_t i = 0; i < m.rows; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    const auto src = static_cast<std::size_t>(m.rowptr[row]);
+    const auto nl = static_cast<std::size_t>(lower[row]);
+    const auto nu = static_cast<std::size_t>(m.rowptr[row + 1]) - src - nl;
+    const auto dl = static_cast<std::size_t>(l.rowptr[row]);
+    const auto du = static_cast<std::size_t>(u.rowptr[row]);
+    std::copy_n(m.colind.data() + src, nl, l.colind.data() + dl);
+    std::copy_n(m.colind.data() + src + nl, nu, u.colind.data() + du);
+    if constexpr (std::is_same_v<T, V>) {
+      std::copy_n(m.values.data() + src, nl, l.values.data() + dl);
+      std::copy_n(m.values.data() + src + nl, nu, u.values.data() + du);
+    }
+  }
+  return {std::move(l), std::move(u)};
 }
 
-/// Set `lu.values` to A's values at A's positions and 0 elsewhere, with one
-/// merge walk of each row of A against the same (sorted) row of the factor
-/// pattern. Entries of A absent from the pattern are skipped; returns the
-/// first row that had one, or -1.
+/// The gather map that places `a`'s values into the pattern of `f`: for
+/// every position of f.l, then of f.u, the position in `a` of the same
+/// (i, j), or -1 where the factor holds fill. Entries of `a` that `dropped`
+/// stores are no factor entries: their positions in `a` follow, one per
+/// entry of `dropped`, which must lie in `a`'s pattern. One merge walk per
+/// row (every pattern is column-sorted). Returns the first row with a kept
+/// entry of `a` that the factor pattern lacks, or -1.
 template <class T>
-index_t scatter_into_pattern(const Csr<T>& a, Csr<T>& lu) {
+index_t factor_gather_map(const Csr<T>& a, const TriangularFactors<T>& f,
+                          std::type_identity_t<const Csr<T>*> dropped,
+                          std::vector<index_t>& src) {
+  SPCG_CHECK(a.rows == f.u.rows && a.cols == f.u.cols);
+  SPCG_CHECK(dropped == nullptr || dropped->rows == a.rows);
+  const std::size_t nl = f.l.colind.size();
+  const std::size_t nu = f.u.colind.size();
+  src.assign(nl + nu + (dropped ? dropped->colind.size() : 0), -1);
+  index_t* const l_src = src.data();
+  index_t* const u_src = l_src + nl;
+  index_t* const s_src = u_src + nu;
   index_t lost_row = -1;
   for (index_t i = 0; i < a.rows; ++i) {
-    index_t q = lu.rowptr[static_cast<std::size_t>(i)];
-    const index_t q_end = lu.rowptr[static_cast<std::size_t>(i) + 1];
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t j = a.colind[static_cast<std::size_t>(p)];
-      for (; q < q_end && lu.colind[static_cast<std::size_t>(q)] < j; ++q)
-        lu.values[static_cast<std::size_t>(q)] = T{0};
-      if (q < q_end && lu.colind[static_cast<std::size_t>(q)] == j) {
-        lu.values[static_cast<std::size_t>(q++)] =
-            a.values[static_cast<std::size_t>(p)];
-      } else if (lost_row < 0) {
-        lost_row = i;
+    const auto row = static_cast<std::size_t>(i);
+    index_t pl = f.l.rowptr[row];
+    index_t pu = f.u.rowptr[row];
+    index_t ps = dropped ? dropped->rowptr[row] : 0;
+    const index_t ps_end = dropped ? dropped->rowptr[row + 1] : 0;
+    for (index_t pa = a.rowptr[row]; pa < a.rowptr[row + 1]; ++pa) {
+      const index_t j = a.colind[static_cast<std::size_t>(pa)];
+      if (ps < ps_end && dropped->colind[static_cast<std::size_t>(ps)] == j) {
+        s_src[ps++] = pa;
+        continue;
       }
+      const bool lower = j < i;
+      const Csr<T>& m = lower ? f.l : f.u;
+      index_t& p = lower ? pl : pu;
+      const index_t p_end = m.rowptr[row + 1];
+      while (p < p_end && m.colind[static_cast<std::size_t>(p)] < j) ++p;
+      if (p < p_end && m.colind[static_cast<std::size_t>(p)] == j)
+        (lower ? l_src : u_src)[p++] = pa;
+      else if (lost_row < 0)
+        lost_row = i;
     }
-    for (; q < q_end; ++q) lu.values[static_cast<std::size_t>(q)] = T{0};
+    SPCG_CHECK_MSG(ps == ps_end,
+                   "dropped entries outside A's pattern at row " << i);
   }
   return lost_row;
 }
 
+/// to[p] = from[src[p]], or 0 where src[p] < 0 (fill).
+template <class T>
+void gather_values(std::span<const T> from, const index_t* src,
+                   std::span<T> to) {
+  const T* const v = from.data();
+  for (std::size_t p = 0; p < to.size(); ++p) {
+    const index_t q = src[p];
+    to[p] = q >= 0 ? v[q] : T{0};
+  }
+}
+
+/// f's values from `from` through a factor_gather_map() map: L's, then U's.
+template <class T>
+void gather_factor_values(std::span<const T> from, const index_t* src,
+                          TriangularFactors<T>& f) {
+  gather_values(from, src, std::span<T>(f.l.values));
+  gather_values(from, src + f.l.values.size(), std::span<T>(f.u.values));
+}
+
+/// The combined layout of `f` into r.lu and r.diag_pos: row i is L's row i
+/// followed by U's, whose diagonal comes first.
+template <class T>
+void join_lu(const TriangularFactors<T>& f, IluResult<T>& r) {
+  const index_t n = f.u.rows;
+  r.lu = Csr<T>(n, n);
+  r.lu.colind.resize(f.l.colind.size() + f.u.colind.size());
+  r.lu.values.resize(r.lu.colind.size());
+  r.diag_pos.resize(static_cast<std::size_t>(n));
+  std::size_t dst = 0;
+  for (index_t i = 0; i < n; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    for (const Csr<T>* m : {&f.l, &f.u}) {
+      if (m == &f.u) r.diag_pos[row] = static_cast<index_t>(dst);
+      const auto begin = static_cast<std::size_t>(m->rowptr[row]);
+      const auto len = static_cast<std::size_t>(m->rowptr[row + 1]) - begin;
+      std::copy_n(m->colind.data() + begin, len, r.lu.colind.data() + dst);
+      std::copy_n(m->values.data() + begin, len, r.lu.values.data() + dst);
+      dst += len;
+    }
+    r.lu.rowptr[row + 1] = static_cast<index_t>(dst);
+  }
+}
+
 }  // namespace detail
 
-/// ILU(0): incomplete LU with zero fill-in, on A's own pattern. A must be
-/// square with a fully stored diagonal.
+/// Split a combined factor into TriangularFactors, validating it (sorted
+/// rows, a nonzero diagonal in every row); throws spcg::Error naming the
+/// first malformed row.
+template <class T>
+TriangularFactors<T> split_lu(const IluResult<T>& r) {
+  auto [l, u] = detail::split_at_diagonal<T>(r.lu);
+  return TriangularFactors<T>(std::move(l), std::move(u));
+}
+
+/// ILU(0) of `a` (square, sorted rows, a stored diagonal in every row),
+/// straight into triangular form. `info` receives the elimination's counts;
+/// its `lu` and `diag_pos` are left empty.
+template <class T>
+TriangularFactors<T> ilu0_factors(const Csr<T>& a, const IluOptions& opt,
+                                  IluResult<T>& info) {
+  SPCG_CHECK(a.rows == a.cols);
+  auto [l, u] = detail::split_at_diagonal<T>(a);
+  TriangularFactors<T> f(std::move(l), std::move(u),
+                         typename TriangularFactors<T>::PatternOnly{});
+  info = IluResult<T>{};
+  std::vector<T> work(static_cast<std::size_t>(a.rows));
+  detail::ilu_eliminate(f, opt, info, std::span<T>(work));
+  return f;
+}
+
+/// ILU(0): incomplete LU with zero fill-in, on A's own pattern, in the
+/// combined layout. A must be square with a fully stored diagonal.
 template <class T>
 IluResult<T> ilu0(const Csr<T>& a, const IluOptions& opt = {}) {
-  SPCG_CHECK(a.rows == a.cols);
   IluResult<T> r;
-  r.lu = a;  // pattern and initial values are A's
-  detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                               r.elimination_ops);
-  r.fill_nnz = 0;
+  detail::join_lu(ilu0_factors(a, opt, r), r);
   return r;
 }
 
@@ -197,120 +337,45 @@ IlukSymbolic iluk_symbolic(const Csr<T>& a, index_t k,
                                        max_row_fill);
 }
 
-/// ILU(K): symbolic fill to level `k`, then numeric factorization on the
-/// extended pattern.
+/// ILU(K): symbolic fill to level `k`, then the numeric phase on the
+/// extended pattern, straight into triangular form. `info` receives the
+/// fill and the elimination's counts; its `lu` and `diag_pos` are left
+/// empty.
+template <class T>
+TriangularFactors<T> iluk_factors(const Csr<T>& a, index_t k,
+                                  const IluOptions& opt, index_t max_row_fill,
+                                  IluResult<T>& info) {
+  SPCG_CHECK(a.rows == a.cols);
+  TriangularFactors<T> f;
+  {
+    const IlukSymbolic sym = iluk_symbolic(a, k, max_row_fill);
+    auto [l, u] = detail::split_at_diagonal<T>(sym.pattern);
+    f = TriangularFactors<T>(std::move(l), std::move(u),
+                             typename TriangularFactors<T>::PatternOnly{});
+    // A's values into the extended pattern. When the per-row fill cap
+    // tripped, an original entry may have been truncated out of the pattern
+    // — it is then simply absent from the preconditioner (ILUT-style drop).
+    // Without truncation a missing entry would be a symbolic-phase bug.
+    std::vector<index_t> src;
+    const index_t lost_row = detail::factor_gather_map(a, f, nullptr, src);
+    SPCG_CHECK_MSG(lost_row < 0 || sym.truncated_rows > 0,
+                   "ILU(K) pattern lost original entry at row " << lost_row);
+    detail::gather_factor_values(std::span<const T>(a.values), src.data(), f);
+  }
+  info = IluResult<T>{};
+  info.fill_nnz = f.l.nnz() + f.u.nnz() - a.nnz();
+  std::vector<T> work(static_cast<std::size_t>(a.rows));
+  detail::ilu_eliminate(f, opt, info, std::span<T>(work));
+  return f;
+}
+
+/// ILU(K) in the combined layout.
 template <class T>
 IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
                   index_t max_row_fill = 0) {
-  SPCG_CHECK(a.rows == a.cols);
-  const IlukSymbolic sym = iluk_symbolic(a, k, max_row_fill);
   IluResult<T> r;
-  r.lu.rows = a.rows;
-  r.lu.cols = a.cols;
-  r.lu.rowptr = sym.pattern.rowptr;
-  r.lu.colind = sym.pattern.colind;
-  r.lu.values.resize(r.lu.colind.size());
-  // Scatter A's values into the extended pattern. When the per-row fill cap
-  // tripped, an original entry may have been truncated out of the pattern —
-  // it is then simply absent from the preconditioner (ILUT-style drop).
-  // Without truncation a missing entry would be a symbolic-phase bug.
-  const index_t lost_row = detail::scatter_into_pattern(a, r.lu);
-  SPCG_CHECK_MSG(lost_row < 0 || sym.truncated_rows > 0,
-                 "ILU(K) pattern lost original entry at row " << lost_row);
-  detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                               r.elimination_ops);
-  r.fill_nnz = r.lu.nnz() - a.nnz();
+  detail::join_lu(iluk_factors(a, k, opt, max_row_fill, r), r);
   return r;
-}
-
-/// Numeric-only refactorization: rerun the elimination on an existing
-/// factorization's pattern with fresh values from `a`. The symbolic
-/// structure (lu.rowptr/colind — A's pattern for ILU(0), the level-K closure
-/// for ILU(K)) is reused verbatim; only lu.values, diag_pos, breakdown and
-/// elimination_ops are recomputed. `a` must have the pattern the original
-/// factorization was built from (same rows and the same stored entries —
-/// only the values may differ); entries of `a` absent from the pattern are
-/// only legal when the ILU(K) per-row fill cap truncated them out of the
-/// original setup, mirroring iluk()'s scatter.
-///
-/// `work`, when non-empty, must be a caller-owned buffer of a.rows values
-/// (the elimination's dense work row; its contents do not matter) —
-/// passing it makes the refresh allocation-free apart from diag_pos.assign,
-/// which reuses its existing capacity. Empty = allocate internally.
-template <class T>
-void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
-                     const IluOptions& opt = {}, std::span<T> work = {}) {
-  SPCG_CHECK(a.rows == a.cols);
-  SPCG_CHECK(r.lu.rows == a.rows && r.lu.cols == a.cols);
-  // ILU(0) setups (no fill, pattern == A's) must find every entry; ILU(K)
-  // setups tolerate misses because the per-row fill cap may have truncated
-  // original entries out of the pattern (IluResult does not retain the
-  // symbolic truncated_rows count, so the K > 0 case cannot be stricter).
-  const bool pattern_is_a = r.fill_nnz == 0 && r.lu.nnz() == a.nnz();
-  // A's values at A's positions, 0 at fill — exactly the initial state
-  // iluk() hands to the numeric phase.
-  const index_t lost_row = detail::scatter_into_pattern(a, r.lu);
-  SPCG_CHECK_MSG(lost_row < 0 || !pattern_is_a,
-                 "refactorize: pattern lost original entry at row "
-                     << lost_row);
-  r.breakdown = false;
-  r.elimination_ops = 0;
-  if (work.empty()) {
-    detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                                 r.elimination_ops);
-  } else {
-    detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                                 r.elimination_ops, work);
-  }
-}
-
-/// Split a combined LU factor into explicit triangular factors:
-/// L gets the strict lower part plus a stored unit diagonal; U gets the
-/// diagonal and strict upper part. One counting pass sizes both exactly,
-/// one pass fills them.
-template <class T>
-struct TriangularFactors {
-  Csr<T> l;  // unit lower triangular (diagonal stored as 1)
-  Csr<T> u;  // upper triangular including diagonal
-};
-
-template <class T>
-TriangularFactors<T> split_lu(const IluResult<T>& r) {
-  const Csr<T>& lu = r.lu;
-  TriangularFactors<T> f{Csr<T>(lu.rows, lu.cols), Csr<T>(lu.rows, lu.cols)};
-  // Counting pass: row i's strict lower part is the prefix of its sorted
-  // columns below i; L also stores the unit diagonal.
-  for (index_t i = 0; i < lu.rows; ++i) {
-    const auto cols_i = lu.row_cols(i);
-    const auto lower = static_cast<index_t>(
-        std::lower_bound(cols_i.begin(), cols_i.end(), i) - cols_i.begin());
-    f.l.rowptr[static_cast<std::size_t>(i) + 1] =
-        f.l.rowptr[static_cast<std::size_t>(i)] + lower + 1;
-    f.u.rowptr[static_cast<std::size_t>(i) + 1] =
-        f.u.rowptr[static_cast<std::size_t>(i)] +
-        static_cast<index_t>(cols_i.size()) - lower;
-  }
-  f.l.colind.resize(static_cast<std::size_t>(f.l.nnz()));
-  f.l.values.resize(static_cast<std::size_t>(f.l.nnz()));
-  f.u.colind.resize(static_cast<std::size_t>(f.u.nnz()));
-  f.u.values.resize(static_cast<std::size_t>(f.u.nnz()));
-  const auto at = [](const std::vector<index_t>& rowptr, index_t i) {
-    return static_cast<std::size_t>(rowptr[static_cast<std::size_t>(i)]);
-  };
-  for (index_t i = 0; i < lu.rows; ++i) {
-    const std::size_t src = at(lu.rowptr, i);
-    const std::size_t dl = at(f.l.rowptr, i);
-    const std::size_t du = at(f.u.rowptr, i);
-    const std::size_t lower = at(f.l.rowptr, i + 1) - dl - 1;
-    const std::size_t upper = at(f.u.rowptr, i + 1) - du;
-    std::copy_n(lu.colind.data() + src, lower, f.l.colind.data() + dl);
-    std::copy_n(lu.values.data() + src, lower, f.l.values.data() + dl);
-    f.l.colind[dl + lower] = i;
-    f.l.values[dl + lower] = T{1};
-    std::copy_n(lu.colind.data() + src + lower, upper, f.u.colind.data() + du);
-    std::copy_n(lu.values.data() + src + lower, upper, f.u.values.data() + du);
-  }
-  return f;
 }
 
 }  // namespace spcg

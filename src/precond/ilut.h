@@ -51,6 +51,8 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
   std::vector<T> w(static_cast<std::size_t>(n), T{0});
   std::vector<char> in_w(static_cast<std::size_t>(n), 0);
   std::vector<index_t> pattern;  // nonzero positions of w (unsorted)
+  // Kept (|value|, column) candidates of the current row's two parts.
+  std::vector<std::pair<T, index_t>> lower, upper;
 
   IluResult<T> out;
   out.lu.rows = n;
@@ -123,7 +125,8 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
     }
 
     // Gather, apply thresholds, keep top-p per part.
-    std::vector<std::pair<T, index_t>> lower, upper;
+    lower.clear();
+    upper.clear();
     T diag_val{0};
     for (const index_t j : pattern) {
       const T v = w[static_cast<std::size_t>(j)];
@@ -165,6 +168,7 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
     auto& rc = row_cols[static_cast<std::size_t>(i)];
     auto& rv = row_vals[static_cast<std::size_t>(i)];
     rc.reserve(lower.size() + upper.size() + 1);
+    rv.reserve(rc.capacity());
     for (const auto& [mag, j] : lower) {
       rc.push_back(j);
       rv.push_back(w[static_cast<std::size_t>(j)]);

@@ -104,22 +104,22 @@ void ilu_apply(const TriangularFactors<T>& f, const LevelSchedule& l_sched,
   if (exec == TrsvExec::kSerial) {
     {
       Span span("sptrsv_lower", "solve");
-      sptrsv_lower_serial(f.l, r, z);
+      sptrsv_lower_serial(f, r, z);
     }
     Span span("sptrsv_upper", "solve");
-    sptrsv_upper_serial(f.u, y, z);
+    sptrsv_upper_serial(f, y, z);
   } else if (exec == TrsvExec::kLevelScheduled) {
     {
       Span span("sptrsv_lower", "solve");
-      sptrsv_lower_levels(f.l, l_sched, r, z);
+      sptrsv_lower_levels(f, l_sched, r, z);
     }
     Span span("sptrsv_upper", "solve");
-    sptrsv_upper_levels(f.u, u_sched, y, z);
+    sptrsv_upper_levels(f, u_sched, y, z);
   } else {
     const analysis::RaceReport rl =
-        analysis::sptrsv_lower_levels_checked(f.l, l_sched, r, z);
+        analysis::sptrsv_lower_levels_checked(f, l_sched, r, z);
     const analysis::RaceReport ru =
-        analysis::sptrsv_upper_levels_checked(f.u, u_sched, y, z);
+        analysis::sptrsv_upper_levels_checked(f, u_sched, y, z);
     SPCG_CHECK_MSG(rl.ok() && ru.ok(),
                    "SpTRSV schedule race: "
                        << (rl.ok() ? ru : rl).to_diagnostics().to_string(4));
@@ -164,7 +164,7 @@ T ilu_update_and_apply_serial(const TriangularFactors<T>& f, T alpha,
       sptrsv_lower_sweep(f.l, CgUpdateRow<T>{alpha, p, w, x, r}, z).rr;
   lower_span.finish();
   Span span("sptrsv_upper", "solve");
-  sptrsv_upper_serial(f.u, std::span<const T>(z.data(), z.size()), z);
+  sptrsv_upper_serial(f, std::span<const T>(z.data(), z.size()), z);
   return rr;
 }
 
@@ -205,17 +205,22 @@ class IluApplier final : public Preconditioner<T> {
   const LevelSchedule* u_sched_;
 };
 
-/// M = L U from an incomplete factorization. Owns the split factors and
-/// their level schedules (built once at construction = the inspector phase);
+/// M = L U from an incomplete factorization. Owns the factors and their
+/// level schedules (built once at construction = the inspector phase);
 /// apply() is stateless, so one instance may serve concurrent solves.
 template <class T>
 class IluPreconditioner final : public Preconditioner<T> {
  public:
-  IluPreconditioner(IluResult<T> fact, TrsvExec exec = TrsvExec::kSerial)
-      : exec_(exec), factors_(split_lu(fact)) {
-    l_sched_ = level_schedule(factors_.l, Triangle::kLower);
-    u_sched_ = level_schedule(factors_.u, Triangle::kUpper);
-  }
+  /// A combined factor, split (and validated) once by split_lu().
+  IluPreconditioner(const IluResult<T>& fact,
+                    TrsvExec exec = TrsvExec::kSerial)
+      : IluPreconditioner(split_lu(fact), exec) {}
+
+  IluPreconditioner(TriangularFactors<T> factors,
+                    TrsvExec exec = TrsvExec::kSerial)
+      : exec_(exec), factors_(std::move(factors)),
+        l_sched_(level_schedule(factors_.l, Triangle::kLower)),
+        u_sched_(level_schedule(factors_.u, Triangle::kUpper)) {}
 
   /// Adopt factors whose schedules were already built (e.g. by spcg_setup),
   /// skipping the redundant inspector pass.
@@ -256,10 +261,11 @@ class IluPreconditioner final : public Preconditioner<T> {
 template <class T>
 std::unique_ptr<Preconditioner<T>> make_ic0(const Csr<T>& a,
                                             TrsvExec exec = TrsvExec::kSerial) {
-  IluResult<T> f = ilu0(a);
+  IluResult<T> info;
+  TriangularFactors<T> f = ilu0_factors(a, IluOptions{}, info);
   for (index_t i = 0; i < a.rows; ++i) {
-    const T pivot = f.lu.values[static_cast<std::size_t>(
-        f.diag_pos[static_cast<std::size_t>(i)])];
+    const T pivot = f.u.values[static_cast<std::size_t>(
+        f.u.rowptr[static_cast<std::size_t>(i)])];
     SPCG_CHECK_MSG(pivot > T{0},
                    "IC(0) requires positive pivots; row " << i << " has "
                                                           << pivot);

@@ -149,6 +149,7 @@ class SolverSession {
     out.solve = std::move(r.solve);
     out.decision = s.decision;
     out.factorization = s.factorization;
+    out.factors = s.factors;
     out.factor_nnz = s.factor_nnz;
     out.wavefronts_factor = s.wavefronts_factor;
     out.matrix_wavefronts = s.matrix_wavefronts;

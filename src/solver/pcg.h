@@ -237,8 +237,8 @@ SolveResult<T> classic_cg(Ops& ops, std::span<const T> b,
       break;
     }
     // Allocation probe: after the warmup iteration (k = 0), an iteration
-    // must not touch the heap — the zero-allocation contract of ROADMAP
-    // Open item 4. Tracing and history recording allocate by design, so
+    // must not touch the heap — the zero-allocation contract of DESIGN.md
+    // §6.4. Tracing and history recording allocate by design, so
     // the steady-state claim only holds with both off; the auditor
     // attributes those allocations to this phase either way.
     const analysis::AllocAuditScope alloc_scope("pcg.iteration",

@@ -112,7 +112,8 @@ struct Csr {
       for (index_t p = rowptr[static_cast<std::size_t>(i)];
            p < rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
         const index_t j = colind[static_cast<std::size_t>(p)];
-        SPCG_CHECK_MSG(j >= 0 && j < cols, "col " << j << " out of range");
+        SPCG_CHECK_MSG(j >= 0 && j < cols,
+                       "col " << j << " out of range in row " << i);
         SPCG_CHECK_MSG(j > prev, "cols not sorted/unique in row " << i);
         prev = j;
       }

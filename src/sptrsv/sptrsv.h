@@ -1,5 +1,14 @@
 // Sparse triangular solvers (SpTRSV): the executor half of the
-// inspector–executor scheme.
+// inspector–executor scheme, and the one triangular-factor format every
+// executor reads.
+//
+// TriangularFactors stores M = L U the way the paper's csrsv2 sweeps read it
+// under CUSPARSE_DIAG_TYPE_UNIT: L strictly lower with an implicit unit
+// diagonal, U upper with its diagonal first in every row, columns sorted and
+// unique within each row. The factor is validated once, where it is made —
+// its constructor checks the pattern and U's diagonal, and the numeric ILU
+// phase (precond/ilu.h) checks every pivot it writes — so the executors
+// trust it: no executor looks for a diagonal or tests one per row.
 //
 // Every executor runs the same row kernel (detail::trsv_row), so all of them
 // produce bitwise identical solutions by construction:
@@ -10,21 +19,14 @@
 //   * the race-checking executor of analysis/race_detector.h, which reads x
 //     through an instrumenting hook.
 //
-// Factors follow the split_lu() convention: L is unit-lower with the unit
-// diagonal stored, U is upper with its diagonal stored, columns sorted within
-// each row. The kernel reads the diagonal at its structural position (last
-// entry of an L row, first of a U row), so every executor rejects with
-// spcg::Error, naming the row, a row whose diagonal is missing or zero or
-// that stores an entry on the wrong side of the diagonal.
-//
 // x may alias b in every executor: row i reads b[i] and nothing else of b,
 // and every x entry it reads belongs to a row solved before it.
 #pragma once
 
-#include <algorithm>
 #include <sstream>
 #include <span>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "sparse/csr.h"
 #include "wavefront/levels.h"
@@ -33,178 +35,214 @@ namespace spcg {
 
 namespace detail {
 
-/// Position of row i's diagonal where a sorted triangular factor keeps it —
-/// the last entry of an L row, the first of a U row — or -1 when that entry
-/// is not a nonzero (i, i): the row lacks its diagonal, stores an entry on
-/// the wrong side of it, or its diagonal is zero.
-template <bool kLower, class T>
-inline index_t trsv_diag(const Csr<T>& m, index_t i) {
-  const index_t begin = m.rowptr[static_cast<std::size_t>(i)];
-  const index_t end = m.rowptr[static_cast<std::size_t>(i) + 1];
-  if (begin == end) return -1;
-  const index_t d = kLower ? end - 1 : begin;
-  return m.colind[static_cast<std::size_t>(d)] == i &&
-                 m.values[static_cast<std::size_t>(d)] != T{0}
-             ? d
-             : -1;
-}
-
-/// Raise the spcg::Error for a row trsv_diag() rejected, naming the row and
-/// what is wrong with it.
-template <bool kLower, class T>
-[[noreturn]] void throw_bad_trsv_row(const Csr<T>& m, index_t i) {
-  const auto cols = m.row_cols(i);
-  const auto wrong = std::find_if(cols.begin(), cols.end(), [i](index_t j) {
-    return kLower ? j > i : j < i;
-  });
+/// Throw the spcg::Error for a malformed row `i` of factor `tri` ("L"/"U").
+[[noreturn]] inline void throw_bad_factor_row(const char* tri, index_t i,
+                                              const std::string& what) {
   std::ostringstream os;
-  os << "sptrsv: row " << i;
-  if (wrong != cols.end())
-    os << " stores column " << *wrong << (kLower ? " above" : " below")
-       << " the diagonal of a " << (kLower ? "lower" : "upper")
-       << " triangular factor";
-  else if (std::find(cols.begin(), cols.end(), i) == cols.end())
-    os << " has no diagonal entry";
-  else
-    os << " has a zero diagonal";
+  os << "triangular factors: " << tri << " row " << i << " " << what;
   throw Error(os.str());
 }
 
-/// The arithmetic of row i of a triangular solve, shared by every executor:
-/// `acc` minus the row's off-diagonal products, times the reciprocal of the
-/// diagonal at d = trsv_diag(m, i). Products are subtracted in stored column
-/// order. `x_at(j)` reads solved entry j; `x_near(j)` reads the row's nearest
-/// dependence (the off-diagonal next to the diagonal: last in an L row,
-/// first in a U row), which the serial sweeps serve from a register when it
-/// is the adjacent row. The reciprocal depends only on the factor, so its
-/// division runs off the row-to-row dependence chain, which is left with a
-/// multiply and the subtractions. It is skipped when the diagonal is exactly
-/// 1 — every row of ILU's L — since x * 1 == x in IEEE-754.
-template <bool kLower, class T, class Read, class ReadNear>
-inline T trsv_row(const Csr<T>& m, index_t i, index_t d, T acc, Read x_at,
-                  ReadNear x_near) {
-  const index_t* col = m.colind.data();
-  const T* val = m.values.data();
-  if constexpr (kLower) {
-    const index_t begin = m.rowptr[static_cast<std::size_t>(i)];
-    if (begin < d) {
-      for (index_t p = begin; p < d - 1; ++p) acc -= val[p] * x_at(col[p]);
-      acc -= val[d - 1] * x_near(col[d - 1]);
-    }
-  } else {
-    const index_t end = m.rowptr[static_cast<std::size_t>(i) + 1];
-    if (d + 1 < end) {
-      acc -= val[d + 1] * x_near(col[d + 1]);
-      for (index_t p = d + 2; p < end; ++p) acc -= val[p] * x_at(col[p]);
-    }
+/// Pattern check of one triangle of an n x n factor: a valid CSR (sorted,
+/// unique, in-range columns), every entry on the triangle's side — strictly
+/// below the diagonal for L, on or above it for U, so with sorted rows only
+/// the last entry of an L row and the first of a U row need a look — and
+/// U's diagonal first in every row.
+template <bool kLower, class T>
+void check_triangle(const Csr<T>& m, index_t n) {
+  const char* tri = kLower ? "L" : "U";
+  SPCG_CHECK_MSG(m.rows == n && m.cols == n,
+                 "triangular factors: " << tri << " is " << m.rows << "x"
+                                        << m.cols << ", expected " << n << "x"
+                                        << n);
+  m.validate();
+  for (index_t i = 0; i < n; ++i) {
+    const auto cols = m.row_cols(i);
+    if (kLower && !cols.empty() && cols.back() >= i)
+      throw_bad_factor_row(tri, i,
+                           "stores column " + std::to_string(cols.back()) +
+                               " on or above the diagonal of L, which is "
+                               "strictly lower (its unit diagonal is "
+                               "implicit)");
+    if (!kLower && !cols.empty() && cols.front() < i)
+      throw_bad_factor_row(tri, i,
+                           "stores column " + std::to_string(cols.front()) +
+                               " below the diagonal of U");
+    if (!kLower && (cols.empty() || cols.front() != i))
+      throw_bad_factor_row(tri, i, "has no diagonal entry");
   }
-  const T diag = val[d];
-  return diag == T{1} ? acc : acc * (T{1} / diag);
+}
+
+}  // namespace detail
+
+/// An incomplete factorization M = L U in the format every executor reads:
+/// `l` strictly lower triangular (its unit diagonal is implicit, not stored),
+/// `u` upper triangular with its nonzero diagonal first in every row, both
+/// n x n with sorted, unique columns. Construction validates all of that and
+/// throws spcg::Error naming the first malformed row. The members are public
+/// so a numeric refresh can rewrite values in place; the pattern must not
+/// change after construction.
+template <class T>
+struct TriangularFactors {
+  Csr<T> l;
+  Csr<T> u;
+
+  /// Tag: check the pattern only, for a numeric phase that writes and checks
+  /// every U diagonal itself (precond/ilu.h).
+  struct PatternOnly {};
+
+  TriangularFactors() = default;
+
+  TriangularFactors(Csr<T> lower, Csr<T> upper)
+      : TriangularFactors(std::move(lower), std::move(upper), PatternOnly{}) {
+    for (index_t i = 0; i < u.rows; ++i)
+      if (u.values[static_cast<std::size_t>(
+              u.rowptr[static_cast<std::size_t>(i)])] == T{0})
+        detail::throw_bad_factor_row("U", i, "has a zero diagonal");
+  }
+
+  TriangularFactors(Csr<T> lower, Csr<T> upper, PatternOnly)
+      : l(std::move(lower)), u(std::move(upper)) {
+    detail::check_triangle<true>(l, u.rows);
+    detail::check_triangle<false>(u, u.rows);
+  }
+};
+
+namespace detail {
+
+/// The arithmetic of row i of a triangular solve, shared by every executor:
+/// `acc` minus the row's off-diagonal products, in stored column order, then
+/// — U only — times the reciprocal of the diagonal that heads the row. L's
+/// unit diagonal costs nothing (x * 1 == x in IEEE-754). `x_at(j)` reads
+/// solved entry j; `x_near(j)` reads the row's nearest dependence (the last
+/// entry of an L row, the entry after the diagonal of a U row), which the
+/// serial sweeps serve from a register when it is the adjacent row. The
+/// reciprocal depends only on the factor, so its division runs off the
+/// row-to-row dependence chain, which is left with a multiply and the
+/// subtractions.
+template <bool kLower, class T, class Read, class ReadNear>
+inline T trsv_row(const index_t* rowptr, const index_t* col, const T* val,
+                  index_t i, T acc, Read x_at, ReadNear x_near) {
+  const index_t begin = rowptr[i];
+  const index_t end = rowptr[i + 1];
+  if constexpr (kLower) {
+    if (begin < end) {
+      for (index_t p = begin; p < end - 1; ++p) acc -= val[p] * x_at(col[p]);
+      acc -= val[end - 1] * x_near(col[end - 1]);
+    }
+    return acc;
+  } else {
+    if (begin + 1 < end) {
+      acc -= val[begin + 1] * x_near(col[begin + 1]);
+      for (index_t p = begin + 2; p < end; ++p) acc -= val[p] * x_at(col[p]);
+    }
+    return acc * (T{1} / val[begin]);
+  }
 }
 
 template <class T>
 void check_trsv_shape(const Csr<T>& m, std::size_t b_size,
                       std::size_t x_size) {
-  SPCG_CHECK(m.rows == m.cols);
   SPCG_CHECK(static_cast<index_t>(b_size) == m.rows);
   SPCG_CHECK(static_cast<index_t>(x_size) == m.rows);
 }
 
-/// Level-scheduled sweep: the rows of one wavefront run in parallel, and the
-/// implicit barrier closing each level's parallel region orders the levels.
-/// An exception must not escape an OpenMP region, so a rejected row is
-/// flagged into bad_row and thrown after its level completes (any one
-/// offending row suffices for the message).
+/// Level-scheduled sweep over one triangle of a factor: the rows of one
+/// wavefront run in parallel, and the implicit barrier closing each level's
+/// parallel region orders the levels.
 template <bool kLower, class T>
 void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
                         std::span<const T> b, std::span<T> x) {
   check_trsv_shape(m, b.size(), x.size());
   SPCG_CHECK(static_cast<index_t>(sched.level_of_row.size()) == m.rows);
+  const index_t* const rowptr = m.rowptr.data();
+  const index_t* const col = m.colind.data();
+  const T* const val = m.values.data();
+  const index_t* const rows = sched.rows_by_level.data();
   const T* const bp = b.data();
   T* const xp = x.data();
-  index_t bad_row = -1;
   for (index_t l = 0; l < sched.num_levels(); ++l) {
     const index_t begin = sched.level_ptr[static_cast<std::size_t>(l)];
     const index_t end = sched.level_ptr[static_cast<std::size_t>(l) + 1];
 #pragma omp parallel for schedule(static)
     for (index_t s = begin; s < end; ++s) {
-      const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
-      const index_t d = trsv_diag<kLower>(m, i);
-      if (d < 0) {
-#pragma omp atomic write
-        bad_row = i;
-        continue;
-      }
+      const index_t i = rows[s];
       const auto x_at = [xp](index_t j) { return xp[j]; };
-      xp[i] = trsv_row<kLower>(m, i, d, bp[i], x_at, x_at);
+      xp[i] = trsv_row<kLower>(rowptr, col, val, i, bp[i], x_at, x_at);
     }
-    if (bad_row >= 0) throw_bad_trsv_row<kLower>(m, bad_row);
   }
 }
 
-/// The serial forward sweep, written once: row i's right-hand side is
-/// `rhs(i)`, called once per row in ascending order before x[i] is written.
-/// sptrsv_lower_serial reads b[i]; the fused ILU apply of
+/// The serial forward sweep over L, written once: row i's right-hand side
+/// is `rhs(i)`, called once per row in ascending order before x[i] is
+/// written. sptrsv_lower_serial reads b[i]; the fused ILU apply of
 /// precond/preconditioner.h also updates the CG iterate and residual there.
 /// `rhs` is taken and returned by value, like std::for_each's function
 /// object, so state it accumulates stays in registers across the sweep.
 template <class T, class Rhs>
 Rhs sptrsv_lower_sweep(const Csr<T>& l, Rhs rhs, std::span<T> x) {
-  const auto x_at = [x](index_t j) { return x[static_cast<std::size_t>(j)]; };
+  const index_t* const rowptr = l.rowptr.data();
+  const index_t* const col = l.colind.data();
+  const T* const val = l.values.data();
+  T* const xp = x.data();
+  const auto x_at = [xp](index_t j) { return xp[j]; };
   T prev{};  // x[i - 1], kept in a register for row i
   for (index_t i = 0; i < l.rows; ++i) {
-    const index_t d = trsv_diag<true>(l, i);
-    if (d < 0) throw_bad_trsv_row<true>(l, i);
-    prev = trsv_row<true>(
-        l, i, d, rhs(i), x_at,
-        [&](index_t j) { return j == i - 1 ? prev : x_at(j); });
-    x[static_cast<std::size_t>(i)] = prev;
+    prev = trsv_row<true>(rowptr, col, val, i, rhs(i), x_at,
+                          [&](index_t j) { return j == i - 1 ? prev : xp[j]; });
+    xp[i] = prev;
   }
   return rhs;
 }
 
 }  // namespace detail
 
-/// Solve L x = b, L lower triangular with stored diagonal. x may alias b.
+/// Solve L x = b for the factors' unit lower L. x may alias b.
 template <class T>
-void sptrsv_lower_serial(const Csr<T>& l, std::span<const T> b,
+void sptrsv_lower_serial(const TriangularFactors<T>& f, std::span<const T> b,
                          std::span<T> x) {
-  detail::check_trsv_shape(l, b.size(), x.size());
-  detail::sptrsv_lower_sweep(
-      l, [b](index_t i) { return b[static_cast<std::size_t>(i)]; }, x);
+  detail::check_trsv_shape(f.l, b.size(), x.size());
+  const T* const bp = b.data();
+  detail::sptrsv_lower_sweep(f.l, [bp](index_t i) { return bp[i]; }, x);
 }
 
-/// Solve U x = b, U upper triangular with stored diagonal. x may alias b.
+/// Solve U x = b for the factors' upper U. x may alias b.
 template <class T>
-void sptrsv_upper_serial(const Csr<T>& u, std::span<const T> b,
+void sptrsv_upper_serial(const TriangularFactors<T>& f, std::span<const T> b,
                          std::span<T> x) {
+  const Csr<T>& u = f.u;
   detail::check_trsv_shape(u, b.size(), x.size());
-  const auto x_at = [x](index_t j) { return x[static_cast<std::size_t>(j)]; };
+  const index_t* const rowptr = u.rowptr.data();
+  const index_t* const col = u.colind.data();
+  const T* const val = u.values.data();
+  const T* const bp = b.data();
+  T* const xp = x.data();
+  const auto x_at = [xp](index_t j) { return xp[j]; };
   T next{};  // x[i + 1], kept in a register for row i
   for (index_t i = u.rows - 1; i >= 0; --i) {
-    const index_t d = detail::trsv_diag<false>(u, i);
-    if (d < 0) detail::throw_bad_trsv_row<false>(u, i);
     next = detail::trsv_row<false>(
-        u, i, d, b[static_cast<std::size_t>(i)], x_at,
-        [&](index_t j) { return j == i + 1 ? next : x_at(j); });
-    x[static_cast<std::size_t>(i)] = next;
+        rowptr, col, val, i, bp[i], x_at,
+        [&](index_t j) { return j == i + 1 ? next : xp[j]; });
+    xp[i] = next;
   }
 }
 
-/// Level-scheduled lower solve. `sched` must be level_schedule(l, kLower).
+/// Level-scheduled lower solve. `sched` must be level_schedule(f.l, kLower).
 /// x may alias b.
 template <class T>
-void sptrsv_lower_levels(const Csr<T>& l, const LevelSchedule& sched,
-                         std::span<const T> b, std::span<T> x) {
-  detail::sptrsv_level_sweep<true>(l, sched, b, x);
+void sptrsv_lower_levels(const TriangularFactors<T>& f,
+                         const LevelSchedule& sched, std::span<const T> b,
+                         std::span<T> x) {
+  detail::sptrsv_level_sweep<true>(f.l, sched, b, x);
 }
 
-/// Level-scheduled upper solve. `sched` must be level_schedule(u, kUpper).
+/// Level-scheduled upper solve. `sched` must be level_schedule(f.u, kUpper).
 /// x may alias b.
 template <class T>
-void sptrsv_upper_levels(const Csr<T>& u, const LevelSchedule& sched,
-                         std::span<const T> b, std::span<T> x) {
-  detail::sptrsv_level_sweep<false>(u, sched, b, x);
+void sptrsv_upper_levels(const TriangularFactors<T>& f,
+                         const LevelSchedule& sched, std::span<const T> b,
+                         std::span<T> x) {
+  detail::sptrsv_level_sweep<false>(f.u, sched, b, x);
 }
 
 }  // namespace spcg

@@ -9,20 +9,22 @@
 // `values_hash`), everything symbolic in an existing SpcgSetup is still
 // valid — only the numbers must be recomputed.
 //
-// refresh_setup_numerics() does exactly that: it re-scatters the new values
-// through the retained sparsification split (the same entries are kept and
-// dropped — the pattern decision is reused verbatim, not re-derived), reruns
-// the numeric ILU elimination into the retained symbolic structure via
-// ilu_refactorize(), and propagates the combined factor into the split L/U
-// the schedules were built for. No symbolic work, no schedule rebuild, and —
-// given a prebuilt NumericRefreshWorkspace — no heap allocation.
+// refresh_setup_numerics() does exactly that: it gathers A's kept values
+// straight into the positions of the setup's L and U (and A's dropped
+// values into S) through one precomputed map, which holds 0 for fill, and
+// reruns the numeric ILU elimination in place (precond/ilu.h) — the same
+// elimination a cold build runs on a fresh pattern. The sparsification
+// pattern decision is reused verbatim, not re-derived. No symbolic work, no
+// schedule rebuild, no intermediate copy of A, and — given a prebuilt
+// NumericRefreshWorkspace — no heap allocation.
 //
 // Stale after a refresh (by design): SparsifyDecision::indicator, steps and
 // outcome describe the values the decision was *made* on, not the current
-// ones. TransientSession treats them as provenance, not state.
+// ones. TransientSession treats them as provenance, not state. So are
+// `factorization.lu` and `decision->chosen.a_hat` on a setup that carries
+// them (spcg_setup leaves both empty).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -35,30 +37,28 @@
 
 namespace spcg {
 
-/// Precomputed index maps + scratch for refresh_setup_numerics(). Built once
+/// Precomputed gather map + scratch for refresh_setup_numerics(). Built once
 /// per (setup, pattern) by build_numeric_refresh(); every refresh through it
-/// is allocation-free. All maps are positions (CSR entry indices), so a
-/// refresh is pure gather/scatter over value arrays.
+/// is allocation-free.
 struct NumericRefreshWorkspace {
-  /// Dense work row of the numeric elimination (ilu_numeric_in_place): n
+  /// Dense work row of the numeric elimination (detail::ilu_eliminate): n
   /// values, contents irrelevant between uses. Setups are built in double,
   /// the value type refresh_setup_numerics() is defined for.
   std::vector<double> work;
-  /// For each a_hat entry: the position of the same (i, j) in A. Empty for
-  /// baseline setups (no sparsification — the factorization input is A).
-  std::vector<index_t> keep_pos;
-  /// For each entry of the residual matrix S: its position in A.
-  std::vector<index_t> s_pos;
+  /// The one gather map (detail::factor_gather_map): for every position of
+  /// L, then U, then S, the position in A it takes its value from, or -1
+  /// where the factor holds fill.
+  std::vector<index_t> src;
   /// Shape guards: the A this workspace was built against.
   index_t expected_rows = 0;
   index_t expected_nnz = 0;
 };
 
-/// Build the refresh maps for `setup` against the matrix `a` it was built
-/// from (same pattern; values are irrelevant here). One merge-walk over A's
-/// rows recovers the keep/drop split positions. The split factors need no
-/// map: split_lu() lays each row of L and U out as a prefix and the suffix
-/// of the combined factor's row.
+/// Build the refresh map for `setup` against the matrix `a` it was built
+/// from (same pattern; values are irrelevant here): one merge walk over A's
+/// rows against S, L and U. Every kept entry of A must have a factor
+/// position, except where an ILU(K) per-row fill cap truncated it out of the
+/// pattern.
 template <class T>
 NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
                                               const Csr<T>& a) {
@@ -68,38 +68,21 @@ NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
   ws.expected_rows = a.rows;
   ws.expected_nnz = a.nnz();
   ws.work.resize(static_cast<std::size_t>(a.rows));
-
-  if (setup.decision.has_value()) {
-    const Csr<T>& a_hat = setup.decision->chosen.a_hat;
-    const Csr<T>& s = setup.decision->chosen.s;
-    SPCG_CHECK(a_hat.rows == a.rows && s.rows == a.rows);
-    SPCG_CHECK(a_hat.nnz() + s.nnz() == a.nnz());
-    ws.keep_pos.assign(static_cast<std::size_t>(a_hat.nnz()), -1);
-    ws.s_pos.assign(static_cast<std::size_t>(s.nnz()), -1);
-    // Â and S partition A's entries row by row, both column-sorted: one
-    // synchronized walk over each A row assigns every position.
-    for (index_t i = 0; i < a.rows; ++i) {
-      index_t ph = a_hat.rowptr[static_cast<std::size_t>(i)];
-      const index_t ph_end = a_hat.rowptr[static_cast<std::size_t>(i) + 1];
-      index_t ps = s.rowptr[static_cast<std::size_t>(i)];
-      const index_t ps_end = s.rowptr[static_cast<std::size_t>(i) + 1];
-      for (index_t pa = a.rowptr[static_cast<std::size_t>(i)];
-           pa < a.rowptr[static_cast<std::size_t>(i) + 1]; ++pa) {
-        const index_t col = a.colind[static_cast<std::size_t>(pa)];
-        if (ph < ph_end &&
-            a_hat.colind[static_cast<std::size_t>(ph)] == col) {
-          ws.keep_pos[static_cast<std::size_t>(ph++)] = pa;
-        } else if (ps < ps_end &&
-                   s.colind[static_cast<std::size_t>(ps)] == col) {
-          ws.s_pos[static_cast<std::size_t>(ps++)] = pa;
-        } else {
-          SPCG_CHECK_MSG(false, "sparsify split does not partition A at row "
-                                    << i << " col " << col);
-        }
-      }
-      SPCG_CHECK(ph == ph_end && ps == ps_end);
-    }
-  }
+  const Csr<T>* s =
+      setup.decision.has_value() ? &setup.decision->chosen.s : nullptr;
+  const index_t lost_row =
+      detail::factor_gather_map(a, setup.factors, s, ws.src);
+  // ILU(0) setups (no fill, pattern == Â's) must place every kept entry;
+  // ILU(K) setups tolerate misses because the per-row fill cap may have
+  // truncated original entries out of the pattern (the setup does not
+  // retain the symbolic truncated_rows count, so K > 0 cannot be stricter).
+  const index_t kept = a.nnz() - (s != nullptr ? s->nnz() : 0);
+  const bool pattern_is_kept =
+      setup.factorization.fill_nnz == 0 &&
+      setup.factors.l.nnz() + setup.factors.u.nnz() == kept;
+  SPCG_CHECK_MSG(lost_row < 0 || !pattern_is_kept,
+                 "refactorize: pattern lost original entry at row "
+                     << lost_row);
   return ws;
 }
 
@@ -121,46 +104,18 @@ void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
   SPCG_CHECK_MSG(a_new.rows == ws.expected_rows &&
                      a_new.nnz() == ws.expected_nnz,
                  "refresh workspace was built for a different pattern");
-
-  const Csr<T>* input = &a_new;
-  if (setup.decision.has_value()) {
-    SparsifySplit<T>& split = setup.decision->chosen;
-    SPCG_CHECK(static_cast<std::size_t>(split.a_hat.nnz()) ==
-               ws.keep_pos.size());
-    SPCG_CHECK(static_cast<std::size_t>(split.s.nnz()) == ws.s_pos.size());
-    for (std::size_t j = 0; j < ws.keep_pos.size(); ++j)
-      split.a_hat.values[j] =
-          a_new.values[static_cast<std::size_t>(ws.keep_pos[j])];
-    for (std::size_t j = 0; j < ws.s_pos.size(); ++j)
-      split.s.values[j] = a_new.values[static_cast<std::size_t>(ws.s_pos[j])];
-    input = &split.a_hat;
-  }
-
-  ilu_refactorize(setup.factorization, *input, opt.ilu,
-                  std::span<T>(ws.work));
-
-  // Propagate the combined factor into the split L/U the level schedules
-  // reference — value writes only, the triangular patterns are untouched.
-  // split_lu() stores row i of L as the combined row's strict-lower prefix
-  // plus the unit diagonal, and row i of U as the rest of the row.
-  Csr<T>& l = setup.factors.l;
-  Csr<T>& u = setup.factors.u;
-  const Csr<T>& lu = setup.factorization.lu;
-  SPCG_CHECK(l.rows == lu.rows && u.rows == lu.rows &&
-             l.nnz() + u.nnz() == lu.nnz() + lu.rows);
-  for (index_t i = 0; i < lu.rows; ++i) {
-    const auto row = static_cast<std::size_t>(i);
-    const auto src = static_cast<std::size_t>(lu.rowptr[row]);
-    const auto dl = static_cast<std::size_t>(l.rowptr[row]);
-    const auto du = static_cast<std::size_t>(u.rowptr[row]);
-    const std::size_t lower = static_cast<std::size_t>(l.rowptr[row + 1]) -
-                              dl - 1;
-    std::copy_n(lu.values.data() + src, lower, l.values.data() + dl);
-    l.values[dl + lower] = T{1};
-    std::copy_n(lu.values.data() + src + lower,
-                static_cast<std::size_t>(u.rowptr[row + 1]) - du,
-                u.values.data() + du);
-  }
+  TriangularFactors<T>& f = setup.factors;
+  Csr<T>* s = setup.decision.has_value() ? &setup.decision->chosen.s : nullptr;
+  SPCG_CHECK(ws.src.size() == f.l.values.size() + f.u.values.size() +
+                                  (s != nullptr ? s->values.size() : 0));
+  const std::span<const T> from(a_new.values);
+  detail::gather_factor_values(from, ws.src.data(), f);
+  if (s != nullptr)
+    detail::gather_values(
+        from, ws.src.data() + f.l.values.size() + f.u.values.size(),
+        std::span<T>(s->values));
+  detail::ilu_eliminate(f, opt.ilu, setup.factorization,
+                        std::span<T>(ws.work));
 }
 
 }  // namespace spcg

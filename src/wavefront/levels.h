@@ -119,18 +119,21 @@ inline double wavefront_reduction_percent(index_t w_a, index_t w_ahat) {
   return 100.0 * static_cast<double>(w_a - w_ahat) / static_cast<double>(w_a);
 }
 
-/// Per-level nonzero counts for a triangular pattern (used by the GPU cost
-/// model: each level moves its own slice of the factor).
+/// Per-level nonzero counts of a triangular solve (used by the GPU cost
+/// model: each level moves its own slice of the factor): each row's entries
+/// strictly on `tri`'s side of the diagonal, plus one for the diagonal every
+/// row applies — stored in a combined factor and in U, implicit (unit) in
+/// the strictly lower L of TriangularFactors, so both forms count alike.
 template <class T>
 std::vector<index_t> level_nnz(const Csr<T>& a, const LevelSchedule& s,
                                Triangle tri) {
   std::vector<index_t> nnz(static_cast<std::size_t>(s.num_levels()), 0);
   for (index_t i = 0; i < a.rows; ++i) {
-    index_t count = 0;
+    index_t count = 1;
     for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
          p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
       const index_t j = a.colind[static_cast<std::size_t>(p)];
-      const bool in_tri = (tri == Triangle::kLower) ? (j <= i) : (j >= i);
+      const bool in_tri = (tri == Triangle::kLower) ? (j < i) : (j > i);
       if (in_tri) ++count;
     }
     nnz[static_cast<std::size_t>(s.level_of_row[static_cast<std::size_t>(i)])] += count;

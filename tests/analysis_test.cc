@@ -148,18 +148,26 @@ TEST(Lint, ZeroDiagonalInFactorFires) {
   Csr<double> u = f.u;
   u.values[static_cast<std::size_t>(u.find(3, 3))] = 0.0;
   const Diagnostics d =
-      analysis::analyze_triangular(u, Triangle::kUpper, false, {}, "U");
+      analysis::analyze_triangular(u, Triangle::kUpper, {}, "U");
   EXPECT_FALSE(d.ok());
   EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagNonzero)) << d;
 }
 
 TEST(Lint, MissingDiagonalInFactorFires) {
-  // A strictly-lower L (no stored diagonal) violates the split_lu convention.
-  const Csr<double> l = csr_from_triplets<double>(
-      3, 3, {{0, 0, 1.0}, {1, 0, 0.5}, {2, 1, 0.25}});
+  // A U row without its diagonal violates the factor format; so does an L
+  // that stores one (L's unit diagonal is implicit).
+  const Csr<double> u = csr_from_triplets<double>(
+      3, 3, {{0, 0, 1.0}, {0, 2, 0.5}, {1, 2, 0.25}, {2, 2, 2.0}});
   const Diagnostics d =
-      analysis::analyze_triangular(l, Triangle::kLower, true, {}, "L");
+      analysis::analyze_triangular(u, Triangle::kUpper, {}, "U");
   EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagPresent)) << d;
+  const Csr<double> l = csr_from_triplets<double>(
+      3, 3, {{1, 0, 0.5}, {2, 1, 0.25}, {2, 2, 1.0}});
+  EXPECT_TRUE(analysis::analyze_triangular(l, Triangle::kLower, {}, "L")
+                  .has_rule(analysis::kRuleTriStructure));
+  EXPECT_TRUE(analysis::analyze_triangular(
+                  split_lu(ilu0(good_matrix())).l, Triangle::kLower, {}, "L")
+                  .ok());
 }
 
 TEST(Lint, NonPositiveDiagonalOnSpdInputWarns) {
@@ -244,7 +252,7 @@ TEST(RaceDetector, SameLevelDependenceFires) {
   // The instrumented executor must observe the same race dynamically.
   std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0), x(b.size());
   const analysis::RaceReport report = analysis::sptrsv_lower_levels_checked(
-      f.l, bad, std::span<const double>(b), std::span<double>(x));
+      f, bad, std::span<const double>(b), std::span<double>(x));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.to_diagnostics().has_rule(analysis::kRuleRaceOverlap));
 }
@@ -281,7 +289,7 @@ TEST(RaceDetector, TopologyViolationFires) {
 
   std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0), x(b.size());
   const analysis::RaceReport report = analysis::sptrsv_lower_levels_checked(
-      f.l, bad, std::span<const double>(b), std::span<double>(x));
+      f, bad, std::span<const double>(b), std::span<double>(x));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.to_diagnostics().has_rule(analysis::kRuleRaceStale));
 }
@@ -319,9 +327,9 @@ TEST(RaceDetector, GeneratedSuiteSchedulesAreRaceFree) {
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
     std::vector<double> y(b.size()), x(b.size());
     const analysis::RaceReport rl = analysis::sptrsv_lower_levels_checked(
-        f.l, ls, std::span<const double>(b), std::span<double>(y));
+        f, ls, std::span<const double>(b), std::span<double>(y));
     const analysis::RaceReport ru = analysis::sptrsv_upper_levels_checked(
-        f.u, us, std::span<const double>(y), std::span<double>(x));
+        f, us, std::span<const double>(y), std::span<double>(x));
     EXPECT_TRUE(rl.ok()) << g.spec.name;
     EXPECT_TRUE(ru.ok()) << g.spec.name;
     EXPECT_EQ(rl.writes, static_cast<std::uint64_t>(g.a.rows));
@@ -336,10 +344,10 @@ TEST(RaceDetector, CheckedExecutorMatchesSerial) {
   Rng rng(99);
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
   std::vector<double> x_serial(b.size()), x_checked(b.size());
-  sptrsv_lower_serial(f.l, std::span<const double>(b),
+  sptrsv_lower_serial(f, std::span<const double>(b),
                       std::span<double>(x_serial));
   const analysis::RaceReport report = analysis::sptrsv_lower_levels_checked(
-      f.l, ls, std::span<const double>(b), std::span<double>(x_checked));
+      f, ls, std::span<const double>(b), std::span<double>(x_checked));
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(x_serial, x_checked);
 }
@@ -395,14 +403,12 @@ TEST(Hardening, CheckedIndexCastRejectsOverflow) {
 }
 
 TEST(Hardening, LevelScheduledSolveThrowsOnZeroDiagonal) {
+  // The executors trust their factors, so a zero diagonal is rejected where
+  // the factors are made: no level-scheduled solve can be handed one.
   const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
-  Csr<double> l = f.l;
-  l.values[static_cast<std::size_t>(l.find(2, 2))] = 0.0;
-  const LevelSchedule ls = level_schedule(l, Triangle::kLower);
-  std::vector<double> b(static_cast<std::size_t>(l.rows), 1.0), x(b.size());
-  EXPECT_THROW(sptrsv_lower_levels(l, ls, std::span<const double>(b),
-                                   std::span<double>(x)),
-               Error);
+  Csr<double> u = f.u;
+  u.values[static_cast<std::size_t>(u.find(2, 2))] = 0.0;
+  EXPECT_THROW(TriangularFactors<double>(f.l, u), Error);
 }
 
 // --- pipeline invariant verifier (verify.h) ---------------------------------
@@ -431,11 +437,10 @@ TEST(Verify, ZeroedIluDiagonalFires) {
   const Csr<double> a = good_matrix();
   SpcgOptions opt;
   SpcgSetup<double> s = spcg_setup(a, opt);
-  const index_t d3 = s.factorization.diag_pos[3];
-  s.factorization.lu.values[static_cast<std::size_t>(d3)] = 0.0;
+  s.factors.u.values[static_cast<std::size_t>(s.factors.u.rowptr[3])] = 0.0;
   const Diagnostics d = analysis::verify_setup(a, s, opt);
   EXPECT_FALSE(d.ok());
-  EXPECT_TRUE(d.has_rule(analysis::kRuleIluPivotNonzero)) << d;
+  EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagNonzero)) << d;
 }
 
 TEST(Verify, FactorPatternOutsideClosureFires) {
@@ -677,7 +682,7 @@ TEST(AllocAudit, SteadyStateViolationBecomesDiagnostic) {
 TEST(AllocAudit, SerialPcgSteadyStateIsAllocationFree) {
   if (!analysis::alloc_audit_compiled())
     GTEST_SKIP() << "built without SPCG_ALLOC_AUDIT";
-  // The ROADMAP Open item 4 gate: with tracing and history off, an
+  // The DESIGN.md §6.4 contract: with tracing and history off, an
   // iteration after warmup must not touch the heap — in the serial session,
   // in pipelined_pcg, and in both rank bodies (in-process ranks, whose
   // iterations run on their own threads).

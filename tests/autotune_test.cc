@@ -629,9 +629,9 @@ TEST(AutotuneCalibration, CalibratedModelRanksConfigsLikeMeasurements) {
     for (int r = 0; r < 9; ++r) {
       WallTimer timer;
       spmv(a, std::span<const double>(x), std::span<double>(y));
-      sptrsv_lower_serial(factors.l, std::span<const double>(x),
+      sptrsv_lower_serial(factors, std::span<const double>(x),
                           std::span<double>(y));
-      sptrsv_upper_serial(factors.u, std::span<const double>(x),
+      sptrsv_upper_serial(factors, std::span<const double>(x),
                           std::span<double>(y));
       times.push_back(timer.seconds());
     }

@@ -1,7 +1,11 @@
 // Tests for the analytical device execution model.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/generators.h"
+#include "gen/suite.h"
 #include "gpumodel/cost_model.h"
 #include "gpumodel/device.h"
 #include "precond/ilu.h"
@@ -108,6 +112,48 @@ TEST(CostModel, TrisolveStructureMatchesMatrix) {
   EXPECT_EQ(nnz, s.nnz);
   // 5-point stencil lower triangle incl diag: 3 entries per interior row.
   EXPECT_LT(s.nnz, a.nnz());
+}
+
+// The modeled numbers do not depend on the factor's storage: the shape over
+// TriangularFactors (L's unit diagonal implicit) equals the shape over the
+// combined factor, and both count each triangle's stored entries including
+// the diagonal, per level, as the combined factor stores them.
+TEST(CostModel, FactorShapeEqualsCombinedShapeOnSuite) {
+  const auto expect_same = [](const TriSolveStructure& x,
+                              const TriSolveStructure& y,
+                              const std::string& at) {
+    EXPECT_EQ(x.n, y.n) << at;
+    EXPECT_EQ(x.nnz, y.nnz) << at;
+    EXPECT_EQ(x.rows_per_level, y.rows_per_level) << at;
+    EXPECT_EQ(x.nnz_per_level, y.nnz_per_level) << at;
+  };
+  const CostModel m(device_a100(), 4);
+  for (index_t id = 0; id < suite_size(); ++id) {
+    const GeneratedMatrix g = generate_suite_matrix(id);
+    const IluResult<double> f = ilu0(g.a);
+    const PcgIterationShape combined = pcg_iteration_shape(g.a, f.lu);
+    const PcgIterationShape split = pcg_iteration_shape(g.a, split_lu(f));
+    expect_same(combined.lower, split.lower, g.spec.name + " L");
+    expect_same(combined.upper, split.upper, g.spec.name + " U");
+    EXPECT_EQ(m.pcg_iteration(combined).seconds,
+              m.pcg_iteration(split).seconds)
+        << g.spec.name;
+    // Stored entries of each triangle, diagonal included, per level.
+    for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
+      const LevelSchedule sched = level_schedule(f.lu, tri);
+      std::vector<index_t> stored(
+          static_cast<std::size_t>(sched.num_levels()), 0);
+      for (index_t i = 0; i < f.lu.rows; ++i)
+        for (const index_t j : f.lu.row_cols(i))
+          if (tri == Triangle::kLower ? j <= i : j >= i)
+            ++stored[static_cast<std::size_t>(
+                sched.level_of_row[static_cast<std::size_t>(i)])];
+      EXPECT_EQ((tri == Triangle::kLower ? split.lower : split.upper)
+                    .nnz_per_level,
+                stored)
+          << g.spec.name;
+    }
+  }
 }
 
 TEST(CostModel, PcgIterationComposesKernels) {

@@ -108,9 +108,9 @@ TEST(Integration, WeakChainCounterExampleCollapsesWavefronts) {
 
   const CostModel model(device_a100(), 4);
   const double tb =
-      model.pcg_iteration(pcg_iteration_shape(g.a, rb.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(g.a, rb.factors)).seconds;
   const double ts =
-      model.pcg_iteration(pcg_iteration_shape(g.a, rs.factorization.lu)).seconds;
+      model.pcg_iteration(pcg_iteration_shape(g.a, rs.factors)).seconds;
   EXPECT_GT(tb / ts, 2.0);  // strong modeled per-iteration speedup
   ASSERT_TRUE(rs.solve.converged());
 }
@@ -125,9 +125,9 @@ TEST(Integration, ModeledEndToEndPipelineIsConsistent) {
   const CostModel dev(device_a100(), 4);
   const CostModel host(device_host_cpu(), 4);
   const OpCost iter =
-      dev.pcg_iteration(pcg_iteration_shape(g.a, r.factorization.lu));
+      dev.pcg_iteration(pcg_iteration_shape(g.a, r.factors));
   const OpCost fact = dev.ilu0_factorization(
-      trisolve_structure(r.factorization.lu, Triangle::kLower),
+      trisolve_structure(r.factors.l, Triangle::kLower),
       r.factorization.elimination_ops);
   const OpCost sp = host.sparsify_host(g.a.nnz(), 3);
   const double e2e =

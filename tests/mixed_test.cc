@@ -59,9 +59,9 @@ TEST(Mixed, FactorBytesHalved) {
   const Csr<double> a = gen_poisson2d(16, 16);
   const IluResult<double> fact = ilu0(a);
   MixedPrecisionIluPreconditioner mixed(fact);
-  // values float (4B) + indices (4B) vs values double (8B) + indices (4B).
-  const std::size_t nnz_total =
-      static_cast<std::size_t>(fact.lu.nnz()) + static_cast<std::size_t>(a.rows);
+  // values float (4B) + indices (4B) vs values double (8B) + indices (4B);
+  // L's unit diagonal is implicit, so the factors hold the combined nnz.
+  const auto nnz_total = static_cast<std::size_t>(fact.lu.nnz());
   EXPECT_EQ(mixed.factor_bytes(), nnz_total * (sizeof(float) + sizeof(index_t)));
   EXPECT_EQ(mixed.rows(), a.rows);
 }

@@ -17,6 +17,7 @@
 #include "precond/preconditioner.h"
 #include "sparse/norms.h"
 #include "sparse/ops.h"
+#include "transient/refactorize.h"
 
 namespace spcg {
 namespace {
@@ -27,9 +28,11 @@ std::vector<double> dense_lu_product(const IluResult<double>& r) {
   const index_t n = f.l.rows;
   std::vector<double> out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
   for (index_t i = 0; i < n; ++i) {
-    for (index_t p = f.l.rowptr[i]; p < f.l.rowptr[i + 1]; ++p) {
-      const index_t k = f.l.colind[static_cast<std::size_t>(p)];
-      const double lik = f.l.values[static_cast<std::size_t>(p)];
+    // L's row i: its stored entries, then the implicit unit diagonal.
+    for (index_t p = f.l.rowptr[i]; p <= f.l.rowptr[i + 1]; ++p) {
+      const bool diag = p == f.l.rowptr[i + 1];
+      const index_t k = diag ? i : f.l.colind[static_cast<std::size_t>(p)];
+      const double lik = diag ? 1.0 : f.l.values[static_cast<std::size_t>(p)];
       for (index_t q = f.u.rowptr[k]; q < f.u.rowptr[k + 1]; ++q) {
         const index_t j = f.u.colind[static_cast<std::size_t>(q)];
         out[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
@@ -87,6 +90,40 @@ TEST(Ilu0, ZeroPivotThrowsWhenBoostDisabled) {
   // With boosting it survives and flags breakdown.
   const IluResult<double> r = ilu0(a);
   EXPECT_TRUE(r.breakdown);
+}
+
+TEST(Ilu0, ZeroPivotUnderZeroFloorThrowsOnBuildAndRefresh) {
+  // [1 1; 1 1]: u11 = 1 - 1 * 1 cancels to exactly 0 on the last row, which
+  // no later row pivots on. A zero floor boosts nothing, so the numeric
+  // phase itself must reject the pivot — on a build and on a refresh.
+  const Csr<double> singular = csr_from_triplets<double>(
+      2, 2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+  const Csr<double> healthy = csr_from_triplets<double>(
+      2, 2, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}});
+  SpcgOptions opt;
+  opt.sparsify_enabled = false;
+  opt.ilu.boost_zero_pivots = true;
+  opt.ilu.pivot_floor = 0.0;
+  const auto message = [](const auto& make) -> std::string {
+    try {
+      make();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string want = "zero pivot at row 1";
+  EXPECT_NE(message([&] { ilu0(singular, opt.ilu); }).find(want),
+            std::string::npos);
+  EXPECT_NE(message([&] { iluk(singular, 1, opt.ilu); }).find(want),
+            std::string::npos);
+  EXPECT_NE(message([&] { spcg_setup(singular, opt); }).find(want),
+            std::string::npos);
+  SpcgSetup<double> setup = spcg_setup(healthy, opt);
+  NumericRefreshWorkspace ws = build_numeric_refresh(setup, healthy);
+  EXPECT_NE(message([&] { refresh_setup_numerics(setup, singular, opt, ws); })
+                .find(want),
+            std::string::npos);
 }
 
 TEST(Ilu0, MissingDiagonalThrows) {
@@ -293,13 +330,13 @@ TEST(SplitLu, ShapesAndUnitDiagonal) {
   const TriangularFactors<double> f = split_lu(r);
   f.l.validate();
   f.u.validate();
-  EXPECT_EQ(f.l.nnz() + f.u.nnz(), r.lu.nnz() + a.rows);  // unit diag added
+  EXPECT_EQ(f.l.nnz() + f.u.nnz(), r.lu.nnz());  // unit diagonal implicit
   for (index_t i = 0; i < a.rows; ++i) {
-    EXPECT_DOUBLE_EQ(f.l.at(i, i), 1.0);
-    EXPECT_NE(f.u.find(i, i), -1);
+    EXPECT_EQ(f.l.find(i, i), -1);
+    EXPECT_EQ(f.u.colind[static_cast<std::size_t>(f.u.rowptr[i])], i);
     // Strict triangularity.
     for (index_t p = f.l.rowptr[i]; p < f.l.rowptr[i + 1]; ++p)
-      EXPECT_LE(f.l.colind[static_cast<std::size_t>(p)], i);
+      EXPECT_LT(f.l.colind[static_cast<std::size_t>(p)], i);
     for (index_t p = f.u.rowptr[i]; p < f.u.rowptr[i + 1]; ++p)
       EXPECT_GE(f.u.colind[static_cast<std::size_t>(p)], i);
   }
@@ -393,19 +430,8 @@ TEST(IlukSymbolic, MatchesDenseLevelOfFillReference) {
 
 /// split_lu as the composition of extract_triangle calls it replaces.
 TriangularFactors<double> reference_split_lu(const IluResult<double>& r) {
-  const Csr<double> strict =
-      extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
   TriangularFactors<double> f;
-  f.l = Csr<double>(r.lu.rows, r.lu.cols);
-  for (index_t i = 0; i < r.lu.rows; ++i) {
-    for (index_t p = strict.rowptr[i]; p < strict.rowptr[i + 1]; ++p) {
-      f.l.colind.push_back(strict.colind[static_cast<std::size_t>(p)]);
-      f.l.values.push_back(strict.values[static_cast<std::size_t>(p)]);
-    }
-    f.l.colind.push_back(i);
-    f.l.values.push_back(1.0);
-    f.l.rowptr[i + 1] = static_cast<index_t>(f.l.colind.size());
-  }
+  f.l = extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
   f.u = extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
   return f;
 }
@@ -429,17 +455,18 @@ TEST(SplitLu, MatchesExtractTriangleComposition) {
       ilu0(gen_poisson2d(8, 8)),
       iluk(gen_grid_laplacian(9, 9, 2.0, 0.3, 5), 2),
       iluk(gen_economic(80, 6, 0.9, 7), 1)};
-  // Rows without a diagonal, without a lower part and empty.
-  IluResult<double> odd;
-  odd.lu = csr_from_triplets<double>(
-      4, 4, {{0, 2, 1.5}, {1, 0, -2.0}, {2, 0, 0.5}, {2, 2, 3.0}, {2, 3, 1.0}});
-  factors.push_back(std::move(odd));
   for (std::size_t c = 0; c < factors.size(); ++c) {
     const TriangularFactors<double> ref = reference_split_lu(factors[c]);
     const TriangularFactors<double> got = split_lu(factors[c]);
     expect_same_bytes(ref.l, got.l, "case " + std::to_string(c) + " L");
     expect_same_bytes(ref.u, got.u, "case " + std::to_string(c) + " U");
   }
+  // Rows without a diagonal, without a lower part and empty: split_lu
+  // validates the factor it makes, so it rejects them.
+  IluResult<double> odd;
+  odd.lu = csr_from_triplets<double>(
+      4, 4, {{0, 2, 1.5}, {1, 0, -2.0}, {2, 0, 0.5}, {2, 2, 3.0}, {2, 3, 1.0}});
+  EXPECT_THROW(split_lu(odd), Error);
 }
 
 TEST(Preconditioner, JacobiApply) {
@@ -771,12 +798,27 @@ TEST_P(IluIdentityTest, FactorsMatchPositionMapElimination) {
         IluResult<double> got = k == 0 ? ilu0(g.a, opt) : iluk(g.a, k, opt, cap);
         expect_same_factor(ref, got, at);
 
+        // The refresh path on got's pattern: a2's values gathered in
+        // through the refresh map and re-eliminated, as a transient step
+        // does.
+        SpcgSetup<double> setup;
+        setup.factors = split_lu(got);
+        setup.factorization.fill_nnz = got.fill_nnz;
+        NumericRefreshWorkspace ws = build_numeric_refresh(setup, g.a);
+        SpcgOptions sopt;
+        sopt.ilu = opt;
         IluResult<double> ref2;
         if (reference_ilu(a2, k, cap, opt, ref2)) {
-          ilu_refactorize(got, a2, opt);
-          expect_same_factor(ref2, got, at + " refactorized");
+          refresh_setup_numerics(setup, a2, sopt, ws);
+          const TriangularFactors<double> want = split_lu(ref2);
+          expect_same_bytes(want.l, setup.factors.l, at + " refactorized L");
+          expect_same_bytes(want.u, setup.factors.u, at + " refactorized U");
+          EXPECT_EQ(ref2.breakdown, setup.factorization.breakdown) << at;
+          EXPECT_EQ(ref2.elimination_ops, setup.factorization.elimination_ops)
+              << at;
         } else {
-          EXPECT_THROW(ilu_refactorize(got, a2, opt), Error) << at;
+          EXPECT_THROW(refresh_setup_numerics(setup, a2, sopt, ws), Error)
+              << at;
         }
       }
     }

@@ -583,8 +583,6 @@ TEST(RuntimeService, SamePatternRequestRefreshesDonorBitwise) {
 
   const SolverSession<double> cold(scaled, opt);
   const SpcgSetup<double>& got = refreshed.setup->artifacts;
-  EXPECT_TRUE(same_bits(got.factorization.lu.values,
-                        cold.setup().factorization.lu.values));
   EXPECT_TRUE(same_bits(got.factors.l.values, cold.setup().factors.l.values));
   EXPECT_TRUE(same_bits(got.factors.u.values, cold.setup().factors.u.values));
   EXPECT_TRUE(same_bits(refreshed.solve.x, cold.solve(b).solve.x));

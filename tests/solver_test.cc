@@ -400,8 +400,8 @@ INSTANTIATE_TEST_SUITE_P(AllMatrices, PcgReferenceTest,
 
 /// Test-local ILU apply as it stood before the row kernel multiplied by the
 /// diagonal's reciprocal: both sweeps serial, every row divided by its
-/// diagonal (ILU's unit L rows divide by 1, which is exact). pcg() runs it
-/// through the base-class update_and_apply.
+/// diagonal (ILU's unit L rows divide by their implicit 1, which is exact).
+/// pcg() runs it through the base-class update_and_apply.
 class DividingIlu final : public Preconditioner<double> {
  public:
   explicit DividingIlu(const TriangularFactors<double>& f) : f_(f) {}
@@ -423,7 +423,7 @@ class DividingIlu final : public Preconditioner<double> {
   /// by the diagonal.
   static double row(const Csr<double>& m, index_t i, double acc,
                     std::span<const double> x) {
-    double diag = 0.0;
+    double diag = 1.0;  // L stores no diagonal; U's overwrites this
     const auto cols = m.row_cols(i);
     const auto vals = m.row_vals(i);
     for (std::size_t p = 0; p < cols.size(); ++p) {

@@ -1,6 +1,9 @@
 // Tests for the end-to-end SPCG driver (Figure 2 pipeline).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/spcg.h"
 #include "core/spcg_report.h"
 #include "gen/generators.h"
@@ -33,8 +36,8 @@ TEST(Spcg, SparsifiedRunSolvesOriginalSystem) {
   // The true residual is measured against the ORIGINAL A (Figure 2):
   // r.solve.final_residual_norm is recomputed with A inside pcg().
   EXPECT_LT(r.solve.final_residual_norm, 1e-9);
-  // Preconditioner built on the sparsified pattern.
-  EXPECT_EQ(r.factor_nnz, r.decision->chosen.a_hat.nnz());
+  // Preconditioner built on the sparsified pattern: Â = A minus S.
+  EXPECT_EQ(r.factor_nnz, a.nnz() - r.decision->chosen.s.nnz());
   EXPECT_LE(r.factor_nnz, a.nnz());
 }
 
@@ -139,6 +142,55 @@ TEST(Spcg, LevelScheduledExecutorMatchesSerialResult) {
   EXPECT_EQ(r1.solve.iterations, r2.solve.iterations);
   for (std::size_t i = 0; i < r1.solve.x.size(); ++i)
     EXPECT_NEAR(r1.solve.x[i], r2.solve.x[i], 1e-8);
+}
+
+bool same_bytes(const Csr<double>& x, const Csr<double>& y) {
+  return x.rows == y.rows && x.rowptr == y.rowptr && x.colind == y.colind &&
+         x.values.size() == y.values.size() &&
+         std::memcmp(x.values.data(), y.values.data(),
+                     x.values.size() * sizeof(double)) == 0;
+}
+
+// A setup stores each factor value once: L without its unit diagonal, no
+// combined LU and no Â beside the factors, which are bitwise split_lu() of
+// the combined factor ilu0/iluk compute on the same input.
+TEST(Spcg, SetupStoresEachFactorValueOnce) {
+  const Csr<double> a = gen_grid_laplacian(24, 24, 2.0, 0.3, 7);
+  for (const bool sparsify : {true, false}) {
+    for (const PrecondKind kind : {PrecondKind::kIlu0, PrecondKind::kIluK}) {
+      SpcgOptions opt;
+      opt.sparsify_enabled = sparsify;
+      opt.preconditioner = kind;
+      opt.fill_level = 2;
+      const SpcgSetup<double> s = spcg_setup(a, opt);
+      const std::string at = std::string(sparsify ? "sparsified " : "") +
+                             to_string(kind);
+      for (index_t i = 0; i < a.rows; ++i)
+        EXPECT_EQ(s.factors.l.find(i, i), -1) << at << " row " << i;
+      EXPECT_TRUE(s.factorization.lu.values.empty()) << at;
+      EXPECT_TRUE(s.factorization.lu.colind.empty()) << at;
+      EXPECT_TRUE(s.factorization.diag_pos.empty()) << at;
+      EXPECT_EQ(s.decision.has_value(), sparsify) << at;
+      const Csr<double> input =
+          sparsify ? wavefront_aware_sparsify(a, opt.sparsify).chosen.a_hat
+                   : a;
+      if (sparsify) {
+        EXPECT_EQ(s.decision->chosen.a_hat.nnz(), 0) << at;
+        EXPECT_TRUE(s.decision->chosen.a_hat.values.empty()) << at;
+        EXPECT_EQ(s.decision->chosen.s.nnz() + input.nnz(), a.nnz()) << at;
+      }
+      const IluResult<double> combined =
+          kind == PrecondKind::kIlu0 ? ilu0(input, opt.ilu)
+                                     : iluk(input, opt.fill_level, opt.ilu);
+      const TriangularFactors<double> want = split_lu(combined);
+      EXPECT_TRUE(same_bytes(s.factors.l, want.l)) << at;
+      EXPECT_TRUE(same_bytes(s.factors.u, want.u)) << at;
+      EXPECT_EQ(s.factor_nnz, combined.lu.nnz()) << at;
+      EXPECT_EQ(s.factorization.fill_nnz, combined.fill_nnz) << at;
+      EXPECT_EQ(s.factorization.elimination_ops, combined.elimination_ops)
+          << at;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "analysis/race_detector.h"
@@ -19,57 +20,66 @@
 namespace spcg {
 namespace {
 
+/// Factors from triplets: L's strictly lower entries and U's entries.
+TriangularFactors<double> factors_of(index_t n,
+                                     std::vector<Triplet<double>> l,
+                                     std::vector<Triplet<double>> u) {
+  return TriangularFactors<double>(
+      csr_from_triplets<double>(n, n, std::move(l)),
+      csr_from_triplets<double>(n, n, std::move(u)));
+}
+
+/// The identity as a U factor.
+std::vector<Triplet<double>> unit_diagonal(index_t n) {
+  std::vector<Triplet<double>> ts;
+  for (index_t i = 0; i < n; ++i) ts.push_back({i, i, 1.0});
+  return ts;
+}
+
 TEST(Sptrsv, LowerSerialSmall) {
-  // L = [2 0; 1 4], b = [2, 9] -> x = [1, 2].
-  const Csr<double> l = csr_from_triplets<double>(
-      2, 2, {{0, 0, 2.0}, {1, 0, 1.0}, {1, 1, 4.0}});
-  std::vector<double> b{2.0, 9.0}, x(2);
-  sptrsv_lower_serial(l, std::span<const double>(b), std::span<double>(x));
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
+  // L = [1 0; 0.5 1] (unit diagonal implicit), b = [2, 3] -> x = [2, 2].
+  const TriangularFactors<double> f =
+      factors_of(2, {{1, 0, 0.5}}, unit_diagonal(2));
+  std::vector<double> b{2.0, 3.0}, x(2);
+  sptrsv_lower_serial(f, std::span<const double>(b), std::span<double>(x));
+  EXPECT_DOUBLE_EQ(x[0], 2.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
 }
 
 TEST(Sptrsv, UpperSerialSmall) {
   // U = [2 1; 0 4], b = [4, 8] -> x = [1, 2].
-  const Csr<double> u = csr_from_triplets<double>(
-      2, 2, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 1, 4.0}});
+  const TriangularFactors<double> f =
+      factors_of(2, {}, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 1, 4.0}});
   std::vector<double> b{4.0, 8.0}, x(2);
-  sptrsv_upper_serial(u, std::span<const double>(b), std::span<double>(x));
+  sptrsv_upper_serial(f, std::span<const double>(b), std::span<double>(x));
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
 }
 
 TEST(Sptrsv, ZeroDiagonalThrows) {
-  const Csr<double> l =
-      csr_from_triplets<double>(2, 2, {{0, 0, 0.0}, {1, 1, 1.0}});
-  std::vector<double> b{1.0, 1.0}, x(2);
-  EXPECT_THROW(
-      sptrsv_lower_serial(l, std::span<const double>(b), std::span<double>(x)),
-      Error);
-  const Csr<double> u =
-      csr_from_triplets<double>(2, 2, {{0, 0, 1.0}, {1, 1, 0.0}});
-  EXPECT_THROW(
-      sptrsv_upper_serial(u, std::span<const double>(b), std::span<double>(x)),
-      Error);
+  // Rejected where the factors are made: a zero U diagonal, and a stored L
+  // diagonal (L's unit diagonal is implicit).
+  EXPECT_THROW(factors_of(2, {}, {{0, 0, 1.0}, {1, 1, 0.0}}), Error);
+  EXPECT_THROW(factors_of(2, {{0, 0, 0.0}}, unit_diagonal(2)), Error);
 }
 
 TEST(Sptrsv, InPlaceAliasingWorksForSerial) {
-  const Csr<double> l = csr_from_triplets<double>(
-      3, 3, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}, {2, 1, 1.0}, {2, 2, 4.0}});
-  std::vector<double> bx{1.0, 3.0, 5.0};
-  sptrsv_lower_serial(l, std::span<const double>(bx), std::span<double>(bx));
+  const TriangularFactors<double> f =
+      factors_of(3, {{1, 0, 1.0}, {2, 1, 1.0}}, unit_diagonal(3));
+  std::vector<double> bx{1.0, 2.0, 2.0};
+  sptrsv_lower_serial(f, std::span<const double>(bx), std::span<double>(bx));
   EXPECT_DOUBLE_EQ(bx[0], 1.0);
   EXPECT_DOUBLE_EQ(bx[1], 1.0);
   EXPECT_DOUBLE_EQ(bx[2], 1.0);
 }
 
-/// Residual check ||L x - b||_inf for a solve.
+/// Residual check ||L x - b||_inf for a solve with the unit lower L.
 double lower_residual(const Csr<double>& l, const std::vector<double>& x,
                       const std::vector<double>& b) {
   const std::vector<double> lx = spmv(l, x);
   double r = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i)
-    r = std::max(r, std::abs(lx[i] - b[i]));
+    r = std::max(r, std::abs(x[i] + lx[i] - b[i]));
   return r;
 }
 
@@ -85,20 +95,20 @@ TEST_P(SptrsvPropertyTest, SerialAndLevelScheduledMatchOnFactors) {
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
 
   std::vector<double> x_serial(b.size()), x_level(b.size());
-  sptrsv_lower_serial(f.l, std::span<const double>(b),
+  sptrsv_lower_serial(f, std::span<const double>(b),
                       std::span<double>(x_serial));
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
-  sptrsv_lower_levels(f.l, ls, std::span<const double>(b),
+  sptrsv_lower_levels(f, ls, std::span<const double>(b),
                       std::span<double>(x_level));
   EXPECT_EQ(x_serial, x_level);
   EXPECT_LT(lower_residual(f.l, x_serial, b), 1e-10);
 
   // Upper side.
   std::vector<double> y_serial(b.size()), y_level(b.size());
-  sptrsv_upper_serial(f.u, std::span<const double>(b),
+  sptrsv_upper_serial(f, std::span<const double>(b),
                       std::span<double>(y_serial));
   const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
-  sptrsv_upper_levels(f.u, us, std::span<const double>(b),
+  sptrsv_upper_levels(f, us, std::span<const double>(b),
                       std::span<double>(y_level));
   EXPECT_EQ(y_serial, y_level);
 }
@@ -112,8 +122,8 @@ TEST(Sptrsv, FloatInstantiationRoundTrips) {
   const TriangularFactors<float> f = split_lu(ilu0(a));
   std::vector<float> b(static_cast<std::size_t>(a.rows), 1.0f);
   std::vector<float> y(b.size()), x(b.size());
-  sptrsv_lower_serial(f.l, std::span<const float>(b), std::span<float>(y));
-  sptrsv_upper_serial(f.u, std::span<const float>(y), std::span<float>(x));
+  sptrsv_lower_serial(f, std::span<const float>(b), std::span<float>(y));
+  sptrsv_upper_serial(f, std::span<const float>(y), std::span<float>(x));
   // Result must be finite and nonzero.
   for (const float v : x) {
     EXPECT_TRUE(std::isfinite(v));
@@ -130,8 +140,8 @@ TEST(Sptrsv, SolveAgainstFullLuRecoversInput) {
     x_true[i] = std::cos(static_cast<double>(i));
   const std::vector<double> b = spmv(a, x_true);
   std::vector<double> y(b.size()), x(b.size());
-  sptrsv_lower_serial(f.l, std::span<const double>(b), std::span<double>(y));
-  sptrsv_upper_serial(f.u, std::span<const double>(y), std::span<double>(x));
+  sptrsv_lower_serial(f, std::span<const double>(b), std::span<double>(y));
+  sptrsv_upper_serial(f, std::span<const double>(y), std::span<double>(x));
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
@@ -141,8 +151,8 @@ TEST(Sptrsv, SolveAgainstFullLuRecoversInput) {
 /// Test-local copy of the serial kernels before the structural row kernel:
 /// every entry is tested against the diagonal, the diagonal is found by that
 /// test, and every row multiplies by the diagonal's reciprocal (the row
-/// kernel's one declared change from dividing; on ILU's unit L both forms
-/// return acc unchanged).
+/// kernel's one declared change from dividing; on ILU's unit L, whose
+/// diagonal is implicit, both forms return acc unchanged).
 template <bool kLower>
 std::vector<double> reference_solve(const Csr<double>& m,
                                     const std::vector<double>& b) {
@@ -151,7 +161,7 @@ std::vector<double> reference_solve(const Csr<double>& m,
   for (index_t s = 0; s < n; ++s) {
     const index_t i = kLower ? s : n - 1 - s;
     double acc = b[static_cast<std::size_t>(i)];
-    double diag = 0.0;
+    double diag = kLower ? 1.0 : 0.0;
     for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
          p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
       const index_t j = m.colind[static_cast<std::size_t>(p)];
@@ -176,29 +186,29 @@ bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
 
 using Solve = std::function<void(std::span<const double>, std::span<double>)>;
 
-/// The executors of one triangle, by name: the single-threaded ones (serial
-/// and race-checked), then, with `threaded`, the OpenMP level executors.
-std::vector<std::pair<std::string, Solve>> executors(const Csr<double>& m,
-                                                     const LevelSchedule& s,
-                                                     bool lower,
-                                                     bool threaded = true) {
+/// The executors of one triangle of `f`, by name: the single-threaded ones
+/// (serial and race-checked), then, with `threaded`, the OpenMP level
+/// executors.
+std::vector<std::pair<std::string, Solve>> executors(
+    const TriangularFactors<double>& f, const LevelSchedule& s, bool lower,
+    bool threaded = true) {
   using CSpan = std::span<const double>;
   using MSpan = std::span<double>;
   std::vector<std::pair<std::string, Solve>> out{
       {"serial",
-       [&m, lower](CSpan b, MSpan x) {
-         lower ? sptrsv_lower_serial(m, b, x) : sptrsv_upper_serial(m, b, x);
+       [&f, lower](CSpan b, MSpan x) {
+         lower ? sptrsv_lower_serial(f, b, x) : sptrsv_upper_serial(f, b, x);
        }},
       {"checked",
-       [&m, &s, lower](CSpan b, MSpan x) {
+       [&f, &s, lower](CSpan b, MSpan x) {
          const analysis::RaceReport r =
-             lower ? analysis::sptrsv_lower_levels_checked(m, s, b, x)
-                   : analysis::sptrsv_upper_levels_checked(m, s, b, x);
+             lower ? analysis::sptrsv_lower_levels_checked(f, s, b, x)
+                   : analysis::sptrsv_upper_levels_checked(f, s, b, x);
          EXPECT_TRUE(r.ok());
        }}};
   if (!threaded) return out;
-  out.emplace_back("levels", [&m, &s, lower](CSpan b, MSpan x) {
-    lower ? sptrsv_lower_levels(m, s, b, x) : sptrsv_upper_levels(m, s, b, x);
+  out.emplace_back("levels", [&f, &s, lower](CSpan b, MSpan x) {
+    lower ? sptrsv_lower_levels(f, s, b, x) : sptrsv_upper_levels(f, s, b, x);
   });
   return out;
 }
@@ -217,7 +227,7 @@ void expect_executors_match_reference(const TriangularFactors<double>& f,
         level_schedule(m, lower ? Triangle::kLower : Triangle::kUpper);
     const std::vector<double> ref =
         lower ? reference_solve<true>(m, b) : reference_solve<false>(m, b);
-    for (const auto& [name, solve] : executors(m, s, lower, threaded)) {
+    for (const auto& [name, solve] : executors(f, s, lower, threaded)) {
       const std::string at = what + (lower ? " L " : " U ") + name;
       std::vector<double> x(b.size());
       solve(std::span<const double>(b), std::span<double>(x));
@@ -348,13 +358,16 @@ TEST(SptrsvIdentity, FusedSerialUpdateAndApplyMatchesUnfusedSequence) {
   }
 }
 
-// --- typed errors at the SpTRSV boundary -------------------------------------
+// --- typed errors where the factors are made -------------------------------
+//
+// The executors trust TriangularFactors, so a malformed factor is rejected
+// once, by its constructor (and by split_lu, which builds one), with an
+// spcg::Error naming the row; no executor tests a row.
 
-/// Runs `solve` and returns the spcg::Error message it raised ("" if none).
-std::string error_of(const Solve& solve, std::vector<double> b) {
-  std::vector<double> x(b.size());
+/// Runs `make` and returns the spcg::Error message it raised ("" if none).
+std::string error_of(const std::function<void()>& make) {
   try {
-    solve(std::span<const double>(b), std::span<double>(x));
+    make();
   } catch (const Error& e) {
     return e.what();
   }
@@ -363,56 +376,94 @@ std::string error_of(const Solve& solve, std::vector<double> b) {
 
 TEST(SptrsvErrors, EveryExecutorRejectsAFullSymmetricMatrix) {
   const Csr<double> a = gen_poisson2d(5, 5);
-  const std::vector<double> b(static_cast<std::size_t>(a.rows), 1.0);
+  const TriangularFactors<double> f = split_lu(ilu0(a));
   for (const bool lower : {true, false}) {
-    // level_schedule still accepts the full matrix: only the solve rejects.
-    const LevelSchedule s =
-        level_schedule(a, lower ? Triangle::kLower : Triangle::kUpper);
-    for (const auto& [name, solve] : executors(a, s, lower)) {
-      const std::string msg = error_of(solve, b);
-      EXPECT_NE(msg.find(lower ? "above the diagonal" : "below the diagonal"),
-                std::string::npos)
-          << name << ": " << msg;
-      EXPECT_NE(msg.find("sptrsv: row "), std::string::npos) << name;
-    }
+    const std::string msg = error_of([&] {
+      lower ? TriangularFactors<double>(a, f.u)
+            : TriangularFactors<double>(f.l, a);
+    });
+    EXPECT_NE(msg.find(lower ? "L row 0 stores column 5 on or above the "
+                               "diagonal"
+                             : "U row 1 stores column 0 below the diagonal"),
+              std::string::npos)
+        << msg;
   }
 }
 
-/// Rebuild `m` with entry (row, row) removed or zeroed.
-Csr<double> with_bad_diagonal(const Csr<double>& m, index_t row, bool remove) {
+/// Rebuild `m` with entry (row, col) removed (`value` empty) or set to
+/// `value`, inserted when absent.
+Csr<double> with_entry(const Csr<double>& m, index_t row, index_t col,
+                       std::optional<double> value) {
   std::vector<Triplet<double>> ts;
   for (index_t i = 0; i < m.rows; ++i)
     for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
          p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
       const index_t j = m.colind[static_cast<std::size_t>(p)];
-      if (i == row && j == row && remove) continue;
-      ts.push_back({i, j,
-                    i == row && j == row
-                        ? 0.0
-                        : m.values[static_cast<std::size_t>(p)]});
+      if (i != row || j != col)
+        ts.push_back({i, j, m.values[static_cast<std::size_t>(p)]});
     }
+  if (value) ts.push_back({row, col, *value});
   return csr_from_triplets<double>(m.rows, m.cols, std::move(ts));
 }
 
 TEST(SptrsvErrors, EveryExecutorNamesTheRowOfAMissingOrZeroDiagonal) {
   const TriangularFactors<double> f = split_lu(ilu0(gen_poisson2d(5, 5)));
-  const std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0);
   const index_t row = 7;
-  for (const bool lower : {true, false}) {
-    for (const bool remove : {true, false}) {
-      const Csr<double> m = with_bad_diagonal(lower ? f.l : f.u, row, remove);
-      const LevelSchedule s =
-          level_schedule(m, lower ? Triangle::kLower : Triangle::kUpper);
-      const std::string want =
-          "sptrsv: row " + std::to_string(row) +
-          (remove ? " has no diagonal entry" : " has a zero diagonal");
-      for (const auto& [name, solve] : executors(m, s, lower)) {
-        const std::string msg = error_of(solve, b);
-        EXPECT_NE(msg.find(want), std::string::npos)
-            << (lower ? "L " : "U ") << name << ": '" << msg << "'";
-      }
-    }
+  for (const bool remove : {true, false}) {
+    const Csr<double> u = with_entry(f.u, row, row,
+                                     remove ? std::nullopt
+                                            : std::optional(0.0));
+    const std::string msg =
+        error_of([&] { TriangularFactors<double>(f.l, u); });
+    const std::string want =
+        "U row " + std::to_string(row) +
+        (remove ? " has no diagonal entry" : " has a zero diagonal");
+    EXPECT_NE(msg.find(want), std::string::npos) << "'" << msg << "'";
   }
+  // L's unit diagonal is implicit: a stored one is on the wrong side.
+  const Csr<double> l = with_entry(f.l, row, row, 1.0);
+  EXPECT_NE(error_of([&] { TriangularFactors<double>(l, f.u); })
+                .find("L row 7 stores column 7 on or above the diagonal"),
+            std::string::npos);
+}
+
+TEST(SptrsvErrors, MalformedFactorsNameTheirRow) {
+  const TriangularFactors<double> f = split_lu(ilu0(gen_poisson2d(5, 5)));
+  const auto expect_error = [](const std::string& want,
+                               const std::function<void()>& make) {
+    const std::string msg = error_of(make);
+    EXPECT_NE(msg.find(want), std::string::npos)
+        << "want '" << want << "', got '" << msg << "'";
+  };
+  // An unsorted row, in either triangle.
+  Csr<double> l = f.l;
+  const auto l6 = static_cast<std::size_t>(l.rowptr[6]);
+  ASSERT_GE(l.rowptr[7] - l.rowptr[6], 2);
+  std::swap(l.colind[l6], l.colind[l6 + 1]);
+  expect_error("cols not sorted/unique in row 6",
+               [&] { TriangularFactors<double>(l, f.u); });
+  Csr<double> u = f.u;
+  const auto u3 = static_cast<std::size_t>(u.rowptr[3]);
+  ASSERT_GE(u.rowptr[4] - u.rowptr[3], 3);
+  std::swap(u.colind[u3 + 1], u.colind[u3 + 2]);
+  expect_error("cols not sorted/unique in row 3",
+               [&] { TriangularFactors<double>(f.l, u); });
+  // A column outside the matrix.
+  u = f.u;
+  u.colind[static_cast<std::size_t>(u.rowptr[4] - 1)] = 99;
+  expect_error("col 99 out of range in row 3",
+               [&] { TriangularFactors<double>(f.l, u); });
+  // An entry on the wrong side, and mismatched shapes.
+  expect_error("U row 1 stores column 0 below the diagonal", [&] {
+    TriangularFactors<double>(f.l, with_entry(f.u, 1, 0, 2.0));
+  });
+  expect_error("triangular factors: L is 24x24, expected 25x25", [&] {
+    TriangularFactors<double>(split_lu(ilu0(gen_poisson2d(4, 6))).l, f.u);
+  });
+  // split_lu validates the factor it splits.
+  IluResult<double> fact = ilu0(gen_poisson2d(5, 5));
+  fact.lu.values[static_cast<std::size_t>(fact.diag_pos[9])] = 0.0;
+  expect_error("U row 9 has a zero diagonal", [&] { split_lu(fact); });
 }
 
 }  // namespace
