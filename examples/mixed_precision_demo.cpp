@@ -28,21 +28,24 @@ int main() {
 
   // Sparsify once (Algorithm 2), factor once.
   const SparsifyDecision<double> d = wavefront_aware_sparsify(a);
-  const IluResult<double> fact = ilu0(d.chosen.a_hat);
-  const PcgIterationShape shape64 = pcg_iteration_shape(a, fact.lu);
+  IluResult<double> info;
+  const TriangularFactors<double> factors =
+      ilu0_factors(d.chosen.a_hat, IluOptions{}, info);
+  const PcgIterationShape shape64 = pcg_iteration_shape(a, factors);
 
   {
-    IluPreconditioner<double> m(fact);
+    IluPreconditioner<double> m(factors);
     const SolveResult<double> r = pcg(a, b, m, opt);
     const CostModel model(device_a100(), 8);  // double-precision factor
-    const std::size_t bytes = static_cast<std::size_t>(fact.lu.nnz()) *
-                              (sizeof(double) + sizeof(index_t));
+    const std::size_t bytes =
+        static_cast<std::size_t>(factors.l.nnz() + factors.u.nnz()) *
+        (sizeof(double) + sizeof(index_t));
     t.add_row({"SPCG, double factor", std::to_string(r.iterations),
                fmt(r.final_residual_norm, 14), std::to_string(bytes),
                fmt(model.pcg_iteration(shape64).seconds * 1e6, 1)});
   }
   {
-    MixedPrecisionIluPreconditioner m(fact);
+    MixedPrecisionIluPreconditioner m(factors);
     const SolveResult<double> r = pcg(a, b, m, opt);
     const CostModel model(device_a100(), 4);  // float factor on the device
     t.add_row({"SPCG, float factor (mixed)", std::to_string(r.iterations),

@@ -152,7 +152,8 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
   lint.max_per_rule = vopt.max_per_rule;
 
   // Phase 1 artifacts: the sparsification split. A setup keeps S only, so Â
-  // is rebuilt as A minus S (when S is sound enough to walk).
+  // is always rebuilt as A minus S; a malformed S is left to
+  // analyze_sparsify's structure and shape errors.
   const Csr<T>* precond_input = &a;
   Csr<T> a_hat;
   if (opt.sparsify_enabled) {
@@ -163,8 +164,7 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
       return out;
     }
     SparsifySplit<T> split = s.decision->chosen;
-    if (split.a_hat.rows == 0 && split.s.rows == a.rows &&
-        analyze(split.s, lint).ok())
+    if (split.s.rows == a.rows && analyze(split.s, lint).ok())
       split.a_hat = detail::kept_entries(a, split.s);
     out.merge(analyze_sparsify(a, split, lint));
     const double nnz_a = static_cast<double>(a.nnz());

@@ -22,11 +22,16 @@ namespace spcg {
 class MixedPrecisionIluPreconditioner final : public Preconditioner<double> {
  public:
   /// Factorization is performed (or given) in double and stored in float.
+  explicit MixedPrecisionIluPreconditioner(const TriangularFactors<double>& f,
+                                           TrsvExec exec = TrsvExec::kSerial)
+      : inner_(to_float(f), exec),
+        r32_(static_cast<std::size_t>(f.l.rows)),
+        z32_(static_cast<std::size_t>(f.l.rows)) {}
+
+  /// A combined factor, split (and validated) once by split_lu().
   explicit MixedPrecisionIluPreconditioner(const IluResult<double>& fact,
                                            TrsvExec exec = TrsvExec::kSerial)
-      : inner_(to_float(fact), exec),
-        r32_(static_cast<std::size_t>(fact.lu.rows)),
-        z32_(static_cast<std::size_t>(fact.lu.rows)) {}
+      : MixedPrecisionIluPreconditioner(split_lu(fact), exec) {}
 
   void apply(std::span<const double> r, std::span<double> z) const override {
     SPCG_CHECK(r.size() == r32_.size());
@@ -47,14 +52,9 @@ class MixedPrecisionIluPreconditioner final : public Preconditioner<double> {
   }
 
  private:
-  static IluResult<float> to_float(const IluResult<double>& fact) {
-    IluResult<float> out;
-    out.lu = csr_cast<float>(fact.lu);
-    out.diag_pos = fact.diag_pos;
-    out.fill_nnz = fact.fill_nnz;
-    out.breakdown = fact.breakdown;
-    out.elimination_ops = fact.elimination_ops;
-    return out;
+  /// Validated again in float: a U diagonal may underflow to zero.
+  static TriangularFactors<float> to_float(const TriangularFactors<double>& f) {
+    return TriangularFactors<float>(csr_cast<float>(f.l), csr_cast<float>(f.u));
   }
 
   IluPreconditioner<float> inner_;

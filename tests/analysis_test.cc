@@ -469,6 +469,25 @@ TEST(Verify, DropRatioOutOfBoundsFires) {
   EXPECT_TRUE(d.has_rule(analysis::kRuleVerifyDropRatio)) << d;
 }
 
+TEST(Verify, SplitIsCheckedAsAMinusS) {
+  const Csr<double> a = good_matrix();
+  SpcgOptions opt;
+  const SpcgSetup<double> clean = spcg_setup(a, opt);
+  ASSERT_GT(clean.decision->chosen.s.nnz(), 0);
+
+  // Â is rebuilt from A and S, so a stale Â carried by a setup is not read.
+  SpcgSetup<double> stale = clean;
+  stale.decision->chosen.a_hat = a;
+  EXPECT_TRUE(analysis::verify_setup(a, stale, opt).ok());
+
+  // A dropped value that differs from A's no longer partitions A.
+  SpcgSetup<double> tampered = clean;
+  tampered.decision->chosen.s.values[0] *= 2.0;
+  const Diagnostics d = analysis::verify_setup(a, tampered, opt);
+  EXPECT_FALSE(d.ok());
+  EXPECT_TRUE(d.has_rule(analysis::kRuleSparsifyPartition)) << d;
+}
+
 TEST(Verify, PermutedLevelScheduleFires) {
   const Csr<double> a = good_matrix();
   SpcgOptions opt;
