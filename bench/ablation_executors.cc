@@ -23,14 +23,15 @@ int main() {
   std::vector<double> barriered, syncfree, syncfree_gain;
   for (const MatrixRecord& r : records) {
     const GeneratedMatrix g = generate_suite_matrix(r.spec.id);
-    const IluResult<double> base_fact = ilu0(g.a);
+    const TriangularFactors<double> base_fact = ilu0_factors(g.a);
     const SparsifySplit<double> split =
         sparsify_by_ratio(g.a, r.spcg().ratio_percent);
-    const IluResult<double> spcg_fact = ilu0(split.a_hat);
+    const TriangularFactors<double> spcg_fact = ilu0_factors(split.a_hat);
 
-    auto solve_time = [&](const IluResult<double>& f, bool sync_free) {
-      const TriSolveStructure lo = trisolve_structure(f.lu, Triangle::kLower);
-      const TriSolveStructure up = trisolve_structure(f.lu, Triangle::kUpper);
+    auto solve_time = [&](const TriangularFactors<double>& f,
+                          bool sync_free) {
+      const TriSolveStructure lo = trisolve_structure(f.l, Triangle::kLower);
+      const TriSolveStructure up = trisolve_structure(f.u, Triangle::kUpper);
       return sync_free
                  ? model.trisolve_syncfree(lo).seconds +
                        model.trisolve_syncfree(up).seconds

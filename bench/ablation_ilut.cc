@@ -37,12 +37,12 @@ int main() {
     IlutOptions iopt;
     iopt.drop_tol = 1e-3;
     iopt.max_fill = 20;
-    const IluResult<double> f_ilut = ilut(g.a, iopt);
-    const PcgIterationShape ilut_shape = pcg_iteration_shape(g.a, f_ilut.lu);
+    TriangularFactors<double> f_ilut = ilut(g.a, iopt);
+    const PcgIterationShape ilut_shape = pcg_iteration_shape(g.a, f_ilut);
     std::int32_t it_ilut = 0;
     bool conv_ilut = false;
     {
-      IluPreconditioner<double> m(f_ilut);
+      IluPreconditioner<double> m(std::move(f_ilut));
       PcgOptions popt;
       popt.tolerance = config.tolerance;
       popt.max_iterations = config.max_iterations;

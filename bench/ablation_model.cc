@@ -21,14 +21,14 @@ double gmean_speedup_under(const std::vector<MatrixRecord>& records,
   std::vector<double> sp;
   for (const MatrixRecord& r : records) {
     const GeneratedMatrix g = generate_suite_matrix(r.spec.id);
-    const IluResult<double> base = ilu0(g.a);
+    const TriangularFactors<double> base = ilu0_factors(g.a);
     const SparsifySplit<double> split =
         sparsify_by_ratio(g.a, r.spcg().ratio_percent);
-    const IluResult<double> spcg = ilu0(split.a_hat);
+    const TriangularFactors<double> spcg = ilu0_factors(split.a_hat);
     const double tb =
-        model.pcg_iteration(pcg_iteration_shape(g.a, base.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(g.a, base)).seconds;
     const double ts =
-        model.pcg_iteration(pcg_iteration_shape(g.a, spcg.lu)).seconds;
+        model.pcg_iteration(pcg_iteration_shape(g.a, spcg)).seconds;
     sp.push_back(tb / ts);
   }
   return summarize_speedups(sp).gmean;

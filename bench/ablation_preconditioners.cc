@@ -51,9 +51,7 @@ int main() {
 
     auto eval_ilu = [&](const Csr<double>& precond_input) {
       Outcome o;
-      IluResult<double> info;
-      TriangularFactors<double> f =
-          ilu0_factors(precond_input, IluOptions{}, info);
+      TriangularFactors<double> f = ilu0_factors(precond_input);
       o.per_iter_s = model.pcg_iteration(pcg_iteration_shape(g.a, f)).seconds;
       IluPreconditioner<double> m(std::move(f));
       const SolveResult<double> r = pcg(g.a, g.b, m, popt);

@@ -113,25 +113,32 @@ MatrixRecord run_matrix(const GeneratedMatrix& g, const RunConfig& config) {
     VariantRecord v;
     v.label = label;
     v.ratio_percent = ratio;
-    IluResult<double> fact =
+    IluResult<double> info;
+    TriangularFactors<double> f =
         config.kind == PrecondKind::kIlu0
-            ? ilu0(input)
-            : iluk(input, fill_level, IluOptions{}, config.max_row_fill);
-    if (validate)
-      lint_or_throw(analysis::analyze_ilu(fact, {}, label),
-                    g.spec.name + ": factor " + label);
+            ? ilu0_factors(input, IluOptions{}, &info)
+            : iluk_factors(input, fill_level, IluOptions{},
+                           config.max_row_fill, &info);
+    if (validate) {
+      lint_or_throw(
+          analysis::analyze_triangular(f.l, Triangle::kLower, {}, label),
+          g.spec.name + ": factor L " + label);
+      lint_or_throw(
+          analysis::analyze_triangular(f.u, Triangle::kUpper, {}, label),
+          g.spec.name + ": factor U " + label);
+    }
     v.matrix_wavefronts = (&input == &a) ? rec.wavefronts
                                          : count_wavefronts(input);
-    v.factor_nnz = fact.lu.nnz();
-    v.elimination_ops = fact.elimination_ops;
+    v.factor_nnz = f.l.nnz() + f.u.nnz();
+    v.elimination_ops = info.elimination_ops;
 
     const TriSolveStructure lower_struct =
-        trisolve_structure(fact.lu, Triangle::kLower);
+        trisolve_structure(f.l, Triangle::kLower);
     v.factor_wavefronts = lower_struct.levels();
-    const PcgIterationShape shape = pcg_iteration_shape(a, fact.lu);
+    const PcgIterationShape shape = pcg_iteration_shape(a, f);
 
     {
-      IluPreconditioner<double> m(std::move(fact), TrsvExec::kSerial);
+      IluPreconditioner<double> m(std::move(f), TrsvExec::kSerial);
       const SolveResult<double> solve =
           pcg(a, std::span<const double>(g.b), m, pcg_opt);
       v.converged = solve.converged();

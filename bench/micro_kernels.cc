@@ -27,8 +27,7 @@ const Csr<double>& circuit_matrix() {
 }
 
 TriangularFactors<double> grid_factors() {
-  IluResult<double> info;
-  return ilu0_factors(grid_matrix(), IluOptions{}, info);
+  return ilu0_factors(grid_matrix());
 }
 
 void BM_Spmv(benchmark::State& state) {
@@ -72,8 +71,7 @@ BENCHMARK(BM_SptrsvLevelScheduled);
 void BM_Ilu0(benchmark::State& state) {
   const Csr<double>& a = circuit_matrix();
   for (auto _ : state) {
-    IluResult<double> info;
-    TriangularFactors<double> f = ilu0_factors(a, IluOptions{}, info);
+    TriangularFactors<double> f = ilu0_factors(a);
     benchmark::DoNotOptimize(f.u.values.data());
   }
   state.SetItemsProcessed(state.iterations() * a.nnz());

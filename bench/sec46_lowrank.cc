@@ -27,10 +27,11 @@ Coverage study(const std::vector<index_t>& ids, PrecondKind kind,
   double dense = 0.0, compressed = 0.0;
   for (const index_t id : ids) {
     const GeneratedMatrix g = generate_suite_matrix(id);
-    const IluResult<double> f = kind == PrecondKind::kIlu0
-                                    ? ilu0(g.a)
-                                    : iluk(g.a, 10, IluOptions{}, 512);
-    const LowRankStudy s = analyze_factor_blocks(f.lu, opt);
+    // The study reads only strictly-lower tiles, all of which lie in L.
+    const TriangularFactors<double> f =
+        kind == PrecondKind::kIlu0 ? ilu0_factors(g.a)
+                                   : iluk_factors(g.a, 10, IluOptions{}, 512);
+    const LowRankStudy s = analyze_factor_blocks(f.l, opt);
     ++c.matrices;
     if (s.blocks_compressed > 0) ++c.triggered;
     dense += s.stored_entries_dense;

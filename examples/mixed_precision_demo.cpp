@@ -28,9 +28,7 @@ int main() {
 
   // Sparsify once (Algorithm 2), factor once.
   const SparsifyDecision<double> d = wavefront_aware_sparsify(a);
-  IluResult<double> info;
-  const TriangularFactors<double> factors =
-      ilu0_factors(d.chosen.a_hat, IluOptions{}, info);
+  const TriangularFactors<double> factors = ilu0_factors(d.chosen.a_hat);
   const PcgIterationShape shape64 = pcg_iteration_shape(a, factors);
 
   {

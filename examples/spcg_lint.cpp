@@ -7,8 +7,8 @@
 //   spcg-lint --list-rules
 //
 // Options:
-//   --factor ilu0|iluk|ilut  factorize and lint the factor, its L/U split,
-//                            and the level schedules (static race check)
+//   --factor ilu0|iluk|ilut  factorize and lint the factor's L and U and
+//                            their level schedules (static race check)
 //   --k K                    fill level for --factor iluk (default 1)
 //   --race                   also run the instrumented race-detecting
 //                            executor over both schedules
@@ -118,21 +118,18 @@ class Tally {
 };
 
 void lint_factor(const Csr<double>& a, const Options& opt, Tally& tally) {
-  IluResult<double> fact;
+  TriangularFactors<double> f;
   if (opt.factor == "ilu0") {
-    fact = ilu0(a);
+    f = ilu0_factors(a);
   } else if (opt.factor == "iluk") {
-    fact = iluk(a, opt.k);
+    f = iluk_factors(a, opt.k);
   } else if (opt.factor == "ilut") {
-    fact = ilut(a);
+    f = ilut(a);
   } else {
     throw Error("unknown --factor '" + opt.factor + "'");
   }
   analysis::LintOptions lopt;
   lopt.max_per_rule = opt.max_diags;
-  tally.take("factor(" + opt.factor + ")", analysis::analyze_ilu(fact, lopt));
-
-  const TriangularFactors<double> f = split_lu(fact);
   tally.take("L",
              analysis::analyze_triangular(f.l, Triangle::kLower, lopt, "L"));
   tally.take("U",

@@ -5,9 +5,8 @@
 //     in-bounds indices, nnz accounting, NaN/Inf value scans;
 //   * symmetry and SPD heuristics (positive diagonal, diagonal dominance)
 //     for matrices headed into CG;
-//   * triangular factors: a strictly lower L, an upper U with a stored,
-//     nonzero diagonal;
-//   * combined ILU factors (IluResult): diag_pos integrity, pivot health;
+//   * triangular factors (every ILU, ILU(K) and ILUT factor): a strictly
+//     lower L, an upper U with a stored, nonzero diagonal;
 //   * sparsification splits: Â + S must partition A and keep its diagonal.
 //
 // Every finding is reported into a Diagnostics object with a stable rule id
@@ -24,7 +23,6 @@
 
 #include "analysis/diagnostics.h"
 #include "core/sparsify.h"
-#include "precond/ilu.h"
 #include "sparse/coo.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
@@ -53,8 +51,6 @@ inline constexpr const char* kRuleSpdDominance = "spd.dominance";
 inline constexpr const char* kRuleTriStructure = "tri.structure";
 inline constexpr const char* kRuleTriDiagPresent = "tri.diag.present";
 inline constexpr const char* kRuleTriDiagNonzero = "tri.diag.nonzero";
-inline constexpr const char* kRuleIluDiagPos = "ilu.diagpos";
-inline constexpr const char* kRuleIluPivotNonzero = "ilu.pivot.nonzero";
 inline constexpr const char* kRuleSparsifyShape = "sparsify.shape";
 inline constexpr const char* kRuleSparsifyPartition = "sparsify.partition";
 inline constexpr const char* kRuleSparsifyDiag = "sparsify.diag.preserved";
@@ -366,43 +362,6 @@ Diagnostics analyze_triangular(const Csr<T>& f, Triangle tri,
     }
     if (!lower && !has_diag)
       rep.error(kRuleTriDiagPresent, "row has no stored diagonal", i, i);
-  }
-  return out;
-}
-
-/// Lint a combined ILU/ILUT/ParILU factor: CSR structure, diag_pos integrity,
-/// pivot health.
-template <class T>
-Diagnostics analyze_ilu(const IluResult<T>& r, const LintOptions& opt = {},
-                        const std::string& object = "LU") {
-  Diagnostics out = analyze(r.lu, opt, object);
-  if (!out.ok()) return out;
-  detail::Reporter rep(out, object, opt.max_per_rule);
-  if (r.lu.rows != r.lu.cols) {
-    rep.error(kRuleShapeSquare,
-              detail::fmt(r.lu.rows) + "x" + detail::fmt(r.lu.cols));
-    return out;
-  }
-  if (r.diag_pos.size() != static_cast<std::size_t>(r.lu.rows)) {
-    rep.error(kRuleIluDiagPos,
-              "diag_pos size " + detail::fmt(r.diag_pos.size()) + " vs rows " +
-                  detail::fmt(r.lu.rows));
-    return out;
-  }
-  for (index_t i = 0; i < r.lu.rows; ++i) {
-    const index_t d = r.diag_pos[static_cast<std::size_t>(i)];
-    const index_t b = r.lu.rowptr[static_cast<std::size_t>(i)];
-    const index_t e = r.lu.rowptr[static_cast<std::size_t>(i) + 1];
-    if (d < b || d >= e ||
-        r.lu.colind[static_cast<std::size_t>(d)] != i) {
-      rep.error(kRuleIluDiagPos,
-                "diag_pos[" + detail::fmt(i) + "] = " + detail::fmt(d) +
-                    " does not point at (i,i)",
-                i, i);
-      continue;
-    }
-    if (r.lu.values[static_cast<std::size_t>(d)] == T{0})
-      rep.error(kRuleIluPivotNonzero, "zero pivot", i, i);
   }
   return out;
 }

@@ -144,7 +144,7 @@ std::vector<CandidatePrior> rank_candidates(
       // ILU(0) keeps the input pattern exactly (ILUT approximated likewise:
       // its kept-fill cap lands near the input density).
       st.pattern_nnz = input.nnz();
-      st.shape = pcg_iteration_shape(a, input);
+      st.shape = pcg_iteration_shape(a, input, input);
     } else {
       const IlukSymbolic sym = iluk_symbolic(input, fill, opt.max_row_fill);
       st.pattern_nnz = sym.pattern.nnz();

@@ -115,11 +115,27 @@ std::vector<T> tune_rhs(const Csr<T>& a, std::uint64_t seed) {
 
 }  // namespace detail
 
+/// The preconditioner of a configuration that has no SpcgOptions spelling
+/// (ILUT, SAI or block-Jacobi), built from A with the tuner's knobs.
+/// solve_with_config() and the tuner's trials both build it here.
+template <class T>
+std::unique_ptr<Preconditioner<T>> make_alternative_preconditioner(
+    const Csr<T>& a, const TuneConfig& config, const TunerOptions& opt) {
+  SPCG_CHECK(!session_compatible(config));
+  if (config.precond == TunePrecond::kIlut)
+    return std::make_unique<IluPreconditioner<T>>(ilut(a, opt.ilut),
+                                                  config.executor);
+  if (config.precond == TunePrecond::kSai)
+    return std::make_unique<SaiPreconditioner<T>>(a, opt.sai);
+  return std::make_unique<BlockJacobiPreconditioner<T>>(
+      a, opt.block_jacobi_size);
+}
+
 /// Solve of one (possibly alternative-preconditioner) configuration outside
 /// the tuner loop — the service and bench reuse this to execute a tuned
 /// winner that has no SpcgOptions spelling. Session-compatible configs go
 /// through SolverSession (and hit the shared cache); alternatives build
-/// their preconditioner inline.
+/// their preconditioner with make_alternative_preconditioner().
 template <class T>
 struct TunedSolve {
   SolveResult<T> solve;
@@ -145,31 +161,11 @@ TunedSolve<T> solve_with_config(const Csr<T>& a, std::span<const T> b,
     return out;
   }
   WallTimer setup_timer;
-  PcgOptions pcg_opt = opt.base.pcg;
-  if (config.precond == TunePrecond::kIlut) {
-    const IluResult<T> fact = ilut(a, opt.ilut);
-    TriangularFactors<T> factors = split_lu(fact);
-    const LevelSchedule l_sched = level_schedule(factors.l, Triangle::kLower);
-    const LevelSchedule u_sched = level_schedule(factors.u, Triangle::kUpper);
-    out.setup_seconds = setup_timer.seconds();
-    const IluApplier<T> m(factors, l_sched, u_sched, config.executor);
-    WallTimer solve_timer;
-    out.solve = pcg(a, b, m, pcg_opt);
-    out.solve_seconds = solve_timer.seconds();
-    return out;
-  }
-  if (config.precond == TunePrecond::kSai) {
-    const SaiPreconditioner<T> m(a, opt.sai);
-    out.setup_seconds = setup_timer.seconds();
-    WallTimer solve_timer;
-    out.solve = pcg(a, b, m, pcg_opt);
-    out.solve_seconds = solve_timer.seconds();
-    return out;
-  }
-  const BlockJacobiPreconditioner<T> m(a, opt.block_jacobi_size);
+  const std::unique_ptr<Preconditioner<T>> m =
+      make_alternative_preconditioner(a, config, opt);
   out.setup_seconds = setup_timer.seconds();
   WallTimer solve_timer;
-  out.solve = pcg(a, b, m, pcg_opt);
+  out.solve = pcg(a, b, *m, opt.base.pcg);
   out.solve_seconds = solve_timer.seconds();
   return out;
 }
@@ -325,21 +321,16 @@ class Tuner {
     if (telemetry_ != nullptr) telemetry_->counter(name).add(n);
   }
 
-  /// Modeled per-iteration seconds of a built ILU-family setup, on the
-  /// structure the trial actually produced (not the prior's estimate).
-  double modeled_iteration_seconds(const Csr<T>& a,
-                                   const TriangularFactors<T>& factors,
-                                   TrsvExec exec, const CostModel& device,
-                                   const CostModel& host) const {
-    const CostModel& model = exec == TrsvExec::kSerial ? host : device;
-    return model.pcg_iteration(pcg_iteration_shape(a, factors)).seconds;
-  }
-
-  /// Wavefront-free (SAI / block-Jacobi) per-iteration model: SpMV with A,
-  /// an SpMV-shaped apply, and the fused BLAS-1 tail (same shape the prior
-  /// uses, so trial and prior scores stay comparable).
-  double modeled_apply_iteration_seconds(const Csr<T>& a,
-                                         const CostModel& model) const {
+  /// Modeled per-iteration seconds on the structure the trial actually
+  /// built (not the prior's estimate): the ILU family over its factors; the
+  /// wavefront-free applies (SAI, block-Jacobi) as SpMV with A, an
+  /// SpMV-shaped apply and the fused BLAS-1 tail, the shape the prior uses,
+  /// so trial and prior scores stay comparable.
+  static double modeled_iteration_seconds(const Csr<T>& a,
+                                          const TriangularFactors<T>* factors,
+                                          const CostModel& model) {
+    if (factors != nullptr)
+      return model.pcg_iteration(pcg_iteration_shape(a, *factors)).seconds;
     OpCost iter = model.spmv(a.rows, a.nnz());
     iter += model.spmv(a.rows, a.nnz());
     iter += model.blas1(a.rows, 14, 12);
@@ -356,83 +347,47 @@ class Tuner {
     trial.config = config;
 
     // Build setup first — the per-iteration model of the real structure
-    // decides the early-abort cap before the solve starts.
+    // decides the early-abort cap before the solve starts. An ILU(0)/ILU(K)
+    // config runs over the session's shared artifacts; the pcg options are
+    // solve-phase and not part of the setup key, so the cap below re-caps
+    // the solve without invalidating the cached setup.
+    WallTimer setup_timer;
+    std::optional<SolverSession<T>> session;
+    std::unique_ptr<Preconditioner<T>> m;
+    const TriangularFactors<T>* factors = nullptr;
+    if (session_compatible(config)) {
+      session.emplace(a, fp, to_spcg_options(config, opt_.base), cache_);
+      trial.setup_cache_hit = session->setup_path() == SetupPath::kHit;
+      const SpcgSetup<T>& setup = session->setup();
+      factors = &setup.factors;
+      m = std::make_unique<IluApplier<T>>(setup.factors, setup.l_schedule,
+                                          setup.u_schedule, config.executor);
+    } else {
+      m = make_alternative_preconditioner(a, config, opt_);
+      if (const auto* ilu = dynamic_cast<const IluPreconditioner<T>*>(m.get()))
+        factors = &ilu->factors();
+    }
+    trial.setup_seconds = setup_timer.seconds();
+    trial.per_iteration_seconds = modeled_iteration_seconds(
+        a, factors, config.executor == TrsvExec::kSerial ? host : device);
+
     PcgOptions pcg_opt = opt_.base.pcg;
-    auto abort_cap = [&](double per_iter) {
-      if (!opt_.early_abort || !std::isfinite(incumbent_score) ||
-          per_iter <= 0.0)
-        return pcg_opt.max_iterations;
-      const double bound = std::ceil(incumbent_score / per_iter);
+    if (opt_.early_abort && std::isfinite(incumbent_score) &&
+        trial.per_iteration_seconds > 0.0) {
+      const double bound =
+          std::ceil(incumbent_score / trial.per_iteration_seconds);
       const double capped =
           std::min(bound, static_cast<double>(pcg_opt.max_iterations));
-      return static_cast<std::int32_t>(std::max(1.0, capped));
-    };
-
-    if (session_compatible(config)) {
-      WallTimer setup_timer;
-      SolverSession<T> session(a, fp, to_spcg_options(config, opt_.base),
-                               cache_);
-      trial.setup_seconds = setup_timer.seconds();
-      trial.setup_cache_hit = session.setup_path() == SetupPath::kHit;
-      trial.per_iteration_seconds = modeled_iteration_seconds(
-          a, session.setup().factors, config.executor, device, host);
-      const std::int32_t cap = abort_cap(trial.per_iteration_seconds);
-      // Re-cap the solve without invalidating the cached setup: pcg options
-      // are solve-phase and not part of the setup key, so run pcg directly
-      // over the session's shared artifacts.
-      pcg_opt.max_iterations = cap;
-      const SpcgSetup<T>& setup = session.setup();
-      const IluApplier<T> m(setup.factors, setup.l_schedule, setup.u_schedule,
-                            config.executor);
-      WallTimer solve_timer;
-      SolveResult<T> solve = pcg(a, b, m, pcg_opt);
-      trial.solve_seconds = solve_timer.seconds();
-      trial.converged = solve.converged();
-      trial.iterations = solve.iterations;
-      trial.aborted = !trial.converged && cap < opt_.base.pcg.max_iterations;
-    } else if (config.precond == TunePrecond::kIlut) {
-      WallTimer setup_timer;
-      const IluResult<T> fact = ilut(a, opt_.ilut);
-      TriangularFactors<T> factors = split_lu(fact);
-      const LevelSchedule l_sched =
-          level_schedule(factors.l, Triangle::kLower);
-      const LevelSchedule u_sched =
-          level_schedule(factors.u, Triangle::kUpper);
-      trial.setup_seconds = setup_timer.seconds();
-      trial.per_iteration_seconds = modeled_iteration_seconds(
-          a, factors, config.executor, device, host);
-      const std::int32_t cap = abort_cap(trial.per_iteration_seconds);
-      pcg_opt.max_iterations = cap;
-      const IluApplier<T> m(factors, l_sched, u_sched, config.executor);
-      WallTimer solve_timer;
-      SolveResult<T> solve = pcg(a, b, m, pcg_opt);
-      trial.solve_seconds = solve_timer.seconds();
-      trial.converged = solve.converged();
-      trial.iterations = solve.iterations;
-      trial.aborted = !trial.converged && cap < opt_.base.pcg.max_iterations;
-    } else {
-      WallTimer setup_timer;
-      std::unique_ptr<Preconditioner<T>> m;
-      if (config.precond == TunePrecond::kSai) {
-        m = std::make_unique<SaiPreconditioner<T>>(a, opt_.sai);
-      } else {
-        m = std::make_unique<BlockJacobiPreconditioner<T>>(
-            a, opt_.block_jacobi_size);
-      }
-      trial.setup_seconds = setup_timer.seconds();
-      const CostModel& model =
-          config.executor == TrsvExec::kSerial ? host : device;
-      trial.per_iteration_seconds = modeled_apply_iteration_seconds(a, model);
-      const std::int32_t cap = abort_cap(trial.per_iteration_seconds);
-      pcg_opt.max_iterations = cap;
-      WallTimer solve_timer;
-      SolveResult<T> solve = pcg(a, b, *m, pcg_opt);
-      trial.solve_seconds = solve_timer.seconds();
-      trial.converged = solve.converged();
-      trial.iterations = solve.iterations;
-      trial.aborted = !trial.converged && cap < opt_.base.pcg.max_iterations;
+      pcg_opt.max_iterations =
+          static_cast<std::int32_t>(std::max(1.0, capped));
     }
-
+    WallTimer solve_timer;
+    const SolveResult<T> solve = pcg(a, b, *m, pcg_opt);
+    trial.solve_seconds = solve_timer.seconds();
+    trial.converged = solve.converged();
+    trial.iterations = solve.iterations;
+    trial.aborted = !trial.converged &&
+                    pcg_opt.max_iterations < opt_.base.pcg.max_iterations;
     trial.score =
         static_cast<double>(trial.iterations) * trial.per_iteration_seconds;
     span.arg("iterations", trial.iterations);

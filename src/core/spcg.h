@@ -76,13 +76,13 @@ struct SpcgResult {
 /// wavefronts_factor is read off the lower schedule instead of a second
 /// inspector pass, and the preconditioner adopts them as-is.
 ///
-/// Each factor value is stored once, in `factors`. spcg_setup leaves
-/// `factorization.lu`, `factorization.diag_pos` and `decision->chosen.a_hat`
-/// empty: Â is needed only to build the factor, and S stays as the record
-/// of what Algorithm 2 dropped. Those three members remain only because the
+/// Each factor value is stored once, in `factors`. spcg_setup leaves the
+/// combined layout in `factorization` and `decision->chosen.a_hat` empty: Â
+/// is needed only to build the factor, and S stays as the record of what
+/// Algorithm 2 dropped. Those two members remain only because the
 /// benchmark's traced setup (perfbench/spcg_perfbench.cc, which re-composes
-/// spcg_setup from ilu0/iluk and split_lu) assigns them; nothing in the
-/// library reads them.
+/// spcg_setup from the combined-layout spellings of precond/ilu.h) assigns
+/// them; nothing in the library reads them.
 template <class T>
 struct SpcgSetup {
   std::optional<SparsifyDecision<T>> decision;  // empty for the baseline
@@ -130,9 +130,9 @@ SpcgSetup<T> spcg_setup(const Csr<T>& a, const SpcgOptions& opt = {}) {
     Span span("factorize", "setup");
     span.arg("kind", to_string(opt.preconditioner));
     s.factors = opt.preconditioner == PrecondKind::kIlu0
-                    ? ilu0_factors(*precond_input, opt.ilu, s.factorization)
+                    ? ilu0_factors(*precond_input, opt.ilu, &s.factorization)
                     : iluk_factors(*precond_input, opt.fill_level, opt.ilu,
-                                   opt.max_row_fill, s.factorization);
+                                   opt.max_row_fill, &s.factorization);
     s.factor_nnz = s.factors.l.nnz() + s.factors.u.nnz();
     span.arg("factor_nnz", static_cast<std::int64_t>(s.factor_nnz));
     if (s.decision.has_value()) s.decision->chosen.a_hat = Csr<T>{};

@@ -229,8 +229,7 @@ std::vector<Measurement> host_measurements(const Csr<double>& a,
   });
   out.push_back(spmv_m);
 
-  IluResult<double> info;
-  const TriangularFactors<double> factors = ilu0_factors(a, {}, info);
+  const TriangularFactors<double> factors = ilu0_factors(a);
   Measurement tri_l;
   tri_l.kind = Measurement::Kind::kTrisolve;
   tri_l.rows = a.rows;

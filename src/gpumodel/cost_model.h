@@ -96,14 +96,7 @@ PcgIterationShape pcg_iteration_shape(const Csr<T>& a, const Csr<T>& lower,
   return s;
 }
 
-/// The shape over a combined factor `lu`.
-template <class T>
-PcgIterationShape pcg_iteration_shape(const Csr<T>& a, const Csr<T>& lu) {
-  return pcg_iteration_shape(a, lu, lu);
-}
-
-/// The shape over triangular factors: equal to the shape over the combined
-/// factor they were split from.
+/// The shape over triangular factors.
 template <class T>
 PcgIterationShape pcg_iteration_shape(const Csr<T>& a,
                                       const TriangularFactors<T>& f) {

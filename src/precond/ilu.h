@@ -17,9 +17,10 @@
 // (transient/refactorize.h) gathers new values into the same pattern through
 // a precomputed map and runs the same elimination.
 //
-// ilu0() and iluk() return the combined layout (IluResult), joined from the
-// triangular factors, for callers that read one CSR; split_lu() turns a
-// combined factor (ILUT's, for one) into TriangularFactors.
+// ilu0_factors(), iluk_factors() and ilut() (precond/ilut.h) return
+// TriangularFactors, the one factor format the library reads. ilu0(), iluk()
+// and split_lu() spell the combined layout (IluResult::lu) only for the
+// benchmark driver's traced setup (perfbench/spcg_perfbench.cc).
 #pragma once
 
 #include <algorithm>
@@ -48,15 +49,13 @@ struct IluOptions {
   double pivot_floor = 1e-12;
 };
 
-/// A factorization in the combined layout: the strict lower part holds L
-/// (unit diagonal implicit), the diagonal and upper part hold U, and
-/// `diag_pos` points at U's diagonal in each row. ilu0(), iluk() and ilut()
-/// return it. A setup (core/spcg.h) keeps only the counts below and leaves
-/// `lu` and `diag_pos` empty: its factor lives once, as TriangularFactors.
+/// The counts of one elimination and, from ilu0() and iluk() only, the
+/// factor in the combined layout `lu`: the strict lower part holds L (unit
+/// diagonal implicit), the diagonal and upper part hold U. Every other
+/// producer returns TriangularFactors and leaves `lu` empty.
 template <class T>
 struct IluResult {
-  Csr<T> lu;                      // combined factor, same shape as pattern
-  std::vector<index_t> diag_pos;  // position of (i,i) in lu for each row
+  Csr<T> lu;                      // combined factor (ilu0/iluk only)
   index_t fill_nnz = 0;           // nnz(L) + nnz(U) - nnz(A): fill (ILU(K))
   bool breakdown = false;         // a pivot was boosted during elimination
   /// Inner-loop update count of the elimination (one multiply-add per unit);
@@ -249,20 +248,18 @@ void gather_factor_values(std::span<const T> from, const index_t* src,
   gather_values(from, src + f.l.values.size(), std::span<T>(f.u.values));
 }
 
-/// The combined layout of `f` into r.lu and r.diag_pos: row i is L's row i
-/// followed by U's, whose diagonal comes first.
+/// The combined layout of `f` into r.lu: row i is L's row i followed by
+/// U's, whose diagonal comes first.
 template <class T>
 void join_lu(const TriangularFactors<T>& f, IluResult<T>& r) {
   const index_t n = f.u.rows;
   r.lu = Csr<T>(n, n);
   r.lu.colind.resize(f.l.colind.size() + f.u.colind.size());
   r.lu.values.resize(r.lu.colind.size());
-  r.diag_pos.resize(static_cast<std::size_t>(n));
   std::size_t dst = 0;
   for (index_t i = 0; i < n; ++i) {
     const auto row = static_cast<std::size_t>(i);
     for (const Csr<T>* m : {&f.l, &f.u}) {
-      if (m == &f.u) r.diag_pos[row] = static_cast<index_t>(dst);
       const auto begin = static_cast<std::size_t>(m->rowptr[row]);
       const auto len = static_cast<std::size_t>(m->rowptr[row + 1]) - begin;
       std::copy_n(m->colind.data() + begin, len, r.lu.colind.data() + dst);
@@ -284,28 +281,28 @@ TriangularFactors<T> split_lu(const IluResult<T>& r) {
   return TriangularFactors<T>(std::move(l), std::move(u));
 }
 
-/// ILU(0) of `a` (square, sorted rows, a stored diagonal in every row),
-/// straight into triangular form. `info` receives the elimination's counts;
-/// its `lu` and `diag_pos` are left empty.
+/// ILU(0): incomplete LU with zero fill-in, on the pattern of `a` (square,
+/// sorted rows, a stored diagonal in every row), straight into triangular
+/// form. `info`, when given, receives the elimination's counts.
 template <class T>
-TriangularFactors<T> ilu0_factors(const Csr<T>& a, const IluOptions& opt,
-                                  IluResult<T>& info) {
+TriangularFactors<T> ilu0_factors(const Csr<T>& a, const IluOptions& opt = {},
+                                  IluResult<T>* info = nullptr) {
   SPCG_CHECK(a.rows == a.cols);
   auto [l, u] = detail::split_at_diagonal<T>(a);
   TriangularFactors<T> f(std::move(l), std::move(u),
                          typename TriangularFactors<T>::PatternOnly{});
-  info = IluResult<T>{};
+  IluResult<T> counts;
   std::vector<T> work(static_cast<std::size_t>(a.rows));
-  detail::ilu_eliminate(f, opt, info, std::span<T>(work));
+  detail::ilu_eliminate(f, opt, counts, std::span<T>(work));
+  if (info != nullptr) *info = std::move(counts);
   return f;
 }
 
-/// ILU(0): incomplete LU with zero fill-in, on A's own pattern, in the
-/// combined layout. A must be square with a fully stored diagonal.
+/// ILU(0) in the combined layout.
 template <class T>
 IluResult<T> ilu0(const Csr<T>& a, const IluOptions& opt = {}) {
   IluResult<T> r;
-  detail::join_lu(ilu0_factors(a, opt, r), r);
+  detail::join_lu(ilu0_factors(a, opt, &r), r);
   return r;
 }
 
@@ -338,13 +335,13 @@ IlukSymbolic iluk_symbolic(const Csr<T>& a, index_t k,
 }
 
 /// ILU(K): symbolic fill to level `k`, then the numeric phase on the
-/// extended pattern, straight into triangular form. `info` receives the
-/// fill and the elimination's counts; its `lu` and `diag_pos` are left
-/// empty.
+/// extended pattern, straight into triangular form. `info`, when given,
+/// receives the fill and the elimination's counts.
 template <class T>
 TriangularFactors<T> iluk_factors(const Csr<T>& a, index_t k,
-                                  const IluOptions& opt, index_t max_row_fill,
-                                  IluResult<T>& info) {
+                                  const IluOptions& opt = {},
+                                  index_t max_row_fill = 0,
+                                  IluResult<T>* info = nullptr) {
   SPCG_CHECK(a.rows == a.cols);
   TriangularFactors<T> f;
   {
@@ -362,10 +359,11 @@ TriangularFactors<T> iluk_factors(const Csr<T>& a, index_t k,
                    "ILU(K) pattern lost original entry at row " << lost_row);
     detail::gather_factor_values(std::span<const T>(a.values), src.data(), f);
   }
-  info = IluResult<T>{};
-  info.fill_nnz = f.l.nnz() + f.u.nnz() - a.nnz();
+  IluResult<T> counts;
+  counts.fill_nnz = f.l.nnz() + f.u.nnz() - a.nnz();
   std::vector<T> work(static_cast<std::size_t>(a.rows));
-  detail::ilu_eliminate(f, opt, info, std::span<T>(work));
+  detail::ilu_eliminate(f, opt, counts, std::span<T>(work));
+  if (info != nullptr) *info = std::move(counts);
   return f;
 }
 
@@ -374,7 +372,7 @@ template <class T>
 IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
                   index_t max_row_fill = 0) {
   IluResult<T> r;
-  detail::join_lu(iluk_factors(a, k, opt, max_row_fill, r), r);
+  detail::join_lu(iluk_factors(a, k, opt, max_row_fill, &r), r);
   return r;
 }
 

@@ -22,10 +22,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "precond/ilu.h"
 #include "sparse/csr.h"
+#include "sptrsv/sptrsv.h"
 
 namespace spcg {
 
@@ -35,17 +38,23 @@ struct IlutOptions {
   double pivot_floor = 1e-12;
 };
 
-/// ILUT factorization; returns the usual combined-LU layout.
+/// ILUT factorization, straight into triangular form: row i's kept entries
+/// left of the diagonal become L's row i, and its pivot followed by its kept
+/// entries right of the diagonal U's row i. The factor is validated as it is
+/// returned. `info`, when given, receives the fill and the elimination's
+/// counts.
 template <class T>
-IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
+TriangularFactors<T> ilut(const Csr<T>& a, const IlutOptions& opt = {},
+                          IluResult<T>* info = nullptr) {
   SPCG_CHECK(a.rows == a.cols);
   SPCG_CHECK(opt.max_fill >= 1);
   const index_t n = a.rows;
 
-  // Rows of the factor built so far (combined layout per row).
-  std::vector<std::vector<index_t>> row_cols(static_cast<std::size_t>(n));
-  std::vector<std::vector<T>> row_vals(static_cast<std::size_t>(n));
-  std::vector<index_t> diag_in_row(static_cast<std::size_t>(n), -1);
+  // The factor, one row appended per step: row i eliminates against the
+  // finished U rows k < i, whose pivot heads the row.
+  Csr<T> l(n, n), u(n, n);
+  bool breakdown = false;
+  std::uint64_t ops = 0;
 
   // Dense workspace.
   std::vector<T> w(static_cast<std::size_t>(n), T{0});
@@ -53,12 +62,6 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
   std::vector<index_t> pattern;  // nonzero positions of w (unsorted)
   // Kept (|value|, column) candidates of the current row's two parts.
   std::vector<std::pair<T, index_t>> lower, upper;
-
-  IluResult<T> out;
-  out.lu.rows = n;
-  out.lu.cols = n;
-  out.lu.rowptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  out.diag_pos.assign(static_cast<std::size_t>(n), -1);
 
   auto scatter = [&](index_t j, T v) {
     if (!in_w[static_cast<std::size_t>(j)]) {
@@ -92,22 +95,20 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
     for (std::size_t t = 0; t < pattern.size(); ++t) {
       const index_t k = pattern[t];
       if (k >= i) break;
-      T lik = w[static_cast<std::size_t>(k)];
-      const auto dk = static_cast<std::size_t>(diag_in_row[static_cast<std::size_t>(k)]);
-      const T pivot = row_vals[static_cast<std::size_t>(k)][dk];
-      lik /= pivot;
+      const auto kk = static_cast<std::size_t>(k);
+      const auto dk = static_cast<std::size_t>(u.rowptr[kk]);
+      const auto ek = static_cast<std::size_t>(u.rowptr[kk + 1]);
+      const T lik = w[kk] / u.values[dk];
       if (std::abs(lik) < drop) {
         // Drop the multiplier entirely (first threshold).
-        w[static_cast<std::size_t>(k)] = T{0};
+        w[kk] = T{0};
         continue;
       }
-      w[static_cast<std::size_t>(k)] = lik;
-      out.elimination_ops +=
-          row_cols[static_cast<std::size_t>(k)].size() - dk - 1;
-      for (std::size_t q = dk + 1; q < row_cols[static_cast<std::size_t>(k)].size();
-           ++q) {
-        const index_t j = row_cols[static_cast<std::size_t>(k)][q];
-        const T upd = -lik * row_vals[static_cast<std::size_t>(k)][q];
+      w[kk] = lik;
+      ops += ek - dk - 1;
+      for (std::size_t q = dk + 1; q < ek; ++q) {
+        const index_t j = u.colind[q];
+        const T upd = -lik * u.values[q];
         if (!in_w[static_cast<std::size_t>(j)]) {
           // New fill: subject to the drop tolerance immediately.
           if (std::abs(upd) < drop) continue;
@@ -162,51 +163,34 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
       // a tiny floor value would make M^{-1} explode instead.
       const T aii = a.at(i, i);
       diag_val = (std::abs(aii) > floor) ? aii : floor;
-      out.breakdown = true;
+      breakdown = true;
     }
 
-    auto& rc = row_cols[static_cast<std::size_t>(i)];
-    auto& rv = row_vals[static_cast<std::size_t>(i)];
-    rc.reserve(lower.size() + upper.size() + 1);
-    rv.reserve(rc.capacity());
-    for (const auto& [mag, j] : lower) {
-      rc.push_back(j);
-      rv.push_back(w[static_cast<std::size_t>(j)]);
-    }
-    diag_in_row[static_cast<std::size_t>(i)] = static_cast<index_t>(rc.size());
-    rc.push_back(i);
-    rv.push_back(diag_val);
-    for (const auto& [mag, j] : upper) {
-      rc.push_back(j);
-      rv.push_back(w[static_cast<std::size_t>(j)]);
-    }
-    // Clear the stash.
-    for (const auto& [mag, j] : lower) {
-      w[static_cast<std::size_t>(j)] = T{0};
-      in_w[static_cast<std::size_t>(j)] = 0;
-    }
-    for (const auto& [mag, j] : upper) {
-      w[static_cast<std::size_t>(j)] = T{0};
-      in_w[static_cast<std::size_t>(j)] = 0;
-    }
+    // Append the row, clearing the stash.
+    auto append = [&](Csr<T>& m,
+                      const std::vector<std::pair<T, index_t>>& part) {
+      for (const auto& [mag, j] : part) {
+        m.colind.push_back(j);
+        m.values.push_back(w[static_cast<std::size_t>(j)]);
+        w[static_cast<std::size_t>(j)] = T{0};
+        in_w[static_cast<std::size_t>(j)] = 0;
+      }
+      m.rowptr[static_cast<std::size_t>(i) + 1] =
+          static_cast<index_t>(m.colind.size());
+    };
+    append(l, lower);
+    u.colind.push_back(i);
+    u.values.push_back(diag_val);
+    append(u, upper);
   }
 
-  // Assemble the CSR factor.
-  for (index_t i = 0; i < n; ++i) {
-    out.diag_pos[static_cast<std::size_t>(i)] = static_cast<index_t>(
-        out.lu.colind.size() +
-        static_cast<std::size_t>(diag_in_row[static_cast<std::size_t>(i)]));
-    out.lu.colind.insert(out.lu.colind.end(),
-                         row_cols[static_cast<std::size_t>(i)].begin(),
-                         row_cols[static_cast<std::size_t>(i)].end());
-    out.lu.values.insert(out.lu.values.end(),
-                         row_vals[static_cast<std::size_t>(i)].begin(),
-                         row_vals[static_cast<std::size_t>(i)].end());
-    out.lu.rowptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(out.lu.colind.size());
+  if (info != nullptr) {
+    *info = IluResult<T>{};
+    info->fill_nnz = l.nnz() + u.nnz() - a.nnz();
+    info->breakdown = breakdown;
+    info->elimination_ops = ops;
   }
-  out.fill_nnz = out.lu.nnz() - a.nnz();
-  return out;
+  return TriangularFactors<T>(std::move(l), std::move(u));
 }
 
 }  // namespace spcg

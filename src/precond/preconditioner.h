@@ -211,11 +211,6 @@ class IluApplier final : public Preconditioner<T> {
 template <class T>
 class IluPreconditioner final : public Preconditioner<T> {
  public:
-  /// A combined factor, split (and validated) once by split_lu().
-  IluPreconditioner(const IluResult<T>& fact,
-                    TrsvExec exec = TrsvExec::kSerial)
-      : IluPreconditioner(split_lu(fact), exec) {}
-
   IluPreconditioner(TriangularFactors<T> factors,
                     TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(std::move(factors)),
@@ -261,8 +256,7 @@ class IluPreconditioner final : public Preconditioner<T> {
 template <class T>
 std::unique_ptr<Preconditioner<T>> make_ic0(const Csr<T>& a,
                                             TrsvExec exec = TrsvExec::kSerial) {
-  IluResult<T> info;
-  TriangularFactors<T> f = ilu0_factors(a, IluOptions{}, info);
+  TriangularFactors<T> f = ilu0_factors(a);
   for (index_t i = 0; i < a.rows; ++i) {
     const T pivot = f.u.values[static_cast<std::size_t>(
         f.u.rowptr[static_cast<std::size_t>(i)])];

@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "precond/ilu.h"
 #include "precond/preconditioner.h"
 
 namespace spcg {
@@ -27,11 +26,6 @@ class MixedPrecisionIluPreconditioner final : public Preconditioner<double> {
       : inner_(to_float(f), exec),
         r32_(static_cast<std::size_t>(f.l.rows)),
         z32_(static_cast<std::size_t>(f.l.rows)) {}
-
-  /// A combined factor, split (and validated) once by split_lu().
-  explicit MixedPrecisionIluPreconditioner(const IluResult<double>& fact,
-                                           TrsvExec exec = TrsvExec::kSerial)
-      : MixedPrecisionIluPreconditioner(split_lu(fact), exec) {}
 
   void apply(std::span<const double> r, std::span<double> z) const override {
     SPCG_CHECK(r.size() == r32_.size());

@@ -20,9 +20,9 @@
 //
 // Stale after a refresh (by design): SparsifyDecision::indicator, steps and
 // outcome describe the values the decision was *made* on, not the current
-// ones. TransientSession treats them as provenance, not state. So are
-// `factorization.lu` and `decision->chosen.a_hat` on a setup that carries
-// them (spcg_setup leaves both empty).
+// ones. TransientSession treats them as provenance, not state. So are the
+// combined layout in `factorization` and `decision->chosen.a_hat` on a setup
+// that carries them (spcg_setup leaves both empty).
 #pragma once
 
 #include <cstdint>

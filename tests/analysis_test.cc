@@ -144,7 +144,7 @@ TEST(Lint, BrokenRowptrFires) {
 // --- corruption class 3: zero diagonal --------------------------------------
 
 TEST(Lint, ZeroDiagonalInFactorFires) {
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   Csr<double> u = f.u;
   u.values[static_cast<std::size_t>(u.find(3, 3))] = 0.0;
   const Diagnostics d =
@@ -166,7 +166,7 @@ TEST(Lint, MissingDiagonalInFactorFires) {
   EXPECT_TRUE(analysis::analyze_triangular(l, Triangle::kLower, {}, "L")
                   .has_rule(analysis::kRuleTriStructure));
   EXPECT_TRUE(analysis::analyze_triangular(
-                  split_lu(ilu0(good_matrix())).l, Triangle::kLower, {}, "L")
+                  ilu0_factors(good_matrix()).l, Triangle::kLower, {}, "L")
                   .ok());
 }
 
@@ -207,7 +207,7 @@ TEST(Lint, PerRuleCapBoundsReportSize) {
 // --- corruption class 5: broken level schedule ------------------------------
 
 TEST(RaceDetector, CleanScheduleVerifies) {
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   const Diagnostics d =
       analysis::verify_level_schedule(f.l, ls, Triangle::kLower);
@@ -215,7 +215,7 @@ TEST(RaceDetector, CleanScheduleVerifies) {
 }
 
 TEST(RaceDetector, SameLevelDependenceFires) {
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   ASSERT_GE(ls.num_levels(), 2);
   // Move the first row of level 1 into level 0: it depends on a level-0 row.
@@ -258,7 +258,7 @@ TEST(RaceDetector, SameLevelDependenceFires) {
 }
 
 TEST(RaceDetector, TopologyViolationFires) {
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   ASSERT_GE(ls.num_levels(), 2);
   // Swap the bucket contents of levels 0 and 1: level-0 rows now "depend on
@@ -295,7 +295,7 @@ TEST(RaceDetector, TopologyViolationFires) {
 }
 
 TEST(RaceDetector, BrokenShapeFires) {
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   ls.rows_by_level[0] = ls.rows_by_level[1];  // duplicate → not a permutation
   const Diagnostics d =
@@ -312,7 +312,7 @@ TEST(RaceDetector, GeneratedSuiteSchedulesAreRaceFree) {
   for (const index_t id : {index_t{0}, index_t{13}, index_t{42}, index_t{77},
                            index_t{101}}) {
     const GeneratedMatrix g = generate_suite_matrix(id);
-    const TriangularFactors<double> f = split_lu(ilu0(g.a));
+    const TriangularFactors<double> f = ilu0_factors(g.a);
     const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
     const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
     EXPECT_TRUE(analysis::verify_level_schedule(f.l, ls, Triangle::kLower)
@@ -338,7 +338,7 @@ TEST(RaceDetector, GeneratedSuiteSchedulesAreRaceFree) {
 
 TEST(RaceDetector, CheckedExecutorMatchesSerial) {
   const Csr<double> a = gen_grid_laplacian(12, 12, 1.5, 0.4, 3);
-  const TriangularFactors<double> f = split_lu(ilu0(a));
+  const TriangularFactors<double> f = ilu0_factors(a);
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
   std::vector<double> b(static_cast<std::size_t>(a.rows));
   Rng rng(99);
@@ -354,8 +354,9 @@ TEST(RaceDetector, CheckedExecutorMatchesSerial) {
 
 TEST(RaceDetector, CheckedExecutorWiredIntoPreconditioner) {
   const Csr<double> a = good_matrix();
-  IluPreconditioner<double> serial(ilu0(a), TrsvExec::kSerial);
-  IluPreconditioner<double> checked(ilu0(a), TrsvExec::kLevelScheduledChecked);
+  IluPreconditioner<double> serial(ilu0_factors(a), TrsvExec::kSerial);
+  IluPreconditioner<double> checked(ilu0_factors(a),
+                                    TrsvExec::kLevelScheduledChecked);
   std::vector<double> r(static_cast<std::size_t>(a.rows), 1.0);
   std::vector<double> z1(r.size()), z2(r.size());
   serial.apply(std::span<const double>(r), std::span<double>(z1));
@@ -363,16 +364,7 @@ TEST(RaceDetector, CheckedExecutorWiredIntoPreconditioner) {
   EXPECT_EQ(z1, z2);
 }
 
-// --- ILU factor and sparsify-split analyses ---------------------------------
-
-TEST(Lint, IluResultLintsCleanAndDetectsDiagPosCorruption) {
-  IluResult<double> fact = ilu0(good_matrix());
-  EXPECT_TRUE(analysis::analyze_ilu(fact).ok());
-  fact.diag_pos[3] = fact.diag_pos[2];  // no longer points at (3,3)
-  const Diagnostics d = analysis::analyze_ilu(fact);
-  EXPECT_FALSE(d.ok());
-  EXPECT_TRUE(d.has_rule(analysis::kRuleIluDiagPos)) << d;
-}
+// --- sparsify-split analyses -------------------------------------------------
 
 TEST(Lint, SparsifySplitLintsCleanAndDetectsTampering) {
   const Csr<double> a = generate_suite_matrix(5).a;
@@ -405,7 +397,7 @@ TEST(Hardening, CheckedIndexCastRejectsOverflow) {
 TEST(Hardening, LevelScheduledSolveThrowsOnZeroDiagonal) {
   // The executors trust their factors, so a zero diagonal is rejected where
   // the factors are made: no level-scheduled solve can be handed one.
-  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  const TriangularFactors<double> f = ilu0_factors(good_matrix());
   Csr<double> u = f.u;
   u.values[static_cast<std::size_t>(u.find(2, 2))] = 0.0;
   EXPECT_THROW(TriangularFactors<double>(f.l, u), Error);

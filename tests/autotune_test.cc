@@ -614,8 +614,8 @@ TEST(AutotuneCalibration, CalibratedModelRanksConfigsLikeMeasurements) {
   std::vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
   std::vector<double> measured, predicted;
   for (const index_t k : {0, 1, 3}) {
-    const IluResult<double> fact = k == 0 ? ilu0(a) : iluk(a, k);
-    const TriangularFactors<double> factors = split_lu(fact);
+    const TriangularFactors<double> factors =
+        k == 0 ? ilu0_factors(a) : iluk_factors(a, k);
     PcgIterationShape shape;
     shape.n = a.rows;
     shape.a_nnz = a.nnz();

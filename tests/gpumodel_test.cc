@@ -1,11 +1,9 @@
 // Tests for the analytical device execution model.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "gen/generators.h"
-#include "gen/suite.h"
 #include "gpumodel/cost_model.h"
 #include "gpumodel/device.h"
 #include "precond/ilu.h"
@@ -112,54 +110,17 @@ TEST(CostModel, TrisolveStructureMatchesMatrix) {
   EXPECT_EQ(nnz, s.nnz);
   // 5-point stencil lower triangle incl diag: 3 entries per interior row.
   EXPECT_LT(s.nnz, a.nnz());
-}
-
-// The modeled numbers do not depend on the factor's storage: the shape over
-// TriangularFactors (L's unit diagonal implicit) equals the shape over the
-// combined factor, and both count each triangle's stored entries including
-// the diagonal, per level, as the combined factor stores them.
-TEST(CostModel, FactorShapeEqualsCombinedShapeOnSuite) {
-  const auto expect_same = [](const TriSolveStructure& x,
-                              const TriSolveStructure& y,
-                              const std::string& at) {
-    EXPECT_EQ(x.n, y.n) << at;
-    EXPECT_EQ(x.nnz, y.nnz) << at;
-    EXPECT_EQ(x.rows_per_level, y.rows_per_level) << at;
-    EXPECT_EQ(x.nnz_per_level, y.nnz_per_level) << at;
-  };
-  const CostModel m(device_a100(), 4);
-  for (index_t id = 0; id < suite_size(); ++id) {
-    const GeneratedMatrix g = generate_suite_matrix(id);
-    const IluResult<double> f = ilu0(g.a);
-    const PcgIterationShape combined = pcg_iteration_shape(g.a, f.lu);
-    const PcgIterationShape split = pcg_iteration_shape(g.a, split_lu(f));
-    expect_same(combined.lower, split.lower, g.spec.name + " L");
-    expect_same(combined.upper, split.upper, g.spec.name + " U");
-    EXPECT_EQ(m.pcg_iteration(combined).seconds,
-              m.pcg_iteration(split).seconds)
-        << g.spec.name;
-    // Stored entries of each triangle, diagonal included, per level.
-    for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
-      const LevelSchedule sched = level_schedule(f.lu, tri);
-      std::vector<index_t> stored(
-          static_cast<std::size_t>(sched.num_levels()), 0);
-      for (index_t i = 0; i < f.lu.rows; ++i)
-        for (const index_t j : f.lu.row_cols(i))
-          if (tri == Triangle::kLower ? j <= i : j >= i)
-            ++stored[static_cast<std::size_t>(
-                sched.level_of_row[static_cast<std::size_t>(i)])];
-      EXPECT_EQ((tri == Triangle::kLower ? split.lower : split.upper)
-                    .nnz_per_level,
-                stored)
-          << g.spec.name;
-    }
-  }
+  // L's unit diagonal is implicit but counted: ILU(0)'s L models like A's
+  // lower triangle, which stores it.
+  const TriSolveStructure sl =
+      trisolve_structure(ilu0_factors(a).l, Triangle::kLower);
+  EXPECT_EQ(sl.rows_per_level, s.rows_per_level);
+  EXPECT_EQ(sl.nnz_per_level, s.nnz_per_level);
 }
 
 TEST(CostModel, PcgIterationComposesKernels) {
   const Csr<double> a = gen_poisson2d(24, 24);
-  const IluResult<double> f = ilu0(a);
-  const PcgIterationShape shape = pcg_iteration_shape(a, f.lu);
+  const PcgIterationShape shape = pcg_iteration_shape(a, ilu0_factors(a));
   const CostModel m(device_a100(), 4);
   const OpCost it = m.pcg_iteration(shape);
   const OpCost sp = m.spmv(shape.n, shape.a_nnz);
@@ -176,16 +137,17 @@ TEST(CostModel, BaselineGflopsWithinPaperRange) {
   const CostModel m(device_a100(), 4);
 
   const Csr<double> chain = gen_chain_with_skips(2000, 4, 1.0, 0.9, 1);
-  const IluResult<double> fc = ilu0(chain);
+  const TriangularFactors<double> fc = ilu0_factors(chain);
   const double flops_c =
-      pcg_iteration_flops(chain.rows, chain.nnz(), fc.lu.nnz());
-  const double t_c = m.pcg_iteration(pcg_iteration_shape(chain, fc.lu)).seconds;
+      pcg_iteration_flops(chain.rows, chain.nnz(), fc.l.nnz() + fc.u.nnz());
+  const double t_c = m.pcg_iteration(pcg_iteration_shape(chain, fc)).seconds;
   const double gflops_chain = flops_c / t_c * 1e-9;
 
   const Csr<double> flat = gen_poisson2d(90, 90);
-  const IluResult<double> ff = ilu0(flat);
-  const double flops_f = pcg_iteration_flops(flat.rows, flat.nnz(), ff.lu.nnz());
-  const double t_f = m.pcg_iteration(pcg_iteration_shape(flat, ff.lu)).seconds;
+  const TriangularFactors<double> ff = ilu0_factors(flat);
+  const double flops_f =
+      pcg_iteration_flops(flat.rows, flat.nnz(), ff.l.nnz() + ff.u.nnz());
+  const double t_f = m.pcg_iteration(pcg_iteration_shape(flat, ff)).seconds;
   const double gflops_flat = flops_f / t_f * 1e-9;
 
   EXPECT_GT(gflops_chain, 0.0001);
@@ -209,8 +171,9 @@ TEST(CostModel, Ilu0FactorizationTracksWavefronts) {
   const CostModel m(device_a100(), 4);
   const Csr<double> grid = gen_poisson2d(40, 40);
   const Csr<double> chain = gen_chain_with_skips(1600, 4, 1.0, 0.9, 2);
-  const IluResult<double> fg = ilu0(grid);
-  const IluResult<double> fc = ilu0(chain);
+  IluResult<double> fg, fc;
+  ilu0_factors(grid, {}, &fg);
+  ilu0_factors(chain, {}, &fc);
   const double tg =
       m.ilu0_factorization(trisolve_structure(grid, Triangle::kLower),
                            fg.elimination_ops)

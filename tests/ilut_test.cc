@@ -16,22 +16,30 @@ TEST(Ilut, ZeroTolUnlimitedFillEqualsExactLu) {
   IlutOptions opt;
   opt.drop_tol = 0.0;
   opt.max_fill = a.rows;
-  const IluResult<double> t = ilut(a, opt);
-  const IluResult<double> exact = iluk(a, 100);
-  ASSERT_EQ(t.lu.colind, exact.lu.colind);
-  for (std::size_t p = 0; p < t.lu.values.size(); ++p)
-    EXPECT_NEAR(t.lu.values[p], exact.lu.values[p], 1e-10);
+  const TriangularFactors<double> t = ilut(a, opt);
+  const TriangularFactors<double> exact = iluk_factors(a, 100);
+  for (const auto& [got, want] :
+       {std::pair{&t.l, &exact.l}, std::pair{&t.u, &exact.u}}) {
+    ASSERT_EQ(got->rowptr, want->rowptr);
+    ASSERT_EQ(got->colind, want->colind);
+    for (std::size_t p = 0; p < got->values.size(); ++p)
+      EXPECT_NEAR(got->values[p], want->values[p], 1e-10);
+  }
 }
 
 TEST(Ilut, FactorIsValidCombinedLu) {
+  // ILUT returns the triangular form: a strictly lower L, and U rows that
+  // each start with a nonzero diagonal.
   const Csr<double> a = gen_varcoef2d(14, 14, 1.5, 7);
-  const IluResult<double> t = ilut(a);
-  t.lu.validate();
+  const TriangularFactors<double> t = ilut(a);
+  t.l.validate();
+  t.u.validate();
   for (index_t i = 0; i < a.rows; ++i) {
-    const index_t d = t.diag_pos[static_cast<std::size_t>(i)];
-    ASSERT_GE(d, 0);
-    EXPECT_EQ(t.lu.colind[static_cast<std::size_t>(d)], i);
-    EXPECT_NE(t.lu.values[static_cast<std::size_t>(d)], 0.0);
+    for (const index_t j : t.l.row_cols(i)) EXPECT_LT(j, i);
+    const auto cols_i = t.u.row_cols(i);
+    ASSERT_FALSE(cols_i.empty()) << i;
+    EXPECT_EQ(cols_i.front(), i);
+    EXPECT_NE(t.u.row_vals(i).front(), 0.0);
   }
 }
 
@@ -40,17 +48,10 @@ TEST(Ilut, MaxFillCapsRowParts) {
   IlutOptions opt;
   opt.drop_tol = 0.0;  // only the fill cap binds
   opt.max_fill = 3;
-  const IluResult<double> t = ilut(a, opt);
+  const TriangularFactors<double> t = ilut(a, opt);
   for (index_t i = 0; i < a.rows; ++i) {
-    index_t lower = 0, upper = 0;
-    for (index_t p = t.lu.rowptr[static_cast<std::size_t>(i)];
-         p < t.lu.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t j = t.lu.colind[static_cast<std::size_t>(p)];
-      if (j < i) ++lower;
-      if (j > i) ++upper;
-    }
-    EXPECT_LE(lower, 3);
-    EXPECT_LE(upper, 3);
+    EXPECT_LE(t.l.row_cols(i).size(), 3u);
+    EXPECT_LE(t.u.row_cols(i).size(), 4u);  // the diagonal, then at most 3
   }
 }
 
@@ -77,7 +78,7 @@ TEST(Ilut, MoreAccurateThanIlu0AtModestFill) {
   const std::vector<double> b = make_rhs(a, 9);
   PcgOptions popt;
   popt.tolerance = 1e-10;
-  IluPreconditioner<double> m0(ilu0(a));
+  IluPreconditioner<double> m0(ilu0_factors(a));
   IlutOptions opt;
   opt.drop_tol = 1e-3;
   opt.max_fill = 20;
@@ -98,9 +99,9 @@ TEST(Ilut, TightFillCapSurvivesViaDiagonalFallback) {
   IlutOptions opt;
   opt.drop_tol = 1e-3;
   opt.max_fill = 8;
-  const IluResult<double> f = ilut(a, opt);
-  EXPECT_TRUE(f.breakdown);
-  IluPreconditioner<double> m(f);
+  IluResult<double> info;
+  IluPreconditioner<double> m(ilut(a, opt, &info));
+  EXPECT_TRUE(info.breakdown);
   PcgOptions popt;
   popt.tolerance = 1e-8;
   const SolveResult<double> r = pcg(a, b, m, popt);

@@ -92,12 +92,12 @@ TEST(LowRank, IluFactorsRarelyCompress) {
   // The paper's §4.6 finding: incomplete factors rarely expose low-rank
   // blocks at STRUMPACK-like tolerances.
   const Csr<double> a = gen_varcoef2d(40, 40, 1.5, 17);
-  const IluResult<double> f = iluk(a, 3);
+  const TriangularFactors<double> f = iluk_factors(a, 3);
   LowRankOptions opt;
   opt.leaf_size = 32;
   opt.min_separator = 24;
   opt.rel_tol = 1e-6;  // tight tolerance, like a meaningful preconditioner
-  const LowRankStudy study = analyze_factor_blocks(f.lu, opt);
+  const LowRankStudy study = analyze_factor_blocks(f.l, opt);
   EXPECT_GT(study.blocks_nonempty, 0);
   EXPECT_LT(study.trigger_rate(), 0.15);
 }
@@ -105,14 +105,14 @@ TEST(LowRank, IluFactorsRarelyCompress) {
 TEST(LowRank, SmallerSeparatorIncreasesCoverage) {
   // Matches the paper: reducing the minimum separator size raises HSS usage.
   const Csr<double> a = gen_varcoef2d(36, 36, 1.5, 23);
-  const IluResult<double> f = iluk(a, 5);
+  const TriangularFactors<double> f = iluk_factors(a, 5);
   LowRankOptions strict;
   strict.leaf_size = 32;
   strict.min_separator = 28;
   LowRankOptions loose = strict;
   loose.min_separator = 2;
-  const LowRankStudy s1 = analyze_factor_blocks(f.lu, strict);
-  const LowRankStudy s2 = analyze_factor_blocks(f.lu, loose);
+  const LowRankStudy s1 = analyze_factor_blocks(f.l, strict);
+  const LowRankStudy s2 = analyze_factor_blocks(f.l, loose);
   EXPECT_GE(s2.blocks_eligible, s1.blocks_eligible);
   EXPECT_GE(s2.blocks_compressed, s1.blocks_compressed);
 }

@@ -11,7 +11,7 @@ namespace {
 
 TEST(Mixed, ApplyMatchesDoubleWithinFloatAccuracy) {
   const Csr<double> a = gen_grid_laplacian(12, 12, 1.0, 0.5, 5);
-  const IluResult<double> fact = ilu0(a);
+  const TriangularFactors<double> fact = ilu0_factors(a);
   IluPreconditioner<double> full(fact);
   MixedPrecisionIluPreconditioner mixed(fact);
 
@@ -32,7 +32,7 @@ TEST(Mixed, OuterPcgStillReachesDoubleAccuracy) {
   // not prevent the double-precision outer CG from converging tightly.
   const Csr<double> a = gen_poisson2d(24, 24);
   const std::vector<double> b = make_rhs(a, 3);
-  MixedPrecisionIluPreconditioner mixed(ilu0(a));
+  MixedPrecisionIluPreconditioner mixed(ilu0_factors(a));
   PcgOptions opt;
   opt.tolerance = 1e-11;
   const SolveResult<double> r = pcg(a, b, mixed, opt);
@@ -43,7 +43,7 @@ TEST(Mixed, OuterPcgStillReachesDoubleAccuracy) {
 TEST(Mixed, IterationCountNearDoublePrecision) {
   const Csr<double> a = gen_varcoef2d(20, 20, 1.5, 7);
   const std::vector<double> b = make_rhs(a, 7);
-  const IluResult<double> fact = ilu0(a);
+  const TriangularFactors<double> fact = ilu0_factors(a);
   PcgOptions opt;
   opt.tolerance = 1e-10;
   IluPreconditioner<double> full(fact);
@@ -57,11 +57,10 @@ TEST(Mixed, IterationCountNearDoublePrecision) {
 
 TEST(Mixed, FactorBytesHalved) {
   const Csr<double> a = gen_poisson2d(16, 16);
-  const IluResult<double> fact = ilu0(a);
+  const TriangularFactors<double> fact = ilu0_factors(a);
   MixedPrecisionIluPreconditioner mixed(fact);
-  // values float (4B) + indices (4B) vs values double (8B) + indices (4B);
-  // L's unit diagonal is implicit, so the factors hold the combined nnz.
-  const auto nnz_total = static_cast<std::size_t>(fact.lu.nnz());
+  // values float (4B) + indices (4B) vs values double (8B) + indices (4B).
+  const auto nnz_total = static_cast<std::size_t>(fact.l.nnz() + fact.u.nnz());
   EXPECT_EQ(mixed.factor_bytes(), nnz_total * (sizeof(float) + sizeof(index_t)));
   EXPECT_EQ(mixed.rows(), a.rows);
 }
@@ -71,7 +70,7 @@ TEST(Mixed, ComposesWithSparsification) {
   const Csr<double> a = gen_grid_laplacian(20, 20, 2.0, 0.4, 11);
   const std::vector<double> b = make_rhs(a, 11);
   const SparsifyDecision<double> d = wavefront_aware_sparsify(a);
-  MixedPrecisionIluPreconditioner mixed(ilu0(d.chosen.a_hat));
+  MixedPrecisionIluPreconditioner mixed(ilu0_factors(d.chosen.a_hat));
   PcgOptions opt;
   opt.tolerance = 1e-10;
   const SolveResult<double> r = pcg(a, b, mixed, opt);

@@ -12,7 +12,7 @@ namespace {
 TEST(PipelinedPcg, MatchesClassicPcgIterationForIteration) {
   const Csr<double> a = gen_poisson2d(16, 16);
   const std::vector<double> b = make_rhs(a, 3);
-  IluPreconditioner<double> m(ilu0(a));
+  IluPreconditioner<double> m(ilu0_factors(a));
   PcgOptions opt;
   opt.tolerance = 1e-10;
   opt.record_history = true;
@@ -50,7 +50,7 @@ TEST(PipelinedPcg, WorksWithSparsifiedPreconditioner) {
   const Csr<double> a = gen_grid_laplacian(20, 20, 2.0, 0.4, 7);
   const std::vector<double> b = make_rhs(a, 7);
   const SparsifyDecision<double> d = wavefront_aware_sparsify(a);
-  IluPreconditioner<double> m(ilu0(d.chosen.a_hat));
+  IluPreconditioner<double> m(ilu0_factors(d.chosen.a_hat));
   PcgOptions opt;
   opt.tolerance = 1e-10;
   const SolveResult<double> r = pipelined_pcg(a, b, m, opt);

@@ -22,9 +22,8 @@
 namespace spcg {
 namespace {
 
-/// Dense reconstruction of L*U from a combined factor, for small checks.
-std::vector<double> dense_lu_product(const IluResult<double>& r) {
-  const TriangularFactors<double> f = split_lu(r);
+/// Dense reconstruction of L*U, for small checks.
+std::vector<double> dense_lu_product(const TriangularFactors<double>& f) {
   const index_t n = f.l.rows;
   std::vector<double> out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
   for (index_t i = 0; i < n; ++i) {
@@ -54,9 +53,9 @@ TEST(Ilu0, ExactForTridiagonal) {
     if (i + 1 < n) ts.push_back({i, i + 1, -1.0});
   }
   const Csr<double> a = csr_from_triplets<double>(n, n, std::move(ts));
-  const IluResult<double> r = ilu0(a);
+  IluResult<double> r;
+  const std::vector<double> lu = dense_lu_product(ilu0_factors(a, {}, &r));
   EXPECT_FALSE(r.breakdown);
-  const std::vector<double> lu = dense_lu_product(r);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j < n; ++j) {
       EXPECT_NEAR(lu[static_cast<std::size_t>(i * n + j)], a.at(i, j), 1e-12)
@@ -68,8 +67,7 @@ TEST(Ilu0, ExactForTridiagonal) {
 TEST(Ilu0, MatchesOnPatternForPoisson) {
   // ILU(0) residual A - L*U must vanish exactly ON the pattern of A.
   const Csr<double> a = gen_poisson2d(8, 8);
-  const IluResult<double> r = ilu0(a);
-  const std::vector<double> lu = dense_lu_product(r);
+  const std::vector<double> lu = dense_lu_product(ilu0_factors(a));
   for (index_t i = 0; i < a.rows; ++i) {
     for (index_t p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
       const index_t j = a.colind[static_cast<std::size_t>(p)];
@@ -86,9 +84,10 @@ TEST(Ilu0, ZeroPivotThrowsWhenBoostDisabled) {
       2, 2, {{0, 0, 0.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 0.0}});
   IluOptions opt;
   opt.boost_zero_pivots = false;
-  EXPECT_THROW(ilu0(a, opt), Error);
+  EXPECT_THROW(ilu0_factors(a, opt), Error);
   // With boosting it survives and flags breakdown.
-  const IluResult<double> r = ilu0(a);
+  IluResult<double> r;
+  ilu0_factors(a, {}, &r);
   EXPECT_TRUE(r.breakdown);
 }
 
@@ -113,9 +112,9 @@ TEST(Ilu0, ZeroPivotUnderZeroFloorThrowsOnBuildAndRefresh) {
     return "";
   };
   const std::string want = "zero pivot at row 1";
-  EXPECT_NE(message([&] { ilu0(singular, opt.ilu); }).find(want),
+  EXPECT_NE(message([&] { ilu0_factors(singular, opt.ilu); }).find(want),
             std::string::npos);
-  EXPECT_NE(message([&] { iluk(singular, 1, opt.ilu); }).find(want),
+  EXPECT_NE(message([&] { iluk_factors(singular, 1, opt.ilu); }).find(want),
             std::string::npos);
   EXPECT_NE(message([&] { spcg_setup(singular, opt); }).find(want),
             std::string::npos);
@@ -129,12 +128,13 @@ TEST(Ilu0, ZeroPivotUnderZeroFloorThrowsOnBuildAndRefresh) {
 TEST(Ilu0, MissingDiagonalThrows) {
   const Csr<double> a =
       csr_from_triplets<double>(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}});
-  EXPECT_THROW(ilu0(a), Error);
+  EXPECT_THROW(ilu0_factors(a), Error);
 }
 
 TEST(Ilu0, CountsEliminationOps) {
   const Csr<double> a = gen_poisson2d(6, 6);
-  const IluResult<double> r = ilu0(a);
+  IluResult<double> r;
+  ilu0_factors(a, {}, &r);
   EXPECT_GT(r.elimination_ops, 0u);
   EXPECT_EQ(r.fill_nnz, 0);
 }
@@ -251,20 +251,19 @@ TEST(Iluk, RowCapMayDropOriginalEntriesWithoutThrowing) {
     ts.push_back({j, 0, -0.1});
   }
   const Csr<double> a = csr_from_triplets<double>(n, n, std::move(ts));
-  const IluResult<double> r = iluk(a, 2, IluOptions{}, /*max_row_fill=*/8);
-  EXPECT_LE(r.lu.rowptr[1] - r.lu.rowptr[0], 8);
-  for (index_t i = 0; i < n; ++i) {
-    EXPECT_GT(r.lu.values[static_cast<std::size_t>(
-                  r.diag_pos[static_cast<std::size_t>(i)])],
-              0.0);
-  }
+  const TriangularFactors<double> f =
+      iluk_factors(a, 2, IluOptions{}, /*max_row_fill=*/8);
+  EXPECT_LE(f.l.rowptr[1] - f.l.rowptr[0] + f.u.rowptr[1] - f.u.rowptr[0], 8);
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_GT(f.u.row_vals(i).front(), 0.0);
 }
 
 TEST(Iluk, LargeKEqualsExactLuOnSmallMatrix) {
   // For K >= n the factorization is a complete LU: L*U == A everywhere.
   const Csr<double> a = gen_grid_laplacian(5, 5, 1.0, 0.5, 3);
-  const IluResult<double> r = iluk(a, 60);
-  const std::vector<double> lu = dense_lu_product(r);
+  IluResult<double> r;
+  const std::vector<double> lu =
+      dense_lu_product(iluk_factors(a, 60, {}, 0, &r));
   for (index_t i = 0; i < a.rows; ++i) {
     for (index_t j = 0; j < a.cols; ++j) {
       EXPECT_NEAR(lu[static_cast<std::size_t>(i) * static_cast<std::size_t>(a.rows) +
@@ -277,11 +276,15 @@ TEST(Iluk, LargeKEqualsExactLuOnSmallMatrix) {
 
 TEST(Iluk, K0MatchesIlu0) {
   const Csr<double> a = gen_varcoef2d(9, 9, 1.0, 5);
-  const IluResult<double> r0 = ilu0(a);
-  const IluResult<double> rk = iluk(a, 0);
-  ASSERT_EQ(r0.lu.colind, rk.lu.colind);
-  for (std::size_t p = 0; p < r0.lu.values.size(); ++p)
-    EXPECT_NEAR(r0.lu.values[p], rk.lu.values[p], 1e-14);
+  const TriangularFactors<double> f0 = ilu0_factors(a);
+  const TriangularFactors<double> fk = iluk_factors(a, 0);
+  for (const auto& [m0, mk] :
+       {std::pair{&f0.l, &fk.l}, std::pair{&f0.u, &fk.u}}) {
+    ASSERT_EQ(m0->rowptr, mk->rowptr);
+    ASSERT_EQ(m0->colind, mk->colind);
+    for (std::size_t p = 0; p < m0->values.size(); ++p)
+      EXPECT_NEAR(m0->values[p], mk->values[p], 1e-14);
+  }
 }
 
 TEST(Iluk, PreconditionerQualityImprovesWithK) {
@@ -289,8 +292,7 @@ TEST(Iluk, PreconditionerQualityImprovesWithK) {
   const Csr<double> a = gen_poisson2d(9, 9);
   double prev = std::numeric_limits<double>::infinity();
   for (const index_t k : {0, 1, 2, 4, 8}) {
-    const IluResult<double> r = iluk(a, k);
-    const std::vector<double> lu = dense_lu_product(r);
+    const std::vector<double> lu = dense_lu_product(iluk_factors(a, k));
     double err = 0.0;
     for (index_t i = 0; i < a.rows; ++i) {
       for (index_t j = 0; j < a.cols; ++j) {
@@ -316,8 +318,7 @@ TEST(Iluk, FillDeepensTheSchedule) {
         gen_kernel2d(16, 16, 2.5, 0.8, true, 7)}) {
     index_t prev = 0;
     for (const index_t k : {0, 1, 2, 4}) {
-      const IluResult<double> f = iluk(a, k);
-      const index_t wf = count_wavefronts(f.lu);
+      const index_t wf = count_wavefronts(iluk_factors(a, k).l);
       EXPECT_GE(wf, prev) << "k=" << k;
       prev = wf;
     }
@@ -495,7 +496,7 @@ TEST(Preconditioner, IdentityCopies) {
 TEST(Preconditioner, IluApplySolvesLuSystem) {
   // With ILU(huge K) == exact LU, apply() must invert A exactly.
   const Csr<double> a = gen_grid_laplacian(6, 6, 1.0, 0.5, 9);
-  IluPreconditioner<double> m(iluk(a, 100), TrsvExec::kSerial);
+  IluPreconditioner<double> m(iluk_factors(a, 100), TrsvExec::kSerial);
   std::vector<double> x_true(static_cast<std::size_t>(a.rows));
   for (std::size_t i = 0; i < x_true.size(); ++i)
     x_true[i] = 0.1 * static_cast<double>(i) - 1.0;
@@ -508,8 +509,8 @@ TEST(Preconditioner, IluApplySolvesLuSystem) {
 
 TEST(Preconditioner, SerialAndLevelScheduledAgree) {
   const Csr<double> a = gen_mesh_laplacian(10, 10, 0.3, 0.05, 21);
-  IluPreconditioner<double> serial(ilu0(a), TrsvExec::kSerial);
-  IluPreconditioner<double> levels(ilu0(a), TrsvExec::kLevelScheduled);
+  IluPreconditioner<double> serial(ilu0_factors(a), TrsvExec::kSerial);
+  IluPreconditioner<double> levels(ilu0_factors(a), TrsvExec::kLevelScheduled);
   std::vector<double> r(static_cast<std::size_t>(a.rows));
   for (std::size_t i = 0; i < r.size(); ++i)
     r[i] = std::sin(static_cast<double>(i));
@@ -540,12 +541,9 @@ TEST_P(IluPropertyTest, PositivePivotsOnDominantMatrices) {
         gen_banded(150, 6, 0.4, false, seed)}) {
     IluOptions strict;
     strict.boost_zero_pivots = false;
-    const IluResult<double> r = ilu0(a, strict);
-    for (index_t i = 0; i < a.rows; ++i) {
-      EXPECT_GT(r.lu.values[static_cast<std::size_t>(
-                    r.diag_pos[static_cast<std::size_t>(i)])],
-                0.0);
-    }
+    const TriangularFactors<double> f = ilu0_factors(a, strict);
+    for (index_t i = 0; i < a.rows; ++i)
+      EXPECT_GT(f.u.row_vals(i).front(), 0.0);
   }
 }
 
@@ -708,8 +706,9 @@ bool reference_ilu(const Csr<double>& a, index_t k, index_t cap,
       }
     r.fill_nnz = r.lu.nnz() - a.nnz();
   }
+  std::vector<index_t> diag_pos;
   try {
-    reference_numeric(r.lu, r.diag_pos, opt, r.breakdown, r.elimination_ops);
+    reference_numeric(r.lu, diag_pos, opt, r.breakdown, r.elimination_ops);
   } catch (const Error&) {
     return false;
   }
@@ -719,7 +718,6 @@ bool reference_ilu(const Csr<double>& a, index_t k, index_t cap,
 void expect_same_factor(const IluResult<double>& ref,
                         const IluResult<double>& got, const std::string& at) {
   expect_same_bytes(ref.lu, got.lu, at);
-  EXPECT_EQ(ref.diag_pos, got.diag_pos) << at;
   EXPECT_EQ(ref.fill_nnz, got.fill_nnz) << at;
   EXPECT_EQ(ref.breakdown, got.breakdown) << at;
   EXPECT_EQ(ref.elimination_ops, got.elimination_ops) << at;

@@ -137,7 +137,7 @@ TEST(BlockJacobi, WeakerThanIluButWavefrontFree) {
   PcgOptions opt;
   opt.tolerance = 1e-10;
   BlockJacobiPreconditioner<double> bj(a, 16);
-  IluPreconditioner<double> ilu(ilu0(a));
+  IluPreconditioner<double> ilu(ilu0_factors(a));
   const SolveResult<double> rb = pcg(a, b, bj, opt);
   const SolveResult<double> ri = pcg(a, b, ilu, opt);
   ASSERT_TRUE(rb.converged());

@@ -48,7 +48,7 @@ TEST(Pcg, IluPreconditioningReducesIterations) {
   PcgOptions opt;
   opt.tolerance = 1e-10;
   const SolveResult<double> plain = cg(a, b, opt);
-  IluPreconditioner<double> m(ilu0(a));
+  IluPreconditioner<double> m(ilu0_factors(a));
   const SolveResult<double> pre = pcg(a, b, m, opt);
   ASSERT_TRUE(plain.converged());
   ASSERT_TRUE(pre.converged());
@@ -58,7 +58,7 @@ TEST(Pcg, IluPreconditioningReducesIterations) {
 TEST(Pcg, ExactPreconditionerConvergesImmediately) {
   const Csr<double> a = gen_grid_laplacian(8, 8, 1.0, 0.5, 5);
   const std::vector<double> b = make_rhs(a, 3);
-  IluPreconditioner<double> m(iluk(a, 100));  // complete LU
+  IluPreconditioner<double> m(iluk_factors(a, 100));  // complete LU
   PcgOptions opt;
   opt.tolerance = 1e-12;
   const SolveResult<double> r = pcg(a, b, m, opt);
@@ -111,7 +111,7 @@ TEST(Pcg, RecordsMonotonicallyUsefulHistory) {
   PcgOptions opt;
   opt.tolerance = 1e-10;
   opt.record_history = true;
-  IluPreconditioner<double> m(ilu0(a));
+  IluPreconditioner<double> m(ilu0_factors(a));
   const SolveResult<double> r = pcg(a, b, m, opt);
   ASSERT_TRUE(r.converged());
   ASSERT_GT(r.residual_history.size(), 1u);
@@ -157,7 +157,7 @@ TEST(Pcg, FloatPathConvergesAtLooserTolerance) {
   b[0] = 1.0f;
   PcgOptions opt;
   opt.tolerance = 1e-4;
-  IluPreconditioner<float> m(ilu0(a));
+  IluPreconditioner<float> m(ilu0_factors(a));
   const SolveResult<float> r = pcg<float>(a, b, m, opt);
   EXPECT_TRUE(r.converged());
 }
@@ -172,7 +172,7 @@ TEST(Pcg, SolutionMatchesGroundTruth) {
   PcgOptions opt;
   opt.tolerance = 1e-12;
   opt.relative = true;
-  IluPreconditioner<double> m(ilu0(a));
+  IluPreconditioner<double> m(ilu0_factors(a));
   const SolveResult<double> r = pcg(a, b, m, opt);
   ASSERT_TRUE(r.converged());
   for (std::size_t i = 0; i < x_true.size(); ++i)

@@ -169,7 +169,6 @@ TEST(Spcg, SetupStoresEachFactorValueOnce) {
         EXPECT_EQ(s.factors.l.find(i, i), -1) << at << " row " << i;
       EXPECT_TRUE(s.factorization.lu.values.empty()) << at;
       EXPECT_TRUE(s.factorization.lu.colind.empty()) << at;
-      EXPECT_TRUE(s.factorization.diag_pos.empty()) << at;
       EXPECT_EQ(s.decision.has_value(), sparsify) << at;
       const Csr<double> input =
           sparsify ? wavefront_aware_sparsify(a, opt.sparsify).chosen.a_hat

@@ -88,7 +88,7 @@ class SptrsvPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(SptrsvPropertyTest, SerialAndLevelScheduledMatchOnFactors) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const Csr<double> a = gen_grid_laplacian(14, 14, 1.5, 0.4, seed);
-  const TriangularFactors<double> f = split_lu(ilu0(a));
+  const TriangularFactors<double> f = ilu0_factors(a);
 
   std::vector<double> b(static_cast<std::size_t>(a.rows));
   Rng rng(seed * 97 + 1);
@@ -119,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SptrsvPropertyTest,
 TEST(Sptrsv, FloatInstantiationRoundTrips) {
   const Csr<double> ad = gen_poisson2d(8, 8);
   const Csr<float> a = csr_cast<float>(ad);
-  const TriangularFactors<float> f = split_lu(ilu0(a));
+  const TriangularFactors<float> f = ilu0_factors(a);
   std::vector<float> b(static_cast<std::size_t>(a.rows), 1.0f);
   std::vector<float> y(b.size()), x(b.size());
   sptrsv_lower_serial(f, std::span<const float>(b), std::span<float>(y));
@@ -134,7 +134,7 @@ TEST(Sptrsv, FloatInstantiationRoundTrips) {
 TEST(Sptrsv, SolveAgainstFullLuRecoversInput) {
   // With complete LU (ILU with huge K), L(Ux) = b solves A x = b exactly.
   const Csr<double> a = gen_varcoef2d(7, 7, 1.0, 11);
-  const TriangularFactors<double> f = split_lu(iluk(a, 100));
+  const TriangularFactors<double> f = iluk_factors(a, 100);
   std::vector<double> x_true(static_cast<std::size_t>(a.rows));
   for (std::size_t i = 0; i < x_true.size(); ++i)
     x_true[i] = std::cos(static_cast<double>(i));
@@ -248,7 +248,7 @@ class SptrsvIdentityTest : public ::testing::TestWithParam<int> {};
 TEST_P(SptrsvIdentityTest, ExecutorsMatchBranchySerialOnIlu0Factors) {
   const GeneratedMatrix g =
       generate_suite_matrix(static_cast<index_t>(GetParam()));
-  expect_executors_match_reference(split_lu(ilu0(g.a)), g.spec.name + " ILU(0)",
+  expect_executors_match_reference(ilu0_factors(g.a), g.spec.name + " ILU(0)",
                                    static_cast<std::uint64_t>(GetParam()) + 1,
                                    /*threaded=*/false);
 }
@@ -263,7 +263,7 @@ TEST(SptrsvIdentity, ExecutorsMatchBranchySerialOnIlu2Factors) {
   for (index_t id = 0; id < suite_size(); id += 7) {
     const GeneratedMatrix g = generate_suite_matrix(id);
     if (iluk_symbolic(g.a, 1).pattern.nnz() > 4 * g.a.nnz()) continue;
-    expect_executors_match_reference(split_lu(iluk(g.a, 2)),
+    expect_executors_match_reference(iluk_factors(g.a, 2),
                                      g.spec.name + " ILU(2)",
                                      static_cast<std::uint64_t>(id) + 500,
                                      /*threaded=*/false);
@@ -278,9 +278,9 @@ TEST(SptrsvIdentity, LevelExecutorsMatchBranchySerial) {
         gen_mesh_laplacian(12, 12, 0.3, 0.05, 8),
         gen_banded(150, 6, 0.4, false, 2)}) {
     const std::string what = "n=" + std::to_string(a.rows);
-    expect_executors_match_reference(split_lu(ilu0(a)), what + " ILU(0)", 7,
+    expect_executors_match_reference(ilu0_factors(a), what + " ILU(0)", 7,
                                      /*threaded=*/true);
-    expect_executors_match_reference(split_lu(iluk(a, 2)), what + " ILU(2)",
+    expect_executors_match_reference(iluk_factors(a, 2), what + " ILU(2)",
                                      8, /*threaded=*/true);
   }
 }
@@ -290,13 +290,13 @@ TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
   std::vector<double> r(static_cast<std::size_t>(a.rows));
   for (std::size_t i = 0; i < r.size(); ++i)
     r[i] = std::sin(static_cast<double>(i) + 0.5);
-  const IluPreconditioner<double> serial(iluk(a, 1), TrsvExec::kSerial);
+  const IluPreconditioner<double> serial(iluk_factors(a, 1), TrsvExec::kSerial);
   std::vector<double> z_ref(r.size());
   serial.apply(r, std::span<double>(z_ref));
   for (const TrsvExec exec :
        {TrsvExec::kSerial, TrsvExec::kLevelScheduled,
         TrsvExec::kLevelScheduledChecked}) {
-    const IluPreconditioner<double> m(iluk(a, 1), exec);
+    const IluPreconditioner<double> m(iluk_factors(a, 1), exec);
     std::vector<double> z(r.size());
     m.apply(r, std::span<double>(z));
     EXPECT_TRUE(same_bits(z_ref, z)) << static_cast<int>(exec);
@@ -326,7 +326,7 @@ TEST(SptrsvIdentity, FusedSerialUpdateAndApplyMatchesUnfusedSequence) {
     const double alpha = 0.37;
     for (const int level : {0, 2}) {
       const TriangularFactors<double> f =
-          split_lu(level == 0 ? ilu0(a) : iluk(a, level));
+          level == 0 ? ilu0_factors(a) : iluk_factors(a, level);
       const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
       const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
       const auto step = [&](TrsvExec exec, bool base_class) {
@@ -376,7 +376,7 @@ std::string error_of(const std::function<void()>& make) {
 
 TEST(SptrsvErrors, EveryExecutorRejectsAFullSymmetricMatrix) {
   const Csr<double> a = gen_poisson2d(5, 5);
-  const TriangularFactors<double> f = split_lu(ilu0(a));
+  const TriangularFactors<double> f = ilu0_factors(a);
   for (const bool lower : {true, false}) {
     const std::string msg = error_of([&] {
       lower ? TriangularFactors<double>(a, f.u)
@@ -407,7 +407,7 @@ Csr<double> with_entry(const Csr<double>& m, index_t row, index_t col,
 }
 
 TEST(SptrsvErrors, EveryExecutorNamesTheRowOfAMissingOrZeroDiagonal) {
-  const TriangularFactors<double> f = split_lu(ilu0(gen_poisson2d(5, 5)));
+  const TriangularFactors<double> f = ilu0_factors(gen_poisson2d(5, 5));
   const index_t row = 7;
   for (const bool remove : {true, false}) {
     const Csr<double> u = with_entry(f.u, row, row,
@@ -428,7 +428,7 @@ TEST(SptrsvErrors, EveryExecutorNamesTheRowOfAMissingOrZeroDiagonal) {
 }
 
 TEST(SptrsvErrors, MalformedFactorsNameTheirRow) {
-  const TriangularFactors<double> f = split_lu(ilu0(gen_poisson2d(5, 5)));
+  const TriangularFactors<double> f = ilu0_factors(gen_poisson2d(5, 5));
   const auto expect_error = [](const std::string& want,
                                const std::function<void()>& make) {
     const std::string msg = error_of(make);
@@ -458,11 +458,11 @@ TEST(SptrsvErrors, MalformedFactorsNameTheirRow) {
     TriangularFactors<double>(f.l, with_entry(f.u, 1, 0, 2.0));
   });
   expect_error("triangular factors: L is 24x24, expected 25x25", [&] {
-    TriangularFactors<double>(split_lu(ilu0(gen_poisson2d(4, 6))).l, f.u);
+    TriangularFactors<double>(ilu0_factors(gen_poisson2d(4, 6)).l, f.u);
   });
   // split_lu validates the factor it splits.
   IluResult<double> fact = ilu0(gen_poisson2d(5, 5));
-  fact.lu.values[static_cast<std::size_t>(fact.diag_pos[9])] = 0.0;
+  fact.lu.values[static_cast<std::size_t>(fact.lu.find(9, 9))] = 0.0;
   expect_error("U row 9 has a zero diagonal", [&] { split_lu(fact); });
 }
 
