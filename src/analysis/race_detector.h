@@ -184,8 +184,8 @@ struct RaceReport {
 
 namespace detail {
 
-template <class T, bool kLowerTri>
-RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
+template <bool kLowerTri, class T, class F>
+RaceReport sptrsv_level_checked_impl(const Csr<F>& m,
                                      const LevelSchedule& sched,
                                      std::span<const T> b, std::span<T> x) {
   spcg::detail::check_trsv_shape(m, b.size(), x.size());
@@ -233,19 +233,19 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
 
 /// Instrumented lower solve: same result as sptrsv_lower_levels() on a valid
 /// schedule, plus a RaceReport of every concurrent-overlap or stale read.
-template <class T>
-RaceReport sptrsv_lower_levels_checked(const TriangularFactors<T>& f,
+template <class T, class F>
+RaceReport sptrsv_lower_levels_checked(const TriangularFactors<F>& f,
                                        const LevelSchedule& sched,
                                        std::span<const T> b, std::span<T> x) {
-  return detail::sptrsv_level_checked_impl<T, true>(f.l, sched, b, x);
+  return detail::sptrsv_level_checked_impl<true>(f.l, sched, b, x);
 }
 
 /// Instrumented upper solve (see sptrsv_lower_levels_checked).
-template <class T>
-RaceReport sptrsv_upper_levels_checked(const TriangularFactors<T>& f,
+template <class T, class F>
+RaceReport sptrsv_upper_levels_checked(const TriangularFactors<F>& f,
                                        const LevelSchedule& sched,
                                        std::span<const T> b, std::span<T> x) {
-  return detail::sptrsv_level_checked_impl<T, false>(f.u, sched, b, x);
+  return detail::sptrsv_level_checked_impl<false>(f.u, sched, b, x);
 }
 
 }  // namespace spcg::analysis

@@ -95,9 +95,10 @@ namespace detail {
 /// The two triangular solves of one ILU apply under the chosen executor:
 /// L solves r into z, then U solves z in place (every executor allows x to
 /// alias b). Shared by IluPreconditioner (owning) and IluApplier
-/// (non-owning view); no scratch, so both are stateless.
-template <class T>
-void ilu_apply(const TriangularFactors<T>& f, const LevelSchedule& l_sched,
+/// (non-owning view); no work buffers, so both are stateless. The factor
+/// values are of type F and the vectors and arithmetic of type T (sptrsv.h).
+template <class T, class F>
+void ilu_apply(const TriangularFactors<F>& f, const LevelSchedule& l_sched,
                const LevelSchedule& u_sched, TrsvExec exec,
                std::span<const T> r, std::span<T> z) {
   const std::span<const T> y(z.data(), z.size());
@@ -151,8 +152,8 @@ struct CgUpdateRow {
 /// ||r||^2 and solves L row i from the new r_i; U then solves z in place.
 /// Every entry sees the operations of axpy, axpy, ilu_apply and sumsq in
 /// their order, so the result is bitwise the unfused sequence's.
-template <class T>
-T ilu_update_and_apply_serial(const TriangularFactors<T>& f, T alpha,
+template <class T, class F>
+T ilu_update_and_apply_serial(const TriangularFactors<F>& f, T alpha,
                               std::span<const T> p, std::span<const T> w,
                               std::span<T> x, std::span<T> r,
                               std::span<T> z) {
@@ -174,11 +175,12 @@ T ilu_update_and_apply_serial(const TriangularFactors<T>& f, T alpha,
 /// elsewhere (e.g. a cached, shared SolverSetup). It holds no scratch, so
 /// one applier (like one IluPreconditioner) may serve any number of
 /// concurrent solves over the same immutable factors. The referenced objects
-/// must outlive the applier.
-template <class T>
+/// must outlive the applier. F is the factor's value type (see
+/// IluPreconditioner).
+template <class T, class F = T>
 class IluApplier final : public Preconditioner<T> {
  public:
-  IluApplier(const TriangularFactors<T>& factors, const LevelSchedule& l_sched,
+  IluApplier(const TriangularFactors<F>& factors, const LevelSchedule& l_sched,
              const LevelSchedule& u_sched, TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(&factors), l_sched_(&l_sched),
         u_sched_(&u_sched) {}
@@ -200,7 +202,7 @@ class IluApplier final : public Preconditioner<T> {
 
  private:
   TrsvExec exec_;
-  const TriangularFactors<T>* factors_;
+  const TriangularFactors<F>* factors_;
   const LevelSchedule* l_sched_;
   const LevelSchedule* u_sched_;
 };
@@ -208,10 +210,16 @@ class IluApplier final : public Preconditioner<T> {
 /// M = L U from an incomplete factorization. Owns the factors and their
 /// level schedules (built once at construction = the inspector phase);
 /// apply() is stateless, so one instance may serve concurrent solves.
-template <class T>
+///
+/// F is the factor's value type, T the vectors': the paper's §6.2
+/// mixed-precision extension is IluPreconditioner<double, float>, built from
+/// factors_cast<float>(f). Its sweeps read float L/U values (half the value
+/// bytes) into double accumulation, so it solves with double vectors and
+/// double arithmetic; only the factor's values are rounded.
+template <class T, class F = T>
 class IluPreconditioner final : public Preconditioner<T> {
  public:
-  IluPreconditioner(TriangularFactors<T> factors,
+  IluPreconditioner(TriangularFactors<F> factors,
                     TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(std::move(factors)),
         l_sched_(level_schedule(factors_.l, Triangle::kLower)),
@@ -219,7 +227,7 @@ class IluPreconditioner final : public Preconditioner<T> {
 
   /// Adopt factors whose schedules were already built (e.g. by spcg_setup),
   /// skipping the redundant inspector pass.
-  IluPreconditioner(TriangularFactors<T> factors, LevelSchedule l_sched,
+  IluPreconditioner(TriangularFactors<F> factors, LevelSchedule l_sched,
                     LevelSchedule u_sched, TrsvExec exec = TrsvExec::kSerial)
       : exec_(exec), factors_(std::move(factors)),
         l_sched_(std::move(l_sched)), u_sched_(std::move(u_sched)) {}
@@ -238,13 +246,13 @@ class IluPreconditioner final : public Preconditioner<T> {
   }
 
   [[nodiscard]] index_t rows() const override { return factors_.l.rows; }
-  [[nodiscard]] const TriangularFactors<T>& factors() const { return factors_; }
+  [[nodiscard]] const TriangularFactors<F>& factors() const { return factors_; }
   [[nodiscard]] const LevelSchedule& lower_schedule() const { return l_sched_; }
   [[nodiscard]] const LevelSchedule& upper_schedule() const { return u_sched_; }
 
  private:
   TrsvExec exec_;
-  TriangularFactors<T> factors_;
+  TriangularFactors<F> factors_;
   LevelSchedule l_sched_;
   LevelSchedule u_sched_;
 };

@@ -15,10 +15,10 @@
 // setups alive through the shared_ptr, so eviction never invalidates a
 // running solve.
 //
-// resolve() is the one way sessions obtain a setup: the exact entry, else
-// (when the caller allows it) a private clone of a same-pattern entry with
-// its numbers refreshed, else get_or_build. It reports which of the three
-// happened as one SetupPath.
+// resolve() is the one way in: the exact entry, else (when the caller
+// allows it) a private clone of a same-pattern entry with its numbers
+// refreshed, else a build under the single-build rule above. It reports
+// which of the three happened as one SetupPath.
 #pragma once
 
 #include <cstdint>
@@ -80,22 +80,6 @@ class SetupCache {
   explicit SetupCache(std::size_t capacity = 16)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// The setup for (a, opt), built via spcg_setup on a miss.
-  SetupPtr get_or_build(const Csr<T>& a, const SpcgOptions& opt,
-                        bool* was_hit = nullptr) {
-    return get_or_build(make_setup_key(a, opt),
-                        [&] { return spcg_setup(a, opt); }, was_hit);
-  }
-
-  /// Same with a precomputed key (callers that fingerprint once and reuse it
-  /// across several option sets, e.g. tune_fill_level).
-  SetupPtr get_or_build(const SetupKey& key,
-                        const std::function<SpcgSetup<T>()>& build,
-                        bool* was_hit = nullptr) {
-    Span lookup_span("setup_cache.lookup", "runtime");
-    return find_or_build(key, build, was_hit, lookup_span);
-  }
-
   /// A setup and how it was obtained.
   struct Resolved {
     SetupPtr setup;
@@ -105,10 +89,11 @@ class SetupCache {
   /// The setup for `a` under `key` (= make_setup_key(a, opt)) and how it
   /// was obtained. With `refresh` set: the exact entry (kHit), else a clone
   /// of the newest same-pattern entry with its numbers refreshed against `a`
-  /// (kRefresh), else get_or_build. The clone is private to the caller and
-  /// never inserted: it reuses the donor's sparsification pattern decision,
-  /// which a cold spcg_setup on the new values need not make. With
-  /// `refresh` off this is exactly one get_or_build call (kHit or kBuild).
+  /// (kRefresh), else the entry, built by spcg_setup(a, opt) on a miss. The
+  /// clone is private to the caller and never inserted: it reuses the
+  /// donor's sparsification pattern decision, which a cold spcg_setup on the
+  /// new values need not make. With `refresh` off this is exactly one
+  /// exact-key lookup or build (kHit or kBuild).
   /// Every call records one "setup_cache.lookup" span, its `hit` arg true
   /// exactly for kHit.
   Resolved resolve(const Csr<T>& a, const SetupKey& key,
@@ -153,8 +138,9 @@ class SetupCache {
   }
 
  private:
-  /// get_or_build under a caller-opened lookup span, which it finishes with
-  /// the `hit` arg once the map has answered.
+  /// The exact entry for `key`, built by `build` on a miss (one build per
+  /// key however many callers race to it), under a caller-opened lookup
+  /// span, which it finishes with the `hit` arg once the map has answered.
   SetupPtr find_or_build(const SetupKey& key,
                          const std::function<SpcgSetup<T>()>& build,
                          bool* was_hit, Span& lookup_span) {

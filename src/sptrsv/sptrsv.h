@@ -21,6 +21,11 @@
 //
 // x may alias b in every executor: row i reads b[i] and nothing else of b,
 // and every x entry it reads belongs to a row solved before it.
+//
+// The factor's value type F and the vector type T are separate template
+// parameters: a row reads F values and accumulates in T, so float factors
+// (half the value bytes) solve double vectors in double arithmetic. With
+// F = T every conversion is the identity.
 #pragma once
 
 #include <sstream>
@@ -108,6 +113,13 @@ struct TriangularFactors {
   }
 };
 
+/// The factors with their values converted to `To` (e.g. double -> float),
+/// validated again: a U diagonal may round to zero in the narrower type.
+template <class To, class From>
+TriangularFactors<To> factors_cast(const TriangularFactors<From>& f) {
+  return TriangularFactors<To>(csr_cast<To>(f.l), csr_cast<To>(f.u));
+}
+
 namespace detail {
 
 /// The arithmetic of row i of a triangular solve, shared by every executor:
@@ -120,23 +132,25 @@ namespace detail {
 /// reciprocal depends only on the factor, so its division runs off the
 /// row-to-row dependence chain, which is left with a multiply and the
 /// subtractions.
-template <bool kLower, class T, class Read, class ReadNear>
-inline T trsv_row(const index_t* rowptr, const index_t* col, const T* val,
+template <bool kLower, class T, class F, class Read, class ReadNear>
+inline T trsv_row(const index_t* rowptr, const index_t* col, const F* val,
                   index_t i, T acc, Read x_at, ReadNear x_near) {
   const index_t begin = rowptr[i];
   const index_t end = rowptr[i + 1];
   if constexpr (kLower) {
     if (begin < end) {
-      for (index_t p = begin; p < end - 1; ++p) acc -= val[p] * x_at(col[p]);
-      acc -= val[end - 1] * x_near(col[end - 1]);
+      for (index_t p = begin; p < end - 1; ++p)
+        acc -= static_cast<T>(val[p]) * x_at(col[p]);
+      acc -= static_cast<T>(val[end - 1]) * x_near(col[end - 1]);
     }
     return acc;
   } else {
     if (begin + 1 < end) {
-      acc -= val[begin + 1] * x_near(col[begin + 1]);
-      for (index_t p = begin + 2; p < end; ++p) acc -= val[p] * x_at(col[p]);
+      acc -= static_cast<T>(val[begin + 1]) * x_near(col[begin + 1]);
+      for (index_t p = begin + 2; p < end; ++p)
+        acc -= static_cast<T>(val[p]) * x_at(col[p]);
     }
-    return acc * (T{1} / val[begin]);
+    return acc * (T{1} / static_cast<T>(val[begin]));
   }
 }
 
@@ -150,14 +164,14 @@ void check_trsv_shape(const Csr<T>& m, std::size_t b_size,
 /// Level-scheduled sweep over one triangle of a factor: the rows of one
 /// wavefront run in parallel, and the implicit barrier closing each level's
 /// parallel region orders the levels.
-template <bool kLower, class T>
-void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
+template <bool kLower, class T, class F>
+void sptrsv_level_sweep(const Csr<F>& m, const LevelSchedule& sched,
                         std::span<const T> b, std::span<T> x) {
   check_trsv_shape(m, b.size(), x.size());
   SPCG_CHECK(static_cast<index_t>(sched.level_of_row.size()) == m.rows);
   const index_t* const rowptr = m.rowptr.data();
   const index_t* const col = m.colind.data();
-  const T* const val = m.values.data();
+  const F* const val = m.values.data();
   const index_t* const rows = sched.rows_by_level.data();
   const T* const bp = b.data();
   T* const xp = x.data();
@@ -179,11 +193,11 @@ void sptrsv_level_sweep(const Csr<T>& m, const LevelSchedule& sched,
 /// precond/preconditioner.h also updates the CG iterate and residual there.
 /// `rhs` is taken and returned by value, like std::for_each's function
 /// object, so state it accumulates stays in registers across the sweep.
-template <class T, class Rhs>
-Rhs sptrsv_lower_sweep(const Csr<T>& l, Rhs rhs, std::span<T> x) {
+template <class T, class F, class Rhs>
+Rhs sptrsv_lower_sweep(const Csr<F>& l, Rhs rhs, std::span<T> x) {
   const index_t* const rowptr = l.rowptr.data();
   const index_t* const col = l.colind.data();
-  const T* const val = l.values.data();
+  const F* const val = l.values.data();
   T* const xp = x.data();
   const auto x_at = [xp](index_t j) { return xp[j]; };
   T prev{};  // x[i - 1], kept in a register for row i
@@ -198,8 +212,8 @@ Rhs sptrsv_lower_sweep(const Csr<T>& l, Rhs rhs, std::span<T> x) {
 }  // namespace detail
 
 /// Solve L x = b for the factors' unit lower L. x may alias b.
-template <class T>
-void sptrsv_lower_serial(const TriangularFactors<T>& f, std::span<const T> b,
+template <class T, class F>
+void sptrsv_lower_serial(const TriangularFactors<F>& f, std::span<const T> b,
                          std::span<T> x) {
   detail::check_trsv_shape(f.l, b.size(), x.size());
   const T* const bp = b.data();
@@ -207,14 +221,14 @@ void sptrsv_lower_serial(const TriangularFactors<T>& f, std::span<const T> b,
 }
 
 /// Solve U x = b for the factors' upper U. x may alias b.
-template <class T>
-void sptrsv_upper_serial(const TriangularFactors<T>& f, std::span<const T> b,
+template <class T, class F>
+void sptrsv_upper_serial(const TriangularFactors<F>& f, std::span<const T> b,
                          std::span<T> x) {
-  const Csr<T>& u = f.u;
+  const Csr<F>& u = f.u;
   detail::check_trsv_shape(u, b.size(), x.size());
   const index_t* const rowptr = u.rowptr.data();
   const index_t* const col = u.colind.data();
-  const T* const val = u.values.data();
+  const F* const val = u.values.data();
   const T* const bp = b.data();
   T* const xp = x.data();
   const auto x_at = [xp](index_t j) { return xp[j]; };
@@ -229,8 +243,8 @@ void sptrsv_upper_serial(const TriangularFactors<T>& f, std::span<const T> b,
 
 /// Level-scheduled lower solve. `sched` must be level_schedule(f.l, kLower).
 /// x may alias b.
-template <class T>
-void sptrsv_lower_levels(const TriangularFactors<T>& f,
+template <class T, class F>
+void sptrsv_lower_levels(const TriangularFactors<F>& f,
                          const LevelSchedule& sched, std::span<const T> b,
                          std::span<T> x) {
   detail::sptrsv_level_sweep<true>(f.l, sched, b, x);
@@ -238,8 +252,8 @@ void sptrsv_lower_levels(const TriangularFactors<T>& f,
 
 /// Level-scheduled upper solve. `sched` must be level_schedule(f.u, kUpper).
 /// x may alias b.
-template <class T>
-void sptrsv_upper_levels(const TriangularFactors<T>& f,
+template <class T, class F>
+void sptrsv_upper_levels(const TriangularFactors<F>& f,
                          const LevelSchedule& sched, std::span<const T> b,
                          std::span<T> x) {
   detail::sptrsv_level_sweep<false>(f.u, sched, b, x);

@@ -68,7 +68,9 @@ TEST(Ilut, TighterTolGivesBetterPreconditioner) {
     IluPreconditioner<double> m(ilut(a, opt));
     const SolveResult<double> r = pcg(a, b, m, popt);
     ASSERT_TRUE(r.converged()) << "tol=" << tol;
-    if (prev_iters > 0) EXPECT_LE(r.iterations, prev_iters + 1) << tol;
+    if (prev_iters > 0) {
+      EXPECT_LE(r.iterations, prev_iters + 1) << tol;
+    }
     prev_iters = r.iterations;
   }
 }

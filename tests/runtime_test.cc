@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,6 +161,13 @@ TEST(RuntimeFingerprint, OptionsDigestTracksSetupRelevantFieldsOnly) {
 
 // ---------------------------------------------------------------------- cache
 
+/// The exact entry for (a, opt), built on a miss: resolve without refresh.
+SetupCache<double>::Resolved resolve_exact(SetupCache<double>& cache,
+                                           const Csr<double>& a,
+                                           const SpcgOptions& opt) {
+  return cache.resolve(a, make_setup_key(a, opt), opt, false);
+}
+
 TEST(RuntimeCache, HitMissEvictionSemantics) {
   const Csr<double> a = gen_poisson2d(10, 10);
   const Csr<double> b = gen_poisson2d(11, 11);
@@ -167,15 +175,12 @@ TEST(RuntimeCache, HitMissEvictionSemantics) {
   const SpcgOptions opt = fast_options();
 
   SetupCache<double> cache(2);
-  bool hit = true;
-  cache.get_or_build(a, opt, &hit);
-  EXPECT_FALSE(hit);
-  cache.get_or_build(b, opt, &hit);
-  EXPECT_FALSE(hit);
-  cache.get_or_build(a, opt, &hit);  // touch a: b becomes LRU
-  EXPECT_TRUE(hit);
-  cache.get_or_build(c, opt, &hit);  // evicts b
-  EXPECT_FALSE(hit);
+  EXPECT_EQ(resolve_exact(cache, a, opt).path, SetupPath::kBuild);
+  EXPECT_EQ(resolve_exact(cache, b, opt).path, SetupPath::kBuild);
+  // touch a: b becomes LRU
+  EXPECT_EQ(resolve_exact(cache, a, opt).path, SetupPath::kHit);
+  // evicts b
+  EXPECT_EQ(resolve_exact(cache, c, opt).path, SetupPath::kBuild);
 
   SetupCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -183,10 +188,10 @@ TEST(RuntimeCache, HitMissEvictionSemantics) {
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
 
-  cache.get_or_build(b, opt, &hit);  // b was evicted -> rebuilt
-  EXPECT_FALSE(hit);
-  cache.get_or_build(a, opt, &hit);  // a was LRU when b came back -> evicted
-  EXPECT_FALSE(hit);
+  // b was evicted -> rebuilt
+  EXPECT_EQ(resolve_exact(cache, b, opt).path, SetupPath::kBuild);
+  // a was LRU when b came back -> evicted
+  EXPECT_EQ(resolve_exact(cache, a, opt).path, SetupPath::kBuild);
   EXPECT_EQ(cache.stats().evictions, 3u);
 }
 
@@ -197,45 +202,39 @@ TEST(RuntimeCache, ValueChangeMissesDespiteSharedPattern) {
   const SpcgOptions opt = fast_options();
 
   SetupCache<double> cache(4);
-  bool hit = true;
-  const auto setup_a = cache.get_or_build(a, opt, &hit);
-  EXPECT_FALSE(hit);
-  const auto setup_p = cache.get_or_build(perturbed, opt, &hit);
-  EXPECT_FALSE(hit) << "perturbed values must not collide with the original";
-  EXPECT_NE(setup_a.get(), setup_p.get());
+  const auto setup_a = resolve_exact(cache, a, opt);
+  EXPECT_EQ(setup_a.path, SetupPath::kBuild);
+  const auto setup_p = resolve_exact(cache, perturbed, opt);
+  EXPECT_EQ(setup_p.path, SetupPath::kBuild)
+      << "perturbed values must not collide with the original";
+  EXPECT_NE(setup_a.setup.get(), setup_p.setup.get());
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(RuntimeCache, SetupsAreSharedNotCopied) {
   const Csr<double> a = gen_poisson2d(10, 10);
   SetupCache<double> cache(4);
-  const auto s1 = cache.get_or_build(a, fast_options());
-  const auto s2 = cache.get_or_build(a, fast_options());
+  const auto s1 = resolve_exact(cache, a, fast_options()).setup;
+  const auto s2 = resolve_exact(cache, a, fast_options()).setup;
   EXPECT_EQ(s1.get(), s2.get());
   EXPECT_GT(s1->artifacts.factor_nnz, 0);
 }
 
 TEST(RuntimeCache, FailedBuildIsNotCachedAndRetries) {
+  // A stored NaN makes Algorithm 2's candidate pass throw spcg::Error.
+  Csr<double> a = gen_poisson2d(8, 8);
+  a.values[1] = std::numeric_limits<double>::quiet_NaN();
+  const SpcgOptions opt = fast_options();
   SetupCache<double> cache(4);
-  const SetupKey key{MatrixFingerprint{1, 2, 3, 4}, 5};
-  int calls = 0;
-  EXPECT_THROW(cache.get_or_build(
-                   key,
-                   [&]() -> SpcgSetup<double> {
-                     ++calls;
-                     throw Error("synthetic build failure");
-                   }),
-               Error);
+  EXPECT_THROW(resolve_exact(cache, a, opt), Error);
   EXPECT_EQ(cache.stats().entries, 0u) << "failed build must not be cached";
 
-  // The next request retries the build instead of replaying the error.
-  const Csr<double> a = gen_poisson2d(8, 8);
-  const auto setup = cache.get_or_build(key, [&] {
-    ++calls;
-    return spcg_setup(a, fast_options());
-  });
-  EXPECT_EQ(calls, 2);
-  EXPECT_GT(setup->artifacts.factor_nnz, 0);  // ILU on the (sparsified) Â
+  // The next request builds again instead of replaying the error.
+  EXPECT_THROW(resolve_exact(cache, a, opt), Error);
+  const SetupCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 TEST(RuntimeCache, ConcurrentRequestsForOneKeyBuildOnce) {
@@ -247,8 +246,9 @@ TEST(RuntimeCache, ConcurrentRequestsForOneKeyBuildOnce) {
   std::vector<std::shared_ptr<const SolverSetup<double>>> setups(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back(
-        [&, t] { setups[static_cast<std::size_t>(t)] = cache->get_or_build(a, opt); });
+    pool.emplace_back([&, t] {
+      setups[static_cast<std::size_t>(t)] = resolve_exact(*cache, a, opt).setup;
+    });
   for (std::thread& t : pool) t.join();
 
   for (int t = 1; t < kThreads; ++t)
@@ -265,7 +265,7 @@ TEST(RuntimeCache, SamePatternLookupServesPartialHits) {
   const SpcgOptions opt = fast_options();
 
   SetupCache<double> cache(4);
-  const auto donor = cache.get_or_build(a, opt);
+  const auto donor = resolve_exact(cache, a, opt).setup;
 
   // The exact key resolves to the resident entry itself.
   const auto exact = cache.resolve(a, make_setup_key(a, opt), opt, true);
@@ -297,7 +297,7 @@ TEST(RuntimeCache, SamePatternLookupSkipsTheExactKey) {
   const Csr<double> a = gen_poisson2d(10, 10);
   const SpcgOptions opt = fast_options();
   SetupCache<double> cache(4);
-  const auto donor = cache.get_or_build(a, opt);
+  const auto donor = resolve_exact(cache, a, opt).setup;
   const auto resolved = cache.resolve(a, make_setup_key(a, opt), opt, true);
   EXPECT_EQ(resolved.path, SetupPath::kHit);
   EXPECT_EQ(resolved.setup.get(), donor.get());
@@ -345,7 +345,7 @@ TEST(RuntimeCache, SamePatternLookupRespectsOptionsAndEviction) {
     return cache.resolve(perturbed, make_setup_key(perturbed, o), o, true)
         .path;
   };
-  cache.get_or_build(a, opt);
+  resolve_exact(cache, a, opt);
 
   // Different setup-relevant options -> different pattern bucket.
   SpcgOptions iluk = opt;
@@ -354,12 +354,12 @@ TEST(RuntimeCache, SamePatternLookupRespectsOptionsAndEviction) {
   EXPECT_EQ(resolve_perturbed(iluk), SetupPath::kBuild);
 
   // Evicting the donor must also drop it from the pattern index.
-  cache.get_or_build(a, opt);
-  cache.get_or_build(gen_poisson2d(11, 11), opt);  // capacity 1: evicts a
+  resolve_exact(cache, a, opt);
+  resolve_exact(cache, gen_poisson2d(11, 11), opt);  // capacity 1: evicts a
   EXPECT_EQ(resolve_perturbed(opt), SetupPath::kBuild);
 
   // clear() resets the index as well.
-  cache.get_or_build(a, opt);
+  resolve_exact(cache, a, opt);
   cache.clear();
   EXPECT_EQ(resolve_perturbed(opt), SetupPath::kBuild);
   EXPECT_EQ(cache.stats().partial_hits, 0u);

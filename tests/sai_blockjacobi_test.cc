@@ -120,7 +120,9 @@ TEST(BlockJacobi, LargerBlocksConvergeFaster) {
     BlockJacobiPreconditioner<double> m(a, bs);
     const SolveResult<double> r = pcg(a, b, m, opt);
     ASSERT_TRUE(r.converged()) << "block=" << bs;
-    if (prev > 0) EXPECT_LE(r.iterations, prev + 2) << "block=" << bs;
+    if (prev > 0) {
+      EXPECT_LE(r.iterations, prev + 2) << "block=" << bs;
+    }
     prev = r.iterations;
   }
 }

@@ -285,35 +285,87 @@ TEST(SptrsvIdentity, LevelExecutorsMatchBranchySerial) {
   }
 }
 
-TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
-  const Csr<double> a = gen_mesh_laplacian(12, 12, 0.3, 0.05, 8);
-  std::vector<double> r(static_cast<std::size_t>(a.rows));
-  for (std::size_t i = 0; i < r.size(); ++i)
-    r[i] = std::sin(static_cast<double>(i) + 0.5);
-  const IluPreconditioner<double> serial(iluk_factors(a, 1), TrsvExec::kSerial);
+/// Every executor's ILU apply over `f`, out of place and in place, is the
+/// serial apply's bit for bit.
+template <class F>
+void expect_ilu_apply_bitwise_equal(const TriangularFactors<F>& f,
+                                    const std::vector<double>& r,
+                                    const std::string& what) {
+  const IluPreconditioner<double, F> serial(f, TrsvExec::kSerial);
   std::vector<double> z_ref(r.size());
   serial.apply(r, std::span<double>(z_ref));
   for (const TrsvExec exec :
        {TrsvExec::kSerial, TrsvExec::kLevelScheduled,
         TrsvExec::kLevelScheduledChecked}) {
-    const IluPreconditioner<double> m(iluk_factors(a, 1), exec);
+    const IluPreconditioner<double, F> m(f, exec);
+    const std::string at = what + " " + std::to_string(static_cast<int>(exec));
     std::vector<double> z(r.size());
     m.apply(r, std::span<double>(z));
-    EXPECT_TRUE(same_bits(z_ref, z)) << static_cast<int>(exec);
+    EXPECT_TRUE(same_bits(z_ref, z)) << at;
     std::vector<double> rz = r;
     m.apply(std::span<const double>(rz), std::span<double>(rz));
-    EXPECT_TRUE(same_bits(z_ref, rz)) << static_cast<int>(exec) << " in place";
+    EXPECT_TRUE(same_bits(z_ref, rz)) << at << " in place";
+  }
+}
+
+TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
+  const Csr<double> a = gen_mesh_laplacian(12, 12, 0.3, 0.05, 8);
+  std::vector<double> r(static_cast<std::size_t>(a.rows));
+  for (std::size_t i = 0; i < r.size(); ++i)
+    r[i] = std::sin(static_cast<double>(i) + 0.5);
+  const TriangularFactors<double> f = iluk_factors(a, 1);
+  expect_ilu_apply_bitwise_equal(f, r, "double factors");
+  expect_ilu_apply_bitwise_equal(factors_cast<float>(f), r, "float factors");
+}
+
+/// The outputs of one update_and_apply call.
+struct Step {
+  std::vector<double> x, r, z;
+  double rr = 0.0;
+};
+
+/// The serial ILU's fused update_and_apply over `f` against the base-class
+/// sequence under the serial, level and race-checked executors, from the
+/// CG state (alpha, p, w, x0, r0): every output must agree bit for bit.
+template <class F>
+void expect_fused_matches_unfused(const TriangularFactors<F>& f, double alpha,
+                                  const std::vector<double>& p,
+                                  const std::vector<double>& w,
+                                  const std::vector<double>& x0,
+                                  const std::vector<double>& r0,
+                                  const std::string& what) {
+  const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
+  const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
+  const auto step = [&](TrsvExec exec, bool base_class) {
+    const IluApplier<double, F> m(f, ls, us, exec);
+    Step s{x0, r0, std::vector<double>(x0.size()), 0.0};
+    const std::span<const double> ps(p), ws(w);
+    const std::span<double> xs(s.x), rs(s.r), zs(s.z);
+    s.rr = base_class ? m.Preconditioner<double>::update_and_apply(
+                            alpha, ps, ws, xs, rs, zs)
+                      : m.update_and_apply(alpha, ps, ws, xs, rs, zs);
+    return s;
+  };
+  const Step fused = step(TrsvExec::kSerial, /*base_class=*/false);
+  for (const auto& [name, unfused] :
+       {std::pair{"serial unfused", step(TrsvExec::kSerial, true)},
+        std::pair{"levels", step(TrsvExec::kLevelScheduled, false)},
+        std::pair{"checked", step(TrsvExec::kLevelScheduledChecked, false)}}) {
+    const std::string at = what + " " + name;
+    EXPECT_TRUE(same_bits(fused.x, unfused.x)) << at;
+    EXPECT_TRUE(same_bits(fused.r, unfused.r)) << at;
+    EXPECT_TRUE(same_bits(fused.z, unfused.z)) << at;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.rr),
+              std::bit_cast<std::uint64_t>(unfused.rr))
+        << at;
   }
 }
 
 // The serial ILU's update_and_apply runs one fused forward pass (x and r
 // updates, ||r||^2 and the L solve); the level executors run the base-class
-// sequence axpy, axpy, apply, sumsq. Every output must agree bit for bit.
+// sequence axpy, axpy, apply, sumsq. Every output must agree bit for bit,
+// with double factors and with float ones.
 TEST(SptrsvIdentity, FusedSerialUpdateAndApplyMatchesUnfusedSequence) {
-  struct Step {
-    std::vector<double> x, r, z;
-    double rr = 0.0;
-  };
   for (const Csr<double>& a :
        {gen_grid_laplacian(14, 14, 1.5, 0.4, 3),
         gen_mesh_laplacian(12, 12, 0.3, 0.05, 8),
@@ -327,33 +379,11 @@ TEST(SptrsvIdentity, FusedSerialUpdateAndApplyMatchesUnfusedSequence) {
     for (const int level : {0, 2}) {
       const TriangularFactors<double> f =
           level == 0 ? ilu0_factors(a) : iluk_factors(a, level);
-      const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
-      const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
-      const auto step = [&](TrsvExec exec, bool base_class) {
-        const IluApplier<double> m(f, ls, us, exec);
-        Step s{x0, r0, std::vector<double>(n), 0.0};
-        const std::span<const double> ps(p), ws(w);
-        const std::span<double> xs(s.x), rs(s.r), zs(s.z);
-        s.rr = base_class ? m.Preconditioner<double>::update_and_apply(
-                                alpha, ps, ws, xs, rs, zs)
-                          : m.update_and_apply(alpha, ps, ws, xs, rs, zs);
-        return s;
-      };
-      const Step fused = step(TrsvExec::kSerial, /*base_class=*/false);
-      for (const auto& [name, unfused] :
-           {std::pair{"serial unfused", step(TrsvExec::kSerial, true)},
-            std::pair{"levels", step(TrsvExec::kLevelScheduled, false)},
-            std::pair{"checked",
-                      step(TrsvExec::kLevelScheduledChecked, false)}}) {
-        const std::string at = "n=" + std::to_string(n) + " ILU(" +
-                               std::to_string(level) + ") " + name;
-        EXPECT_TRUE(same_bits(fused.x, unfused.x)) << at;
-        EXPECT_TRUE(same_bits(fused.r, unfused.r)) << at;
-        EXPECT_TRUE(same_bits(fused.z, unfused.z)) << at;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.rr),
-                  std::bit_cast<std::uint64_t>(unfused.rr))
-            << at;
-      }
+      const std::string what =
+          "n=" + std::to_string(n) + " ILU(" + std::to_string(level) + ")";
+      expect_fused_matches_unfused(f, alpha, p, w, x0, r0, what);
+      expect_fused_matches_unfused(factors_cast<float>(f), alpha, p, w, x0,
+                                   r0, what + " float factors");
     }
   }
 }
@@ -464,6 +494,13 @@ TEST(SptrsvErrors, MalformedFactorsNameTheirRow) {
   IluResult<double> fact = ilu0(gen_poisson2d(5, 5));
   fact.lu.values[static_cast<std::size_t>(fact.lu.find(9, 9))] = 0.0;
   expect_error("U row 9 has a zero diagonal", [&] { split_lu(fact); });
+  // factors_cast validates the factor it converts: 1e-50 is a valid double
+  // pivot that rounds to zero in float.
+  u = f.u;
+  u.values[static_cast<std::size_t>(u.rowptr[7])] = 1e-50;
+  const TriangularFactors<double> tiny(f.l, u);
+  expect_error("U row 7 has a zero diagonal",
+               [&] { (void)factors_cast<float>(tiny); });
 }
 
 }  // namespace
