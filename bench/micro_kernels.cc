@@ -78,15 +78,26 @@ void BM_Ilu0(benchmark::State& state) {
 }
 BENCHMARK(BM_Ilu0);
 
+/// cap > 0 times the capped linked-list merge (the paper runner's and the
+/// thermal demo's path); cap = 0 the uncapped fill-path search that setups
+/// run, on the host's thread team.
 void BM_IlukSymbolic(benchmark::State& state) {
   const Csr<double>& a = circuit_matrix();
   const auto k = static_cast<index_t>(state.range(0));
+  const auto cap = static_cast<index_t>(state.range(1));
   for (auto _ : state) {
-    IlukSymbolic s = iluk_symbolic(a, k, 512);
+    IlukSymbolic s = iluk_symbolic(a, k, cap);
     benchmark::DoNotOptimize(s.pattern.colind.data());
   }
 }
-BENCHMARK(BM_IlukSymbolic)->Arg(2)->Arg(5)->Arg(10);
+BENCHMARK(BM_IlukSymbolic)
+    ->ArgNames({"k", "cap"})
+    ->Args({2, 512})
+    ->Args({5, 512})
+    ->Args({10, 512})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({3, 0});
 
 void BM_LevelSchedule(benchmark::State& state) {
   const Csr<double>& a = grid_matrix();

@@ -196,7 +196,12 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
     // closure stays a sound upper bound.
     const index_t k =
         opt.preconditioner == PrecondKind::kIlu0 ? 0 : opt.fill_level;
-    const IlukSymbolic closure = iluk_symbolic(*precond_input, k);
+    // The sequential merge, not the fill-path search that built an uncapped
+    // ILU(K) factor, so the closure is an independent check.
+    SPCG_CHECK(precond_input->rows == precond_input->cols);
+    const IlukSymbolic closure =
+        spcg::detail::iluk_merge(precond_input->rows, precond_input->rowptr,
+                                 precond_input->colind, k, 0);
     detail::check_pattern_subset(s.factors.l, closure.pattern, rep);
     detail::check_pattern_subset(s.factors.u, closure.pattern, rep);
   }

@@ -320,9 +320,25 @@ struct IlukSymbolic {
 };
 
 namespace detail {
+/// The symbolic phase over a square pattern with sorted rows: the fill-path
+/// search on a team of fill_path_team() threads when uncapped, the
+/// linked-list merge under a cap (precond/iluk_symbolic.cc).
 IlukSymbolic iluk_symbolic_pattern(index_t n, std::span<const index_t> rowptr,
                                    std::span<const index_t> colind, index_t k,
                                    index_t max_row_fill);
+/// The sequential linked-list merge, capped or not; the verifier recomputes
+/// a factor's closure with it, independently of the code that built it.
+IlukSymbolic iluk_merge(index_t n, std::span<const index_t> rowptr,
+                        std::span<const index_t> colind, index_t k,
+                        index_t max_row_fill);
+/// The uncapped symbolic phase by fill paths on `team` threads; the output
+/// does not depend on `team`.
+IlukSymbolic iluk_fill_paths(index_t n, std::span<const index_t> rowptr,
+                             std::span<const index_t> colind, index_t k,
+                             std::size_t team);
+/// min(hardware threads, a cap from the search work nnz * (k+1)); 1 runs the
+/// search on the caller alone.
+std::size_t fill_path_team(std::size_t nnz, index_t k);
 }  // namespace detail
 
 /// Level-of-fill is purely structural: only A's pattern is read.

@@ -17,11 +17,9 @@
 #pragma once
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,6 +28,7 @@
 #include "precond/preconditioner.h"
 #include "runtime/fingerprint.h"
 #include "runtime/setup_cache.h"
+#include "support/fork_join.h"
 #include "support/timer.h"
 #include "support/trace.h"
 
@@ -107,37 +106,23 @@ class SolverSession {
   }
 
   /// Solve a block of right-hand sides: one solve per column, spread over
-  /// min(columns, hardware threads) threads. Columns sweep their factors
-  /// serially (a level-scheduled sweep per column would open one OpenMP
-  /// team per thread); the race-checking executor stays armed. Every
-  /// executor runs the same row kernel, so each column is bitwise equal to
-  /// a sequential solve(). A column's error is rethrown once every thread
-  /// has joined.
+  /// min(columns, hardware threads) workers of one fork_join. Columns sweep
+  /// their factors serially (a level-scheduled sweep per column would open
+  /// one OpenMP team per thread); the race-checking executor stays armed.
+  /// Every executor runs the same row kernel, so each column is bitwise
+  /// equal to a sequential solve(). A column's error is rethrown once every
+  /// thread has joined.
   std::vector<SessionSolveResult<T>> solve_batch(
       std::span<const std::vector<T>> bs) const {
     const TrsvExec exec = opt_.executor == TrsvExec::kLevelScheduledChecked
                               ? opt_.executor
                               : TrsvExec::kSerial;
-    const std::size_t workers = std::min<std::size_t>(
-        bs.size(), std::max(1u, std::thread::hardware_concurrency()));
+    const std::size_t workers = std::min(bs.size(), hardware_threads());
     std::vector<SessionSolveResult<T>> out(bs.size());
-    std::vector<std::exception_ptr> errors(workers);
-    {
-      std::vector<std::jthread> pool;  // joins every worker on scope exit
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (std::size_t c = w; c < bs.size(); c += workers)
-              out[c] = solve_with(bs[c], exec);
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-    }
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
+    fork_join(workers, [&](std::size_t w) {
+      for (std::size_t c = w; c < bs.size(); c += workers)
+        out[c] = solve_with(bs[c], exec);
+    });
     return out;
   }
 

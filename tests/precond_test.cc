@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "precond/preconditioner.h"
 #include "sparse/norms.h"
 #include "sparse/ops.h"
+#include "support/fork_join.h"
 #include "transient/refactorize.h"
 
 namespace spcg {
@@ -824,6 +830,148 @@ TEST_P(IluIdentityTest, FactorsMatchPositionMapElimination) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatrices, IluIdentityTest, ::testing::Range(0, 107));
+
+// --- the fill-path symbolic phase against the sequential merge --------------
+
+constexpr std::size_t kTeamSizes[] = {1, 2, 4};
+
+/// The fill path at team sizes 1, 2 and 4 is byte for byte the merge.
+void expect_fill_path_matches_merge(const Csr<double>& a, index_t k,
+                                    const std::string& what) {
+  const IlukSymbolic ref =
+      detail::iluk_merge(a.rows, a.rowptr, a.colind, k, 0);
+  for (const std::size_t team : kTeamSizes) {
+    const IlukSymbolic got =
+        detail::iluk_fill_paths(a.rows, a.rowptr, a.colind, k, team);
+    const std::string at = what + " K=" + std::to_string(k) +
+                           " team=" + std::to_string(team);
+    EXPECT_EQ(got.pattern.rows, ref.pattern.rows) << at;
+    EXPECT_EQ(got.pattern.cols, ref.pattern.cols) << at;
+    EXPECT_EQ(got.pattern.rowptr, ref.pattern.rowptr) << at;
+    EXPECT_EQ(got.pattern.colind, ref.pattern.colind) << at;
+    EXPECT_EQ(got.pattern.values, ref.pattern.values) << at;
+    EXPECT_EQ(got.levels, ref.levels) << at;
+    EXPECT_EQ(got.truncated_rows, 0) << at;
+    EXPECT_EQ(got.truncated_rows, ref.truncated_rows) << at;
+  }
+}
+
+/// A random pattern with a full diagonal and `per_row` off-diagonal entries
+/// per row, each mirrored with probability `mirror`: unsymmetric unless
+/// mirror = 1.
+Csr<double> random_pattern(index_t n, index_t per_row, double mirror,
+                           std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<index_t> col(0, n - 1);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<Triplet<double>> ts;
+  for (index_t i = 0; i < n; ++i) {
+    ts.push_back({i, i, 4.0});
+    for (index_t t = 0; t < per_row; ++t) {
+      const index_t j = col(rng);
+      ts.push_back({i, j, -1.0});
+      if (coin(rng) < mirror) ts.push_back({j, i, -1.0});
+    }
+  }
+  return csr_from_triplets<double>(n, n, std::move(ts));
+}
+
+class IlukFillPath : public ::testing::TestWithParam<int> {};
+
+TEST_P(IlukFillPath, MatchesMergeOnModerateFillSuite) {
+  const GeneratedMatrix g =
+      generate_suite_matrix(static_cast<index_t>(GetParam()));
+  // The scattered patterns fill heavily past K = 1 (see moderate_fill).
+  const index_t max_k = moderate_fill(g.a) ? 3 : 1;
+  for (index_t k = 1; k <= max_k; ++k)
+    expect_fill_path_matches_merge(g.a, k, g.spec.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMatrices, IlukFillPath, ::testing::Range(0, 107));
+
+TEST_F(IlukFillPath, MatchesMergeOnSmallInputs) {
+  const std::vector<Csr<double>> inputs = small_symbolic_inputs();
+  for (std::size_t c = 0; c < inputs.size(); ++c)
+    for (const index_t k : {0, 1, 2, 3})
+      expect_fill_path_matches_merge(inputs[c], k,
+                                     "small input " + std::to_string(c));
+}
+
+TEST_F(IlukFillPath, MatchesMergeOnRandomUnsymmetricPatterns) {
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    const Csr<double> a = random_pattern(200, 2, seed % 3 == 0 ? 0.0 : 0.5,
+                                         seed);
+    for (const index_t k : {0, 1, 2, 3})
+      expect_fill_path_matches_merge(a, k, "seed " + std::to_string(seed));
+  }
+  // A pattern mirrored in full takes the symmetric path (L as the
+  // transpose of U) and must agree all the same.
+  expect_fill_path_matches_merge(random_pattern(200, 2, 1.0, 99), 2,
+                                 "mirrored");
+}
+
+TEST_F(IlukFillPath, MissingDiagonalNamesTheLowestRowAtEveryTeamSize) {
+  Csr<double> a = gen_poisson2d(8, 8);
+  std::vector<Triplet<double>> ts;
+  for (index_t i = 0; i < a.rows; ++i)
+    for (index_t p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
+      const index_t j = a.colind[static_cast<std::size_t>(p)];
+      if (i == j && (i == 21 || i == 50)) continue;
+      ts.push_back({i, j, a.values[static_cast<std::size_t>(p)]});
+    }
+  a = csr_from_triplets<double>(a.rows, a.cols, std::move(ts));
+  const auto message = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string want = "iluk_symbolic: row 21 has no diagonal";
+  EXPECT_NE(message([&] {
+              (void)detail::iluk_merge(a.rows, a.rowptr, a.colind, 2, 0);
+            }).find(want),
+            std::string::npos);
+  for (const std::size_t team : kTeamSizes)
+    EXPECT_NE(message([&] {
+                (void)detail::iluk_fill_paths(a.rows, a.rowptr, a.colind, 2,
+                                              team);
+              }).find(want),
+              std::string::npos)
+        << "team " << team;
+}
+
+TEST_F(IlukFillPath, WorkerExceptionReachesCallerAfterEveryJoin) {
+  constexpr std::size_t kWorkers = 4;
+  std::atomic<int> finished{0};
+  std::string caught;
+  try {
+    fork_join(kWorkers, [&](std::size_t w) {
+      if (w == 1 || w == 3)
+        throw std::runtime_error("worker " + std::to_string(w));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  // The lowest-numbered failure, and only once the sleeping workers ended.
+  EXPECT_EQ(caught, "worker 1");
+  EXPECT_EQ(finished.load(), 2);
+
+  // Worker 0 runs on the caller; a team of one spawns no thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  fork_join(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller);
+}
+
+TEST_F(IlukFillPath, SmallInputsRunOnTheCaller) {
+  EXPECT_EQ(detail::fill_path_team(1000, 3), 1u);
+  EXPECT_EQ(detail::fill_path_team(std::size_t{1} << 30, 2),
+            hardware_threads());
+}
 
 }  // namespace
 }  // namespace spcg
