@@ -8,7 +8,8 @@
 //                       Algorithm 2 (the Sec-3.2 heuristic);
 //   * preconditioner  — ILU(0), ILU(K) for K in 1..3, plus the related-work
 //                       alternatives ILUT, SAI and block-Jacobi;
-//   * SpTRSV executor — serial or level-scheduled.
+//   * SpTRSV executor — serial by default; level-scheduled when a TuneSpace
+//                       lists it.
 //
 // ILU-family configs convert losslessly to SpcgOptions (to_spcg_options), so
 // tuned winners flow through the existing SolverSession / SetupCache path.
@@ -145,8 +146,10 @@ struct TuneSpace {
   bool adaptive = true;               // include the Algorithm 2 policy
   std::vector<index_t> fill_levels{0, 1, 2, 3};  // 0 = ILU(0)
   bool alternatives = true;           // ILUT / SAI / block-Jacobi
-  std::vector<TrsvExec> executors{TrsvExec::kSerial,
-                                  TrsvExec::kLevelScheduled};
+  /// kLevelScheduled is left out by default: on a multicore CPU its
+  /// fork_join team has no settled win over serial on any benchmark factor
+  /// (EXPERIMENTS.md, "Level-scheduled SpTRSV on one fork_join team").
+  std::vector<TrsvExec> executors{TrsvExec::kSerial};
 };
 
 /// Enumerate the candidate space in deterministic order.

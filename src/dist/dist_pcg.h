@@ -38,7 +38,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/spcg.h"
@@ -49,6 +48,7 @@
 #include "solver/pcg.h"
 #include "solver/pipelined_cg.h"
 #include "sparse/ops.h"
+#include "support/fork_join.h"
 #include "support/timer.h"
 #include "support/trace.h"
 
@@ -326,9 +326,11 @@ std::vector<std::size_t> dist_window_bytes(const DistSetup<T>& setup) {
   return bytes;
 }
 
-/// Run the distributed solve: rank 0 on the calling thread, ranks 1..P-1 on
-/// their own std::threads. A rank that throws aborts the world; the first
-/// non-CommAborted error is rethrown here after every rank has joined.
+/// Run the distributed solve: rank r on worker r of one fork_join team, rank
+/// 0 on the calling thread. A rank that throws aborts the world; once every
+/// rank has joined, the first non-CommAborted error is rethrown here, and a
+/// CommAborted only when no rank has another error. Should a rank's thread
+/// fail to spawn, no rank runs and the spawn's error is rethrown.
 template <class T>
 DistSolveResult<T> dist_pcg_solve(std::span<const T> b,
                                   const DistSetup<T>& setup,
@@ -350,7 +352,8 @@ DistSolveResult<T> dist_pcg_solve(std::span<const T> b,
   std::vector<CommStats> rank_stats(static_cast<std::size_t>(parts));
   const std::span<T> x_global(out.solve.x);
 
-  auto body = [&](index_t rank) {
+  fork_join(static_cast<std::size_t>(parts), [&](std::size_t w) {
+    const auto rank = static_cast<index_t>(w);
     Communicator<T> comm(&group->transport(rank));
     Span rank_span("rank", "dist");
     rank_span.arg("rank", static_cast<std::int64_t>(rank));
@@ -358,22 +361,16 @@ DistSolveResult<T> dist_pcg_solve(std::span<const T> b,
     try {
       dist_pcg_rank(comm, setup, b, opt, x_global, out.solve);
     } catch (...) {
-      errors[static_cast<std::size_t>(rank)] = std::current_exception();
+      errors[w] = std::current_exception();
       comm.abort();
     }
     const CommStats cs = comm.stats();
-    rank_stats[static_cast<std::size_t>(rank)] = cs;
+    rank_stats[w] = cs;
     rank_span.arg("allreduces", cs.allreduces);
     rank_span.arg("halo_exchanges", cs.halo_exchanges);
     rank_span.arg("halo_bytes", cs.halo_bytes);
     rank_span.arg("wait_seconds", cs.wait_seconds);
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(parts - 1));
-  for (index_t r = 1; r < parts; ++r) threads.emplace_back(body, r);
-  body(0);
-  for (std::thread& t : threads) t.join();
+  });
 
   std::exception_ptr secondary;
   for (const std::exception_ptr& e : errors) {

@@ -9,11 +9,14 @@
 // them entirely at the price of preconditioner quality.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "precond/preconditioner.h"
 #include "sparse/csr.h"
+#include "support/fork_join.h"
 
 namespace spcg {
 
@@ -63,35 +66,46 @@ class BlockJacobiPreconditioner final : public Preconditioner<T> {
     }
   }
 
+  /// Blocks are independent, so contiguous ranges of them run on the
+  /// workers of one fork_join team, one per hardware thread (at most one
+  /// per block).
   void apply(std::span<const T> r, std::span<T> z) const override {
     SPCG_CHECK(static_cast<index_t>(r.size()) == n_);
-    const auto blocks = static_cast<index_t>(factors_.size());
-#pragma omp parallel for schedule(static)
-    for (index_t blk = 0; blk < blocks; ++blk) {
-      const index_t lo = blk * block_size_;
-      const index_t hi = std::min(n_, lo + block_size_);
-      const auto bs = static_cast<std::size_t>(hi - lo);
-      const auto& chol = factors_[static_cast<std::size_t>(blk)];
-      // Forward then backward substitution with the dense Cholesky factor.
-      for (std::size_t i = 0; i < bs; ++i) {
-        T v = r[static_cast<std::size_t>(lo) + i];
-        for (std::size_t k = 0; k < i; ++k)
-          v -= chol[i * bs + k] * z[static_cast<std::size_t>(lo) + k];
-        z[static_cast<std::size_t>(lo) + i] = v / chol[i * bs + i];
-      }
-      for (std::size_t ii = bs; ii-- > 0;) {
-        T v = z[static_cast<std::size_t>(lo) + ii];
-        for (std::size_t k = ii + 1; k < bs; ++k)
-          v -= chol[k * bs + ii] * z[static_cast<std::size_t>(lo) + k];
-        z[static_cast<std::size_t>(lo) + ii] = v / chol[ii * bs + ii];
-      }
-    }
+    SPCG_CHECK(z.size() == r.size());
+    const std::size_t blocks = factors_.size();
+    const std::size_t team = std::min(blocks, hardware_threads());
+    fork_join(team, [&](std::size_t w) {
+      const std::size_t end = blocks * (w + 1) / team;
+      for (std::size_t blk = blocks * w / team; blk < end; ++blk)
+        solve_block(blk, r, z);
+    });
   }
 
   [[nodiscard]] index_t rows() const override { return n_; }
   [[nodiscard]] index_t block_size() const { return block_size_; }
 
  private:
+  /// Forward then backward substitution with block `blk`'s dense Cholesky
+  /// factor: z's rows of the block from r's.
+  void solve_block(std::size_t blk, std::span<const T> r,
+                   std::span<T> z) const {
+    const std::size_t lo = blk * static_cast<std::size_t>(block_size_);
+    const std::size_t bs = std::min(static_cast<std::size_t>(n_) - lo,
+                                    static_cast<std::size_t>(block_size_));
+    const std::vector<T>& chol = factors_[blk];
+    for (std::size_t i = 0; i < bs; ++i) {
+      T v = r[lo + i];
+      for (std::size_t k = 0; k < i; ++k) v -= chol[i * bs + k] * z[lo + k];
+      z[lo + i] = v / chol[i * bs + i];
+    }
+    for (std::size_t ii = bs; ii-- > 0;) {
+      T v = z[lo + ii];
+      for (std::size_t k = ii + 1; k < bs; ++k)
+        v -= chol[k * bs + ii] * z[lo + k];
+      z[lo + ii] = v / chol[ii * bs + ii];
+    }
+  }
+
   index_t n_;
   index_t block_size_;
   std::vector<std::vector<T>> factors_;  // dense lower Cholesky per block

@@ -82,7 +82,7 @@ class JacobiPreconditioner final : public Preconditioner<T> {
 /// Execution strategy for the two triangular solves of an ILU apply.
 enum class TrsvExec {
   kSerial,          // reference forward/backward substitution
-  kLevelScheduled,  // wavefront-parallel (OpenMP), cuSPARSE-style
+  kLevelScheduled,  // wavefront-parallel (fork_join team), cuSPARSE-style
   /// Instrumented race-detecting executor (analysis/race_detector.h): same
   /// results as kLevelScheduled on a valid schedule, throws spcg::Error on
   /// any same-level dependence or stale read. Debug/test tool: every SpTRSV

@@ -107,8 +107,9 @@ class SolverSession {
 
   /// Solve a block of right-hand sides: one solve per column, spread over
   /// min(columns, hardware threads) workers of one fork_join. Columns sweep
-  /// their factors serially (a level-scheduled sweep per column would open
-  /// one OpenMP team per thread); the race-checking executor stays armed.
+  /// their factors serially: a level-scheduled sweep would fork a team of
+  /// its own in every column, up to hardware threads squared at once, and
+  /// oversubscribe the host. The race-checking executor stays armed.
   /// Every executor runs the same row kernel, so each column is bitwise
   /// equal to a sequential solve(). A column's error is rethrown once every
   /// thread has joined.

@@ -2,7 +2,7 @@
 //
 // A TraceRecorder collects timestamped spans — named intervals with a
 // category and optional key/value args — into per-thread buffers, so
-// recording from worker pools, distributed ranks and OpenMP regions never
+// recording from worker pools, distributed ranks and fork_join teams never
 // contends on a shared lock in the hot path. Spans are RAII (`Span` records
 // a complete event on destruction) and read MonotonicClock (support/timer.h),
 // the same clock every phase timer in the repo uses.

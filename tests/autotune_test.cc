@@ -175,10 +175,15 @@ TEST(AutotuneConfig, ToSpcgOptionsProjectsThePolicy) {
 }
 
 TEST(AutotuneConfig, EnumerateCandidatesIsDeterministicAndDuplicateFree) {
-  const TuneSpace space;  // defaults: {off,10,5,1,adaptive} x {0..3} x {2 exec}
+  // Default sparsify and fill axes ({off,10,5,1,adaptive} x {0..3}), with
+  // both executors named.
+  TuneSpace space;
+  space.executors = {TrsvExec::kSerial, TrsvExec::kLevelScheduled};
   const std::vector<TuneConfig> candidates = enumerate_candidates(space);
   // 5 sparsify policies x 4 fills x 2 executors + ILUT x 2 + SAI + BJ.
   EXPECT_EQ(candidates.size(), 5u * 4u * 2u + 4u);
+  // The default space enumerates the serial executor only.
+  EXPECT_EQ(enumerate_candidates(TuneSpace{}).size(), 5u * 4u + 3u);
   EXPECT_EQ(candidates, enumerate_candidates(space));
   for (std::size_t i = 0; i < candidates.size(); ++i)
     for (std::size_t j = i + 1; j < candidates.size(); ++j)

@@ -419,8 +419,8 @@ TEST(RuntimeSession, BatchedMultiRhsMatchesSequentialSolves) {
   for (std::uint64_t s = 1; s <= 6; ++s) rhs.push_back(make_rhs(a, s));
   rhs.push_back(std::vector<double>(static_cast<std::size_t>(a.rows), 0.0));
 
-  // The reference is the serial session, so the test enters no OpenMP sweep
-  // (the fixture runs under TSan).
+  // The reference is the serial session: every executor runs the same row
+  // kernel, so each column must match it bit for bit.
   const SolverSession<double> reference(a, fast_options());
   for (const TrsvExec exec : {TrsvExec::kSerial, TrsvExec::kLevelScheduled,
                               TrsvExec::kLevelScheduledChecked}) {

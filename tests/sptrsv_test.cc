@@ -15,6 +15,7 @@
 #include "precond/preconditioner.h"
 #include "sparse/ops.h"
 #include "sptrsv/sptrsv.h"
+#include "support/fork_join.h"
 #include "wavefront/levels.h"
 
 namespace spcg {
@@ -186,12 +187,10 @@ bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
 
 using Solve = std::function<void(std::span<const double>, std::span<double>)>;
 
-/// The executors of one triangle of `f`, by name: the single-threaded ones
-/// (serial and race-checked), then, with `threaded`, the OpenMP level
-/// executors.
+/// The executors of one triangle of `f`, by name: serial, race-checked, and
+/// the level sweep on teams of 1, 2 and 4 workers.
 std::vector<std::pair<std::string, Solve>> executors(
-    const TriangularFactors<double>& f, const LevelSchedule& s, bool lower,
-    bool threaded = true) {
+    const TriangularFactors<double>& f, const LevelSchedule& s, bool lower) {
   using CSpan = std::span<const double>;
   using MSpan = std::span<double>;
   std::vector<std::pair<std::string, Solve>> out{
@@ -206,10 +205,14 @@ std::vector<std::pair<std::string, Solve>> executors(
                    : analysis::sptrsv_upper_levels_checked(f, s, b, x);
          EXPECT_TRUE(r.ok());
        }}};
-  if (!threaded) return out;
-  out.emplace_back("levels", [&f, &s, lower](CSpan b, MSpan x) {
-    lower ? sptrsv_lower_levels(f, s, b, x) : sptrsv_upper_levels(f, s, b, x);
-  });
+  for (const std::size_t team : {1, 2, 4})
+    out.emplace_back("levels team " + std::to_string(team),
+                     [&f, &s, lower, team](CSpan b, MSpan x) {
+                       lower ? detail::sptrsv_level_sweep<true>(f.l, s, b, x,
+                                                                team)
+                             : detail::sptrsv_level_sweep<false>(f.u, s, b, x,
+                                                                 team);
+                     });
   return out;
 }
 
@@ -217,7 +220,7 @@ std::vector<std::pair<std::string, Solve>> executors(
 /// reference bit for bit on both factors of `f`.
 void expect_executors_match_reference(const TriangularFactors<double>& f,
                                       const std::string& what,
-                                      std::uint64_t seed, bool threaded) {
+                                      std::uint64_t seed) {
   std::vector<double> b(static_cast<std::size_t>(f.l.rows));
   Rng rng(seed);
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
@@ -227,7 +230,7 @@ void expect_executors_match_reference(const TriangularFactors<double>& f,
         level_schedule(m, lower ? Triangle::kLower : Triangle::kUpper);
     const std::vector<double> ref =
         lower ? reference_solve<true>(m, b) : reference_solve<false>(m, b);
-    for (const auto& [name, solve] : executors(f, s, lower, threaded)) {
+    for (const auto& [name, solve] : executors(f, s, lower)) {
       const std::string at = what + (lower ? " L " : " U ") + name;
       std::vector<double> x(b.size());
       solve(std::span<const double>(b), std::span<double>(x));
@@ -239,18 +242,13 @@ void expect_executors_match_reference(const TriangularFactors<double>& f,
   }
 }
 
-// The OpenMP level executors fork a team per level, and under a parallel
-// ctest run each level can cost a descheduled barrier (about 20 s per suite
-// matrix), so they are compared on small instances and the single-threaded
-// executors on every suite matrix. All of them run the same row kernel.
 class SptrsvIdentityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SptrsvIdentityTest, ExecutorsMatchBranchySerialOnIlu0Factors) {
   const GeneratedMatrix g =
       generate_suite_matrix(static_cast<index_t>(GetParam()));
   expect_executors_match_reference(ilu0_factors(g.a), g.spec.name + " ILU(0)",
-                                   static_cast<std::uint64_t>(GetParam()) + 1,
-                                   /*threaded=*/false);
+                                   static_cast<std::uint64_t>(GetParam()) + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatrices, SptrsvIdentityTest,
@@ -265,8 +263,7 @@ TEST(SptrsvIdentity, ExecutorsMatchBranchySerialOnIlu2Factors) {
     if (iluk_symbolic(g.a, 1).pattern.nnz() > 4 * g.a.nnz()) continue;
     expect_executors_match_reference(iluk_factors(g.a, 2),
                                      g.spec.name + " ILU(2)",
-                                     static_cast<std::uint64_t>(id) + 500,
-                                     /*threaded=*/false);
+                                     static_cast<std::uint64_t>(id) + 500);
     ++compared;
   }
   EXPECT_GE(compared, 10);
@@ -278,10 +275,9 @@ TEST(SptrsvIdentity, LevelExecutorsMatchBranchySerial) {
         gen_mesh_laplacian(12, 12, 0.3, 0.05, 8),
         gen_banded(150, 6, 0.4, false, 2)}) {
     const std::string what = "n=" + std::to_string(a.rows);
-    expect_executors_match_reference(ilu0_factors(a), what + " ILU(0)", 7,
-                                     /*threaded=*/true);
+    expect_executors_match_reference(ilu0_factors(a), what + " ILU(0)", 7);
     expect_executors_match_reference(iluk_factors(a, 2), what + " ILU(2)",
-                                     8, /*threaded=*/true);
+                                     8);
   }
 }
 
@@ -316,6 +312,42 @@ TEST(SptrsvIdentity, IluApplyIsBitwiseEqualAcrossExecutorsAndInPlace) {
   const TriangularFactors<double> f = iluk_factors(a, 1);
   expect_ilu_apply_bitwise_equal(f, r, "double factors");
   expect_ilu_apply_bitwise_equal(factors_cast<float>(f), r, "float factors");
+}
+
+// IluApplier holds no scratch, so concurrent solves may share one. Callers
+// that each fork a level-scheduled team of their own over the same factors
+// must each get the serial apply's bits (and, under TSan, race on nothing).
+TEST(SptrsvConcurrency, SharedApplierLevelAppliesMatchSerial) {
+  const Csr<double> a = gen_grid_laplacian(40, 40, 1.5, 0.4, 5);
+  constexpr std::size_t kCallers = 3;
+  constexpr int kApplies = 8;
+  for (const int level : {0, 2}) {
+    const TriangularFactors<double> f =
+        level == 0 ? ilu0_factors(a) : iluk_factors(a, level);
+    const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);
+    const LevelSchedule us = level_schedule(f.u, Triangle::kUpper);
+    const IluApplier<double> serial(f, ls, us, TrsvExec::kSerial);
+    const IluApplier<double> shared(f, ls, us, TrsvExec::kLevelScheduled);
+    std::vector<std::vector<double>> rhs(kCallers), want(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      Rng rng(c + 1);
+      rhs[c].resize(static_cast<std::size_t>(a.rows));
+      for (double& v : rhs[c]) v = rng.uniform(-1.0, 1.0);
+      want[c].resize(rhs[c].size());
+      serial.apply(rhs[c], std::span<double>(want[c]));
+    }
+    std::vector<int> mismatches(kCallers, 0);
+    fork_join(kCallers, [&](std::size_t c) {
+      std::vector<double> z(rhs[c].size());
+      for (int k = 0; k < kApplies; ++k) {
+        shared.apply(rhs[c], std::span<double>(z));
+        if (!same_bits(want[c], z)) ++mismatches[c];
+      }
+    });
+    for (std::size_t c = 0; c < kCallers; ++c)
+      EXPECT_EQ(mismatches[c], 0)
+          << "ILU(" << level << ") caller " << c;
+  }
 }
 
 /// The outputs of one update_and_apply call.
